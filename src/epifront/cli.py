@@ -6,7 +6,7 @@ with 17 significant digits so repeated invocations are byte-identical and
 round-trip exactly.
 
 Exit codes: 0 success, 2 configuration or assumption failure, 3 numerical
-failure (unstable run or exhausted grid).
+failure (unstable run, exhausted grid or failed eigen solve).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .kernels import kernel_eval, support_radius, validate_weight
 from .model import r0, validate_params
 from .ode import integrate_ode, lyapunov_series
 from .simulator import check_initial_pair, classify, run
-from .spectral import EigenProblem, principal_eigenvalue, rayleigh_check
+from .spectral import EigenProblem, SpectralError, principal_eigenvalue, rayleigh_check
 from .thresholds import (
     ThresholdRegimeError,
     ThresholdSearchError,
@@ -331,14 +331,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _kernel_mass(spec) -> float:
-    reach = support_radius(spec)
-    pts = None
-    if spec.family == "uniform":
-        pts = [-spec.radius, spec.radius]
-    elif spec.family == "power_tail":
-        pts = [-spec.cutoff, spec.cutoff]
-    val, _ = quad(lambda s: kernel_eval(spec, s), -reach, reach, points=pts, limit=400)
-    return val
+    """Integral of J over the line: the central piece, then each tail to infinity.
+
+    The central piece is the plateau of a power_tail kernel and the support
+    radius otherwise; a heavy tail's support radius is far too wide for
+    adaptive quadrature (about 6e47 at exponent 1.2).
+    """
+    edge = spec.cutoff if spec.family == "power_tail" else support_radius(spec)
+    pieces = ((-edge, edge), (edge, math.inf), (-math.inf, -edge))
+    return sum(quad(lambda s: kernel_eval(spec, s), lo, hi, limit=400)[0] for lo, hi in pieces)
 
 
 def _cmd_validate(args) -> int:
@@ -416,7 +417,11 @@ def main(argv=None) -> int:
     val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpectralError as err:  # eigen solves in eigen, thresholds and simulate
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

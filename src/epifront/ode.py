@@ -81,11 +81,6 @@ def lyapunov_series(p: ModelParams, trajectory):
     return [(s.t, alpha * s.u + s.v) for s in trajectory]
 
 
-def default_horizon(p: ModelParams) -> float:
-    """Horizon on which linear decay dominates: 200 / min(a, b)."""
-    return 200.0 / min(p.a, p.b)
-
-
 def classify_ode_limit(
     p: ModelParams,
     u0: float,

@@ -9,8 +9,9 @@ Implements:
     the front ODEs
         h' = mu * int_g^h [ u(x) W_J1(h-x) + rho v(x) W(h-x) ] dx
         g' = -mu * int_g^h [ u(x) W_J1(x-g) + rho v(x) W(x-g) ] dx,
-    front rates re-evaluated per stage. The dispersal operator is bounded,
-    so the explicit scheme is stable under dt <= 0.9 / (d1+d2+a+b+e+G'(0)).
+    front rates re-evaluated per stage on the occupied nodes only. The
+    dispersal operator is bounded, so the explicit scheme is stable under
+    dt <= 0.9 / (d1+d2+a+b+e+G'(0)).
   - Convolutions by direct O(n*m) stencil products (kernel values tabulated
     at node offsets once per kernel/grid pair); no FFT at this scale.
   - The equivalence check between the double-integral outward-flux form and
@@ -20,6 +21,9 @@ Implements:
     the interval's principal eigenvalue is negative.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
+  - Resumable runs: run(resume=traj) continues a completed run whose step
+    count is a multiple of record_every and reproduces a fresh run at the
+    longer horizon bit for bit; any other prefix restarts from t = 0.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ class Trajectory:
     status: str
     final_state: SimState
     snapshots: list = field(default_factory=list)
+    steps: int = 0  # time steps taken since t = 0
 
 
 @lru_cache(maxsize=64)
@@ -142,27 +147,29 @@ def _conv(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     return np.convolve(values, stencil)[m : m + values.size]
 
 
-def quad_weights(grid: Grid, g: float, h: float) -> np.ndarray:
+def quad_weights(grid: Grid, g: float, h: float, with_span: bool = False):
     """Trapezoid weights for int_g^h with fractional end cells.
 
     The integrand is taken linear between nodes and zero at the fronts, so
     the first and last interior nodes carry (dx + gap)/2 where gap is the
     distance from the front to that node. Nodes outside (g, h) get weight 0;
-    the weight vector doubles as the strict-interior mask.
+    the weight vector doubles as the strict-interior mask. With `with_span`
+    the occupied node range [lo, hi) is returned too, as (w, lo, hi); it is
+    empty (lo == hi) when no node lies strictly inside.
     """
     x, dx = grid.x, grid.dx
     w = np.zeros(grid.n)
     k = int(np.searchsorted(x, g, side="right"))
     m = int(np.searchsorted(x, h, side="left")) - 1
     if m < k:
-        return w
-    if k == m:
+        m = k - 1
+    elif k == m:
         w[k] = 0.5 * (h - g)
-        return w
-    w[k + 1 : m] = dx
-    w[k] = 0.5 * (dx + (x[k] - g))
-    w[m] = 0.5 * (dx + (h - x[m]))
-    return w
+    else:
+        w[k + 1 : m] = dx
+        w[k] = 0.5 * (dx + (x[k] - g))
+        w[m] = 0.5 * (dx + (h - x[m]))
+    return (w, k, m + 1) if with_span else w
 
 
 def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: np.ndarray, x: float) -> float:
@@ -187,6 +194,25 @@ def _front_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, u, v, g: float, h: 
     return flux_h, flux_g
 
 
+def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
+    """_front_fluxes summed over the occupied nodes [lo, hi) only.
+
+    Every other node has zero weight, so only the summation order differs from
+    the full-grid sum. A kernel_tail weight of kernel1 reuses the J1 tails.
+    """
+    x = grid.x[lo:hi]
+    to_h, to_g = h - x, x - g  # positive: occupied nodes lie strictly inside (g, h)
+    tail_h = kernel_tail(p.kernel1, to_h)
+    tail_g = kernel_tail(p.kernel1, to_g)
+    if p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1:
+        wh, wg = tail_h, tail_g
+    else:
+        wh = weight_eval(p.weight, to_h)
+        wg = weight_eval(p.weight, to_g)
+    w, u, rv = w[lo:hi], u[lo:hi], p.rho * v[lo:hi]
+    return float(np.sum(w * (u * tail_h + rv * wh))), float(np.sum(w * (u * tail_g + rv * wg)))
+
+
 def boundary_rates(p: ModelParams, state: SimState):
     """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law."""
     w = quad_weights(state.grid, state.g, state.h)
@@ -199,7 +225,7 @@ def boundary_rates(p: ModelParams, state: SimState):
 def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
     if h > grid.cap or g < -grid.cap:
         raise DomainExhausted(0.0, "front left the preallocated grid")
-    w = quad_weights(grid, g, h)
+    w, lo, hi = quad_weights(grid, g, h, with_span=True)
     inside = w > 0.0
     conv_u = _conv(w * u, st1)
     conv_v = _conv(w * v, st2)
@@ -211,7 +237,7 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
     )
     if frozen:
         return du, dv, 0.0, 0.0
-    flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
+    flux_h, flux_g = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
     return du, dv, -p.mu * flux_g, p.mu * flux_h
 
 
@@ -316,6 +342,9 @@ def check_initial_pair(u0_profile, v0_profile, h0: float, samples: int = 513) ->
     return issues
 
 
+_ROW_FIELDS = ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v", "h_rate", "g_rate")
+
+
 def run(
     p: ModelParams,
     cfg: SimConfig,
@@ -323,6 +352,7 @@ def run(
     v0_profile,
     stop_width: float | None = None,
     record_snapshots: bool = False,
+    resume: Trajectory | None = None,
 ) -> Trajectory:
     """Advance the moving-front system to t_end, recording on a fixed cadence.
 
@@ -330,20 +360,19 @@ def run(
     decided), when the densities and front speeds have decayed two orders
     below the vanishing tolerance, when the fronts exhaust the grid, or on
     numerical failure; the status field records which.
+
+    `resume` continues an earlier run from its final state, keeping its rows,
+    snapshots and step count. The caller passes the same model, profiles,
+    stop width, snapshot setting and numerics; only t_end may grow. If the
+    earlier run completed on a step count that is a multiple of record_every,
+    the result equals a fresh run bit for bit. Otherwise `resume` is ignored
+    and the run starts again from t = 0.
     """
     issues = validate_sim_config(p, cfg)
     issues += check_initial_pair(u0_profile, v0_profile, p.h0)
     if issues:
         raise ValueError("; ".join(issues))
-    grid = Grid(cfg.dx, cfg.domain_cap)
-    state = SimState(
-        t=0.0,
-        g=-p.h0,
-        h=p.h0,
-        u=sample_profile(u0_profile, grid, p.h0),
-        v=sample_profile(v0_profile, grid, p.h0),
-        grid=grid,
-    )
+    n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
     rows = []
     snapshots = []
 
@@ -360,11 +389,34 @@ def run(
             snapshots.append((s.t, grid.x.copy(), s.u.copy(), s.v.copy()))
         return hr, gr
 
-    record(state)
+    # Continuing is exact only from a completed run whose last row is also a
+    # cadence row of this run; any other prefix restarts from t = 0.
+    if (
+        resume is not None
+        and resume.status == "completed"
+        and resume.steps % cfg.record_every == 0
+        and resume.steps <= n_steps
+    ):
+        state = resume.final_state
+        grid = state.grid
+        rows.extend(zip(*(getattr(resume, name).tolist() for name in _ROW_FIELDS)))
+        snapshots.extend(resume.snapshots)
+        done = resume.steps
+    else:
+        grid = Grid(cfg.dx, cfg.domain_cap)
+        state = SimState(
+            t=0.0,
+            g=-p.h0,
+            h=p.h0,
+            u=sample_profile(u0_profile, grid, p.h0),
+            v=sample_profile(v0_profile, grid, p.h0),
+            grid=grid,
+        )
+        record(state)
+        done = 0
     status = "completed"
-    n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
     decay_floor = 0.01 * cfg.tol_vanish
-    for k in range(n_steps):
+    for k in range(done, n_steps):
         try:
             state = step(p, cfg, state)
         except DomainExhausted:
@@ -373,30 +425,24 @@ def run(
         except SimulationUnstable:
             status = "unstable"
             break
+        done = k + 1
         if stop_width is not None and state.h - state.g > stop_width:
             status = "stopped_width"
             break
-        if (k + 1) % cfg.record_every == 0 or (k + 1) == n_steps:
+        if done % cfg.record_every == 0 or done == n_steps:
             hr, gr = record(state)
             if state.u.max() + state.v.max() < decay_floor and hr - gr < decay_floor:
                 status = "stopped_decayed"
                 break
     if rows[-1][0] != state.t:
         record(state)
-    cols = list(zip(*rows))
+    cols = {name: np.asarray(col) for name, col in zip(_ROW_FIELDS, zip(*rows))}
     return Trajectory(
-        t=np.asarray(cols[0]),
-        g=np.asarray(cols[1]),
-        h=np.asarray(cols[2]),
-        sup_u=np.asarray(cols[3]),
-        sup_v=np.asarray(cols[4]),
-        mass_u=np.asarray(cols[5]),
-        mass_v=np.asarray(cols[6]),
-        h_rate=np.asarray(cols[7]),
-        g_rate=np.asarray(cols[8]),
+        **cols,
         status=status,
         final_state=state,
         snapshots=snapshots,
+        steps=done,
     )
 
 

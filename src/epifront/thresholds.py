@@ -12,7 +12,10 @@ Implements:
     response mu and on the initial-data scale sigma. Monotonicity of the
     dichotomy in both parameters makes plain bisection valid; probes that
     come back undecided trigger horizon doubling up to a cap, and brackets
-    whose ends agree are expanded up to a cap.
+    whose ends agree are expanded up to a cap. A doubled probe resumes its
+    previous run from the final state when that run completed on a step
+    count that is a multiple of record_every (the outcome is then identical
+    to a fresh run); otherwise it restarts from t = 0.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval.
 """
@@ -238,9 +241,12 @@ def _classify_with_horizon(
 ) -> str:
     stop = 2.0 * L_star + 2.0 * cfg.tol_spread
     horizon = cfg.t_end
+    traj = None
     for _ in range(max_doublings + 1):
         local = replace(cfg, t_end=horizon)
-        traj = run(p, local, u0_profile, v0_profile, stop_width=stop)
+        # Extends the previous horizon's run when it is exactly continuable;
+        # run() itself falls back to a fresh start from t = 0 otherwise.
+        traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj)
         outcome = classify(traj, L_star, local)
         if outcome != "undecided":
             return outcome

@@ -349,3 +349,30 @@ def test_simulate_numerical_failure_exit(tmp_path):
     assert main(["simulate", path]) == 3
     summary = json.loads((tmp_path / "boom" / "summary.json").read_text())
     assert summary["status"] == "domain_exhausted"
+
+
+def test_spectral_failure_is_a_numerical_failure(tmp_path, capsys):
+    # A kernel far narrower than the eigen grid spacing yields a principal
+    # eigenvector with sign changes; that is exit 3, not a traceback.
+    data = deep(BASE_CONFIG)
+    narrow = {"family": "gaussian", "std": 0.001}
+    data["model"].update(kernel1=narrow, kernel2=narrow, weight={"family": "kernel_tail", "kernel": narrow})
+    data["model"]["infection"]["alpha"] = 2.0
+    data["eigen"] = {"L1": -2.0, "L2": 2.0, "n": 16}
+    data["thresholds"] = {"n": 16}
+    path = write_config(tmp_path, data)
+    for argv in (["eigen", path], ["thresholds", path, "--target", "Lstar"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", [1.2, 1.5, 2.0, 2.5])
+def test_validate_passes_power_tail_kernels(tmp_path, capsys, exponent):
+    data = deep(BASE_CONFIG)
+    kern = {"family": "power_tail", "exponent": exponent, "cutoff": 0.5}
+    data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
+    path = write_config(tmp_path, data)
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "FAIL" not in out

@@ -8,6 +8,7 @@ import pytest
 from epifront import (
     KernelSpec,
     SimConfig,
+    WeightSpec,
     a_priori_bounds,
     boundary_rates,
     classify,
@@ -21,6 +22,8 @@ from epifront.simulator import (
     DomainExhausted,
     Grid,
     SimState,
+    _front_fluxes,
+    _occupied_fluxes,
     fixed_boundary_rhs,
     quad_weights,
     sample_profile,
@@ -440,3 +443,96 @@ def test_classify_rules():
     assert classify(small, 2.0, cfg) == "vanishing"
     stuck = Trajectory(t=np.array([0.0, 1.0]), g=np.array([-1.0, -1.1]), h=np.array([1.0, 1.1]), **base)
     assert classify(stuck, 2.0, cfg) == "undecided"
+
+
+_TRAJECTORY_ARRAYS = ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v", "h_rate", "g_rate")
+
+
+def assert_same_run(a, b):
+    """Bitwise equality of two trajectories and their final states."""
+    for name in _TRAJECTORY_ARRAYS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.status, a.steps) == (b.status, b.steps)
+    fa, fb = a.final_state, b.final_state
+    assert (fa.t, fa.g, fa.h) == (fb.t, fb.g, fb.h)
+    assert fa.u.tobytes() == fb.u.tobytes() and fa.v.tobytes() == fb.v.tobytes()
+    assert len(a.snapshots) == len(b.snapshots)
+    for (ta, _, ua, va), (tb, _, ub, vb) in zip(a.snapshots, b.snapshots):
+        assert ta == tb and ua.tobytes() == ub.tobytes() and va.tobytes() == vb.tobytes()
+
+
+@pytest.mark.parametrize("snapshots", [False, True])
+def test_resume_matches_fresh_run_bitwise(snapshots):
+    # 100 steps is a multiple of record_every, so the prefix's last row is a
+    # cadence row of the longer run and the continuation is exact.
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=12.0, domain_cap=4.0, record_every=10)
+    prefix = run(p, cfg, bump, bump, stop_width=50.0, record_snapshots=snapshots)
+    assert prefix.status == "completed" and prefix.steps == 100
+    longer = replace(cfg, t_end=24.0)
+    resumed = run(p, longer, bump, bump, stop_width=50.0, record_snapshots=snapshots, resume=prefix)
+    fresh = run(p, longer, bump, bump, stop_width=50.0, record_snapshots=snapshots)
+    assert fresh.steps == 200
+    assert_same_run(resumed, fresh)
+    # Resuming at the prefix's own horizon returns the prefix unchanged.
+    assert_same_run(run(p, cfg, bump, bump, stop_width=50.0, record_snapshots=snapshots, resume=prefix), prefix)
+
+
+def _fallback_cases():
+    bump = bump_profile(0.4)
+    spread = make_params(alpha=2.0, h0=0.4)
+    base = SimConfig(dx=0.04, dt=0.12, t_end=12.0, domain_cap=4.0, record_every=10)
+    yield "off_cadence", spread, replace(base, t_end=95 * 0.12), bump, None, "completed"
+    # record_every=1 puts the stop on the record cadence, so only the status
+    # tells this prefix apart from a continuable one.
+    yield "stopped_width", spread, replace(base, record_every=1), bump, 0.85, "stopped_width"
+    tiny = bump_profile(0.4, amplitude=1e-6)
+    yield "stopped_decayed", make_params(alpha=0.5, h0=0.4), base, tiny, None, "stopped_decayed"
+    fast = make_params(alpha=2.0, mu=50.0, h0=0.4)
+    yield "domain_exhausted", fast, replace(base, domain_cap=2.0), bump, None, "domain_exhausted"
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda c: c[0])
+def test_resume_falls_back_to_fresh_run(case):
+    _, p, cfg, prof, stop, status = case
+    prefix = run(p, cfg, prof, prof, stop_width=stop)
+    assert prefix.status == status
+    longer = replace(cfg, t_end=2.0 * cfg.t_end)
+    resumed = run(p, longer, prof, prof, stop_width=stop, resume=prefix)
+    assert_same_run(resumed, run(p, longer, prof, prof, stop_width=stop))
+
+
+_WEIGHTS = {
+    "tail_of_J1": WeightSpec.kernel_tail_of(KernelSpec.uniform(1.0)),
+    "tail_of_other": WeightSpec.kernel_tail_of(KernelSpec.gaussian(0.7)),
+    "constant_on": WeightSpec.constant_on(0.8, 0.6),
+    "table": WeightSpec.table([(0.0, 1.0), (0.5, 0.4), (1.5, 0.1)]),
+}
+
+
+@pytest.mark.parametrize("weight", list(_WEIGHTS), ids=str)
+def test_occupied_fluxes_match_full_grid(weight):
+    p = make_params(kernel=KernelSpec.uniform(1.0), weight=_WEIGHTS[weight])
+    grid = Grid(0.05, 4.0)
+    x = grid.x
+    rng = np.random.default_rng(5)
+    fronts = {
+        "fractional": (-0.913, 1.237),
+        "node_aligned": (x[30], x[140]),
+        "one_node": (x[100] - 0.01, x[100] + 0.02),
+        "empty": (0.011, 0.039),
+    }
+    for name, (g, h) in fronts.items():
+        w, lo, hi = quad_weights(grid, g, h, with_span=True)
+        assert w.tobytes() == quad_weights(grid, g, h).tobytes()
+        assert np.array_equal(np.nonzero(w)[0], np.arange(lo, hi)), name
+        inside = w > 0.0
+        u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        ref = _front_fluxes(p, grid, w, u, v, g, h)
+        got = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
+        if name == "empty":
+            assert lo == hi and ref == got == (0.0, 0.0)
+        else:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
