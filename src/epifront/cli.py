@@ -98,13 +98,14 @@ def _cmd_simulate(args) -> int:
     outcome = classify(traj, l_star, num)
 
     # Coarse companion run: one halving level of resolution, for the
-    # grid-refinement delta reported alongside the result.
-    coarse_cfg = replace(num, dx=2.0 * num.dx, dt=num.dt)
+    # grid-refinement delta reported alongside the result. When the doubled
+    # dx fails validation (dx > h0/10) the delta is null and the note says why.
+    refinement_delta = refinement_note = None
     try:
-        coarse = run(p, coarse_cfg, u0, v0)
+        coarse = run(p, replace(num, dx=2.0 * num.dx), u0, v0)
         refinement_delta = abs(float(traj.h[-1]) - float(coarse.h[-1]))
-    except Exception:
-        refinement_delta = None  # coarse companion infeasible at this dx
+    except ValueError as err:
+        refinement_note = f"coarse companion run at dx={2.0 * num.dx:g} is infeasible: {err}"
 
     _write_rows(
         os.path.join(outdir, "trajectory.csv"),
@@ -130,6 +131,7 @@ def _cmd_simulate(args) -> int:
             "sup_v": float(traj.sup_v[-1]),
         },
         "refinement_delta": refinement_delta,
+        "refinement_note": refinement_note,
         "config": cfg.raw,
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -197,11 +199,9 @@ def _cmd_thresholds(args) -> int:
                 value = find_L_star(p, n=thr.n, tol=thr.tol, trace=trace)
             else:
                 value = find_d_star(p, n=thr.n, tol=thr.tol, trace=trace)
-            lo = max((x for x, lam in trace if lam > 0.0), default=None)
-            hi = min((x for x, lam in trace if lam < 0.0), default=None)
-            if args.target == "dstar":
-                lo = max((x for x, lam in trace if lam < 0.0), default=None)
-                hi = min((x for x, lam in trace if lam > 0.0), default=None)
+            low_sign = 1.0 if args.target == "Lstar" else -1.0  # sign of lambda_p below the root
+            lo = max((x for x, lam in trace if low_sign * lam > 0.0), default=None)
+            hi = min((x for x, lam in trace if low_sign * lam < 0.0), default=None)
             payload = {
                 "target": args.target,
                 "value": value,

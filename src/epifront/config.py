@@ -11,8 +11,11 @@ A configuration file has blocks
     ode       optional: u0, v0, t_end, dt for the homogeneous subcommand
     thresholds optional: n, tol, rel_tol, bracket for threshold searches
 
-Parsing is strict: unknown keys anywhere are violations, and every violation
-in the file is reported in one pass rather than failing on the first.
+Parsing is strict: unknown keys, wrong-typed values and non-finite numbers
+anywhere are violations (a JSON null counts as an absent key), and every
+violation in the file is reported in one pass rather than failing on the
+first. The numerics are checked against the model only when the model is
+valid.
 
 Numerics defaults: dx = h0/20, dt = the explicit stability limit
 0.9/(d1+d2+a+b+e+G'(0)), t_end = 100, domain_cap = 8*h0, record_every = 10,
@@ -23,12 +26,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelSpec, WeightSpec
-from .model import InfectionFn, ModelParams, validate_params
+from .model import InfectionFn, ModelParams, validate_constants, validate_params
 from .simulator import SimConfig, stability_limit, validate_sim_config
 
 
@@ -111,29 +115,35 @@ class _Section:
                 self.issues.append(f"{self.path}: unknown key {key!r}")
 
     def get(self, key: str, default=None, required: bool = False):
+        """The value under key; an absent key and a JSON null both give default."""
         self.seen.add(key)
-        if key not in self.data:
+        if self.data.get(key) is None:
             if required:
                 self.issues.append(f"{self.path}.{key}: missing")
             return default
         return self.data[key]
 
     def number(self, key: str, default=None, required: bool = False):
-        val = self.get(key, default, required)
+        """A float; a wrong-typed value is reported and replaced by default."""
+        val = self.get(key, required=required)
         if val is None:
-            return None
+            return default
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.issues.append(f"{self.path}.{key}: must be a number")
-            return None
+            return default
+        if not abs(val) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+            self.issues.append(f"{self.path}.{key}: must be finite")
+            return default
         return float(val)
 
     def integer(self, key: str, default=None, required: bool = False):
-        val = self.get(key, default, required)
+        """An int; a wrong-typed value is reported and replaced by default."""
+        val = self.get(key, required=required)
         if val is None:
-            return None
+            return default
         if isinstance(val, bool) or not isinstance(val, int):
             self.issues.append(f"{self.path}.{key}: must be an integer")
-            return None
+            return default
         return val
 
     def subsection(self, key: str, required: bool = False) -> "_Section | None":
@@ -276,35 +286,25 @@ def parse_config_dict(data: dict):
             params = ModelParams(
                 kernel1=kernel1, kernel2=kernel2, weight=weight, infection=infection, **fields
             )
-            for msg in validate_params(params):
-                issues.append(f"config.model: {msg}")
-
-    numerics = None
-    num_sec = root.subsection("numerics")
-    if params is not None:
-        h0 = params.h0
-        if num_sec is not None:
-            numerics = SimConfig(
-                dx=num_sec.number("dx", h0 / 20.0),
-                dt=num_sec.number("dt", stability_limit(params)),
-                t_end=num_sec.number("t_end", 100.0),
-                domain_cap=num_sec.number("domain_cap", 8.0 * h0),
-                record_every=num_sec.integer("record_every", 10),
-                tol_vanish=num_sec.number("tol_vanish", 1e-3),
-                tol_spread=num_sec.number("tol_spread", 0.5),
-            )
-            num_sec.flag_unknown()
+            bad = validate_params(params)
         else:
-            numerics = SimConfig(
-                dx=h0 / 20.0,
-                dt=stability_limit(params),
-                t_end=100.0,
-                domain_cap=8.0 * h0,
-            )
+            bad = validate_constants(fields)  # the constants that did parse
+        issues.extend(f"config.model: {msg}" for msg in bad)
+        if bad:
+            params = None  # numerics defaults and checks need a valid model
+
+    # The numerics keys are read (and type-checked) even without a valid
+    # model; their defaults and the checks against the model need one.
+    num_sec = root.subsection("numerics") or _Section({}, "config.numerics", issues)
+    given = {key: num_sec.number(key) for key in ("dx", "dt", "t_end", "domain_cap", "tol_vanish", "tol_spread")}
+    given["record_every"] = num_sec.integer("record_every")
+    num_sec.flag_unknown()
+    numerics = None
+    if params is not None:
+        defaults = {"dx": params.h0 / 20.0, "dt": stability_limit(params), "t_end": 100.0, "domain_cap": 8.0 * params.h0}
+        numerics = SimConfig(**{**defaults, **{key: val for key, val in given.items() if val is not None}})
         for msg in validate_sim_config(params, numerics):
             issues.append(f"config.numerics: {msg}")
-    elif num_sec is not None:
-        num_sec.flag_unknown()
 
     u0 = v0 = None
     init_sec = root.subsection("initial")

@@ -92,14 +92,20 @@ class ModelParams:
     infection: InfectionFn
 
 
-def validate_params(p: ModelParams) -> list:
-    """Collect every constraint violation (empty list means valid)."""
+def validate_constants(values: dict) -> list:
+    """Range violations among the scalar constants; missing or None entries are skipped."""
     issues = []
     for name in ("d1", "d2", "a", "b", "e", "mu", "h0"):
-        if not getattr(p, name) > 0.0:
+        if values.get(name) is not None and not values[name] > 0.0:
             issues.append(f"{name} must be > 0")
-    if not p.rho >= 0.0:
+    if values.get("rho") is not None and not values["rho"] >= 0.0:
         issues.append("rho must be >= 0")
+    return issues
+
+
+def validate_params(p: ModelParams) -> list:
+    """Collect every constraint violation (empty list means valid)."""
+    issues = validate_constants(vars(p))
     issues.extend(validate_infection(p.infection))
     # Saturation condition: G(z)/z must fall below a*b/e for large z.
     if p.a > 0 and p.b > 0 and p.e > 0:

@@ -1,7 +1,9 @@
 """Spatially homogeneous two-species dynamics and its dichotomy diagnostics.
 
 Implements:
-  - Classical fixed-step 4-stage integration of
+  - rk4_step, the classical 4-stage update of a tuple of scalars or arrays;
+    the front simulator and the frozen-interval run step through it too.
+  - Fixed-step integration of
         u' = -a*u + e*v,   v' = -b*v + G(u)
     with nonnegativity enforcement (round-off clamp at -1e-14, hard error
     beyond that).
@@ -43,6 +45,19 @@ class OdeOutcome:
     v_star: float
 
 
+def rk4_step(rhs, y: tuple, dt: float) -> tuple:
+    """One classical 4-stage update of the state tuple y under y' = rhs(*y).
+
+    rhs returns one rate per component; components may be floats or arrays.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = rhs(*y)
+    k2 = rhs(*[a + half * k for a, k in zip(y, k1)])
+    k3 = rhs(*[a + half * k for a, k in zip(y, k2)])
+    k4 = rhs(*[a + dt * k for a, k in zip(y, k3)])
+    return tuple(a + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4) for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
+
+
 def _rhs(p: ModelParams, u: float, v: float):
     return -p.a * u + p.e * v, -p.b * v + infection_value(p.infection, max(u, 0.0))
 
@@ -56,13 +71,9 @@ def integrate_ode(p: ModelParams, u0: float, v0: float, t_end: float, dt: float)
     n_steps = max(1, int(round(t_end / dt)))
     u, v, t = float(u0), float(v0), 0.0
     states = [OdeState(t, u, v)]
+    rhs = lambda u, v: _rhs(p, u, v)
     for k in range(n_steps):
-        du1, dv1 = _rhs(p, u, v)
-        du2, dv2 = _rhs(p, u + 0.5 * dt * du1, v + 0.5 * dt * dv1)
-        du3, dv3 = _rhs(p, u + 0.5 * dt * du2, v + 0.5 * dt * dv2)
-        du4, dv4 = _rhs(p, u + dt * du3, v + dt * dv3)
-        u = u + dt / 6.0 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-        v = v + dt / 6.0 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        u, v = rk4_step(rhs, (u, v), dt)
         t = (k + 1) * dt
         if not (math.isfinite(u) and math.isfinite(v)):
             raise OdeInstabilityError(t, "state became non-finite; reduce dt")

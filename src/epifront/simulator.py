@@ -5,8 +5,8 @@ Implements:
     g(t) <= h(t) move continuously (never snapped to nodes) and quadrature
     uses fractional end cells, with densities pinned to zero at and beyond
     the fronts.
-  - Explicit classical 4-stage stepping of the density pair together with
-    the front ODEs
+  - Explicit classical 4-stage stepping (ode.rk4_step) of the density pair
+    together with the front ODEs
         h' = mu * int_g^h [ u(x) W_J1(h-x) + rho v(x) W(h-x) ] dx
         g' = -mu * int_g^h [ u(x) W_J1(x-g) + rho v(x) W(x-g) ] dx,
     front rates re-evaluated per stage on the occupied nodes only. The
@@ -18,7 +18,9 @@ Implements:
     the tail-weighted single integral.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
     whose long-time profiles approach the unique positive steady state when
-    the interval's principal eigenvalue is negative.
+    the interval's principal eigenvalue is negative. It shares the 4-stage
+    step and the density check (finite, round-off clamp at -1e-14) with the
+    moving-front stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - Resumable runs: run(resume=traj) continues a completed run whose step
@@ -37,6 +39,7 @@ from scipy.integrate import quad
 
 from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, weight_eval
 from .model import ModelParams, gprime0, infection_value
+from .ode import rk4_step
 
 NEG_TOL = -1e-14  # round-off clamp for nonnegative densities
 
@@ -241,6 +244,17 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
     return du, dv, -p.mu * flux_g, p.mu * flux_h
 
 
+def _check_densities(t: float, u: np.ndarray, v: np.ndarray) -> None:
+    """Abort on non-finite or clearly negative densities; clamp round-off in place."""
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise SimulationUnstable(t, "density became non-finite; reduce dt")
+    worst = min(u.min(), v.min())
+    if worst < NEG_TOL:
+        raise SimulationUnstable(t, f"density went negative ({worst:.3e})")
+    np.clip(u, 0.0, None, out=u)
+    np.clip(v, 0.0, None, out=v)
+
+
 def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: bool = False) -> SimState:
     """One explicit 4-stage update of (u, v, g, h).
 
@@ -252,46 +266,19 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
     grid, dt = state.grid, cfg.dt
     st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
     st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
-    u, v, g, h = state.u, state.v, state.g, state.h
-
+    rhs = lambda u, v, g, h: _rates(p, grid, st1, st2, u, v, g, h, freeze_boundaries)
     try:
-        du1, dv1, dg1, dh1 = _rates(p, grid, st1, st2, u, v, g, h, freeze_boundaries)
-        du2, dv2, dg2, dh2 = _rates(
-            p, grid, st1, st2,
-            u + 0.5 * dt * du1, v + 0.5 * dt * dv1,
-            g + 0.5 * dt * dg1, h + 0.5 * dt * dh1, freeze_boundaries,
-        )
-        du3, dv3, dg3, dh3 = _rates(
-            p, grid, st1, st2,
-            u + 0.5 * dt * du2, v + 0.5 * dt * dv2,
-            g + 0.5 * dt * dg2, h + 0.5 * dt * dh2, freeze_boundaries,
-        )
-        du4, dv4, dg4, dh4 = _rates(
-            p, grid, st1, st2,
-            u + dt * du3, v + dt * dv3,
-            g + dt * dg3, h + dt * dh3, freeze_boundaries,
-        )
+        u_new, v_new, g_new, h_new = rk4_step(rhs, (state.u, state.v, state.g, state.h), dt)
     except DomainExhausted:
         raise DomainExhausted(state.t, "front left the preallocated grid") from None
 
     t_new = state.t + dt
-    g_new = g + dt / 6.0 * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4)
-    h_new = h + dt / 6.0 * (dh1 + 2.0 * dh2 + 2.0 * dh3 + dh4)
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
-    u_new = u + dt / 6.0 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-    v_new = v + dt / 6.0 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-
     live = quad_weights(grid, g_new, h_new) > 0.0
     u_new = np.where(live, u_new, 0.0)
     v_new = np.where(live, v_new, 0.0)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise SimulationUnstable(t_new, "density became non-finite; reduce dt")
-    worst = min(u_new.min(), v_new.min())
-    if worst < NEG_TOL:
-        raise SimulationUnstable(t_new, f"density went negative ({worst:.3e})")
-    np.clip(u_new, 0.0, None, out=u_new)
-    np.clip(v_new, 0.0, None, out=v_new)
+    _check_densities(t_new, u_new, v_new)
     return SimState(t=t_new, g=g_new, h=h_new, u=u_new, v=v_new, grid=grid)
 
 
@@ -514,18 +501,8 @@ def fixed_boundary_run(
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise ValueError("initial data must be nonnegative")
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+    rhs = lambda u, v: fixed_boundary_rhs(p, x, u, v)
     for k in range(n_steps):
-        du1, dv1 = fixed_boundary_rhs(p, x, u, v)
-        du2, dv2 = fixed_boundary_rhs(p, x, u + 0.5 * dt * du1, v + 0.5 * dt * dv1)
-        du3, dv3 = fixed_boundary_rhs(p, x, u + 0.5 * dt * du2, v + 0.5 * dt * dv2)
-        du4, dv4 = fixed_boundary_rhs(p, x, u + dt * du3, v + dt * dv3)
-        u = u + dt / 6.0 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-        v = v + dt / 6.0 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise SimulationUnstable((k + 1) * dt, "density became non-finite; reduce dt")
-        worst = min(u.min(), v.min())
-        if worst < NEG_TOL:
-            raise SimulationUnstable((k + 1) * dt, f"density went negative ({worst:.3e})")
-        np.clip(u, 0.0, None, out=u)
-        np.clip(v, 0.0, None, out=v)
+        u, v = rk4_step(rhs, (u, v), dt)
+        _check_densities((k + 1) * dt, u, v)
     return x, u, v

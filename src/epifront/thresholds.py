@@ -1,4 +1,4 @@
-"""Sharp constants of the spreading-vanishing dichotomy by monotone bisection.
+"""Sharp constants of the spreading-vanishing dichotomy.
 
 Implements:
   - L_star: the half-length at which the interval eigenvalue crosses zero
@@ -8,6 +8,8 @@ Implements:
     with (d1, d2) = s*(d1_0, d2_0) on [-h0, h0] crosses zero (eigenvalue
     strictly increasing in s), defined for r0 > 1, together with its
     closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
+    Both roots share one search: widen a sign-changing bracket, then close
+    it with Brent's method until |lambda_p| < tol.
   - mu_star and sigma_star: simulation-backed bisections on the front
     response mu and on the initial-data scale sigma. Monotonicity of the
     dichotomy in both parameters makes plain bisection valid; probes that
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
@@ -57,11 +60,53 @@ def _lambda_on_interval(p: ModelParams, half_length: float, n: int, d1=None, d2=
     return principal_eigenvalue(prob).lambda_p
 
 
+class _RootFound(Exception):
+    """Stops the Brent iteration at the first abscissa within the tolerance."""
+
+
+def _eigen_root(lam, lo: float, shrink: float, hi: float, grow: float, lo_sign: float, tol: float, what: str) -> float:
+    """First probe x with |lam(x)| < tol; lam is monotone in x > 0 with sign lo_sign near 0.
+
+    lo is divided by `shrink` until lam(lo) has the sign lo_sign, then hi is
+    multiplied by `grow` (the old hi becoming lo) until the sign flips, and
+    Brent's method (scipy.optimize.brentq) closes the bracket. Each abscissa
+    is solved once.
+    """
+    values: dict = {}
+
+    def f(x: float) -> float:  # lo_sign * lam: positive at lo, negative at hi
+        if x not in values:
+            values[x] = lam(x)
+            if abs(values[x]) < tol:
+                raise _RootFound(x)
+        return lo_sign * values[x]
+
+    try:
+        for _ in range(40):
+            if f(lo) > 0.0:
+                break
+            lo /= shrink
+        else:
+            raise ThresholdSearchError(f"no {what} below the eigenvalue zero crossing found")
+        for _ in range(60):
+            if f(hi) < 0.0:
+                break
+            lo, hi = hi, hi * grow
+        else:
+            raise ThresholdSearchError(f"no {what} above the eigenvalue zero crossing found")
+        # Relative stopping only (xtol at the smallest float): roots may be tiny.
+        brentq(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
+    except _RootFound as found:
+        return found.args[0]
+    raise ThresholdSearchError(f"{what} search did not reach the eigenvalue tolerance")
+
+
 def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | None = None) -> float:
-    """Half-length where the interval eigenvalue vanishes, by bisection.
+    """Half-length where the interval eigenvalue vanishes, by Brent's method.
 
     Only defined in the intermediate regime; outside it the eigenvalue has
     one sign for every length and the applicable regime is reported instead.
+    `trace` collects every (length, lambda_p) probe.
     """
     reproduction = r0(p)
     if reproduction <= 1.0:
@@ -79,31 +124,7 @@ def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | N
             trace.append((half, val))
         return val
 
-    lo = p.h0 / 10.0
-    for _ in range(40):
-        if lam(lo) > 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise ThresholdSearchError("could not find a positive-eigenvalue length")
-    hi = max(2.0 * p.h0, 2.0 * lo)
-    for _ in range(40):
-        if lam(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ThresholdSearchError("could not find a negative-eigenvalue length")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = lam(mid)
-        if abs(val) < tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ThresholdSearchError("length bisection did not reach the eigenvalue tolerance")
+    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 2.0, 1.0, tol, "length")
 
 
 def find_d_star(
@@ -134,31 +155,7 @@ def find_d_star(
             trace.append((s, val))
         return val
 
-    lo = 1e-8
-    for _ in range(40):
-        if lam(lo) < 0.0:
-            break
-        lo /= 4.0
-    else:
-        raise ThresholdSearchError("no negative-eigenvalue diffusion scale found")
-    hi = 1.0
-    for _ in range(60):
-        if lam(hi) > 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ThresholdSearchError("no positive-eigenvalue diffusion scale found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = lam(mid)
-        if abs(val) < tol:
-            return mid
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ThresholdSearchError("diffusion bisection did not reach the eigenvalue tolerance")
+    return _eigen_root(lam, 1e-8, 4.0, 1.0, 2.0, -1.0, tol, "diffusion scale")
 
 
 def effective_L_star(p: ModelParams, n: int = 241) -> float:
@@ -166,7 +163,7 @@ def effective_L_star(p: ModelParams, n: int = 241) -> float:
 
     inf when r0 <= 1 (no width ever flips the eigenvalue negative), 0 in the
     spreading-sufficient regime (every width already has it negative), and
-    the bisected zero crossing in between. This is what finite-horizon
+    the zero crossing from find_L_star in between. This is what finite-horizon
     classification should compare widths against.
     """
     if r0(p) <= 1.0:

@@ -376,3 +376,71 @@ def test_validate_passes_power_tail_kernels(tmp_path, capsys, exponent):
     assert main(["validate", path]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("numerics", "dx", "0.05"),
+        ("numerics", "record_every", 2.5),
+        ("ode", "u0", "x"),
+        ("ode", "dt", [0.01]),
+        ("thresholds", "n", "241"),
+    ],
+)
+def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, block, key, value):
+    data = deep(BASE_CONFIG)
+    data.setdefault(block, {})[key] = value
+    cfg, issues = parse_config_dict(data)
+    assert cfg is None and issues == [f"config.{block}.{key}: must be " + ("an integer" if key in ("n", "record_every") else "a number")]
+    assert main(["simulate", write_config(tmp_path, data)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_null_value_means_default():
+    data = deep(BASE_CONFIG)
+    data["numerics"]["t_end"] = None
+    cfg, issues = parse_config_dict(data)
+    assert issues == [] and cfg.numerics.t_end == 100.0
+    data["model"]["mu"] = None
+    assert parse_config_dict(data)[1] == ["config.model.mu: missing"]
+
+
+def test_invalid_model_does_not_disown_numerics_keys():
+    data = deep(BASE_CONFIG)
+    data["model"]["mu"] = "x"
+    cfg, issues = parse_config_dict(data)
+    assert cfg is None
+    assert issues == ["config.model.mu: must be a number"]
+
+
+def test_numbers_must_be_finite():
+    data = deep(BASE_CONFIG)
+    data["model"]["h0"] = math.inf
+    data["numerics"]["t_end"] = 10**400
+    _, issues = parse_config_dict(data)
+    assert issues == ["config.model.h0: must be finite", "config.numerics.t_end: must be finite"]
+
+
+def test_simulate_reports_why_the_coarse_companion_is_missing(tmp_path):
+    data = deep(BASE_CONFIG)
+    data["numerics"]["dx"] = 0.1  # = h0/10, so the doubled dx fails validation
+    data["numerics"]["t_end"] = 5.0
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main(["simulate", write_config(tmp_path, data)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["refinement_delta"] is None
+    assert "dx must not exceed h0/10" in summary["refinement_note"]
+
+
+@pytest.mark.parametrize("target, low_sign", [("Lstar", 1.0), ("dstar", -1.0)])
+def test_thresholds_bracket_follows_the_target_sign(tmp_path, capsys, target, low_sign):
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["thresholds"] = {"n": 121}
+    assert main(["thresholds", write_config(tmp_path, data), "--target", target]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lam = dict(map(tuple, payload["probes"]))
+    lo, hi = payload["bracket"]
+    assert lo <= payload["value"] <= hi
+    assert low_sign * lam[lo] > 0.0 > low_sign * lam[hi]

@@ -5,7 +5,7 @@ import pytest
 
 from epifront import classify_ode_limit, equilibrium, integrate_ode, lyapunov_series
 from epifront.model import gprime0, infection_value
-from epifront.ode import OdeInstabilityError
+from epifront.ode import OdeInstabilityError, rk4_step
 from helpers import make_params
 
 
@@ -83,3 +83,22 @@ def test_step_size_order():
         errs.append(max(abs(end.u - ref.u), abs(end.v - ref.v)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 3.5)
+
+
+@pytest.mark.parametrize("y0", [1.5, np.array([1.0, -2.0, 0.25])])
+def test_rk4_step_matches_fourth_order_taylor_factor(y0):
+    # On y' = -y one classical 4-stage step multiplies y by the Taylor
+    # polynomial of exp(-dt) through dt^4.
+    dt = 0.3
+    factor = 1.0 - dt + dt**2 / 2.0 - dt**3 / 6.0 + dt**4 / 24.0
+    (y1,) = rk4_step(lambda y: (-y,), (y0,), dt)
+    np.testing.assert_allclose(y1, factor * y0, rtol=1e-15)
+
+
+def test_rk4_step_advances_each_component_with_shared_stages():
+    # y' = (z, -y): the stages mix the components, so a wrong pairing of
+    # state and rate shows up in the rotation.
+    dt = 0.1
+    y1, z1 = rk4_step(lambda y, z: (z, -y), (1.0, 0.0), dt)
+    assert y1 == pytest.approx(1.0 - dt**2 / 2.0 + dt**4 / 24.0, rel=1e-15)
+    assert z1 == pytest.approx(-dt + dt**3 / 6.0, rel=1e-15)

@@ -20,8 +20,8 @@ from epifront import (
     run,
     vanishing_mu_bound,
 )
-from epifront.spectral import EigenProblem, principal_eigenvalue
-from epifront.thresholds import ThresholdRegimeError
+from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
+from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError
 from helpers import bump_profile, make_params, random_intermediate_params
 
 
@@ -75,6 +75,36 @@ def test_d_star_crossing_and_agreement():
     assert lam_half(p, 1.0, d1=1.1 * ds, d2=1.1 * ds) > 0.0
     ds2 = find_d_star(p, 1.0, 1.0, h0=1.0, n=482)
     assert abs(ds - ds2) < 1e-3
+
+
+@pytest.mark.parametrize("target", ["L", "d"])
+def test_root_is_a_traced_probe_within_tol(target):
+    p = make_params(alpha=2.0, h0=0.4)
+    trace = []
+    value = find_L_star(p, n=121, trace=trace) if target == "L" else find_d_star(p, n=121, trace=trace)
+    hits = [lam for x, lam in trace if x == value]
+    assert len(hits) == 1 and abs(hits[0]) < 1e-6
+    assert len({x for x, _ in trace}) == len(trace)  # every abscissa solved once
+    assert len(trace) <= 10
+
+
+@pytest.mark.parametrize("target", ["L", "d"])
+def test_root_search_fails_when_tol_is_unreachable(target):
+    p = make_params(alpha=2.0, h0=0.4)
+    with pytest.raises(ThresholdSearchError, match="did not reach the eigenvalue tolerance"):
+        if target == "L":
+            find_L_star(p, n=32, tol=0.0)
+        else:
+            find_d_star(p, n=32, tol=0.0)
+
+
+def test_d_star_lets_spectral_failure_propagate():
+    # A kernel far narrower than the grid spacing breaks the eigen solve; the
+    # root search must not turn that into a search failure.
+    narrow = KernelSpec.gaussian(0.001)
+    p = make_params(alpha=2.0, kernel=narrow, weight=WeightSpec.kernel_tail_of(narrow))
+    with pytest.raises(SpectralError):
+        find_d_star(p, n=16)
 
 
 def test_d_star_lower_bound_values():
