@@ -296,13 +296,23 @@ def parse_config_dict(data: dict):
     # The numerics keys are read (and type-checked) even without a valid
     # model; their defaults and the checks against the model need one.
     num_sec = root.subsection("numerics") or _Section({}, "config.numerics", issues)
-    given = {key: num_sec.number(key) for key in ("dx", "dt", "t_end", "domain_cap", "tol_vanish", "tol_spread")}
+    given = {}
+    for key in ("dx", "dt", "t_end", "domain_cap", "tol_vanish", "tol_spread"):
+        given[key] = num_sec.number(key)
     given["record_every"] = num_sec.integer("record_every")
     num_sec.flag_unknown()
     numerics = None
     if params is not None:
-        defaults = {"dx": params.h0 / 20.0, "dt": stability_limit(params), "t_end": 100.0, "domain_cap": 8.0 * params.h0}
-        numerics = SimConfig(**{**defaults, **{key: val for key, val in given.items() if val is not None}})
+        settings = {
+            "dx": params.h0 / 20.0,
+            "dt": stability_limit(params),
+            "t_end": 100.0,
+            "domain_cap": 8.0 * params.h0,
+        }
+        for key, val in given.items():
+            if val is not None:
+                settings[key] = val
+        numerics = SimConfig(**settings)
         for msg in validate_sim_config(params, numerics):
             issues.append(f"config.numerics: {msg}")
 

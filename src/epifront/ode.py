@@ -55,7 +55,10 @@ def rk4_step(rhs, y: tuple, dt: float) -> tuple:
     k2 = rhs(*[a + half * k for a, k in zip(y, k1)])
     k3 = rhs(*[a + half * k for a, k in zip(y, k2)])
     k4 = rhs(*[a + dt * k for a, k in zip(y, k3)])
-    return tuple(a + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4) for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
+    return tuple(
+        a + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)
+    )
 
 
 def _rhs(p: ModelParams, u: float, v: float):

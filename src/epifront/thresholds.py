@@ -9,7 +9,9 @@ Implements:
     strictly increasing in s), defined for r0 > 1, together with its
     closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
     Both roots share one search: widen a sign-changing bracket, then close
-    it with Brent's method until |lambda_p| < tol.
+    it until |lambda_p| < tol (Brent's method for d_star, bisection for
+    L_star). The monotonicity holds for the continuous problem; at coarse n
+    the discrete eigenvalue can cross zero more than once in L (find_L_star).
   - mu_star and sigma_star: simulation-backed bisections on the front
     response mu and on the initial-data scale sigma. Monotonicity of the
     dichotomy in both parameters makes plain bisection valid; probes that
@@ -61,16 +63,19 @@ def _lambda_on_interval(p: ModelParams, half_length: float, n: int, d1=None, d2=
 
 
 class _RootFound(Exception):
-    """Stops the Brent iteration at the first abscissa within the tolerance."""
+    """Stops the root search at the first abscissa within the tolerance."""
 
 
-def _eigen_root(lam, lo: float, shrink: float, hi: float, grow: float, lo_sign: float, tol: float, what: str) -> float:
-    """First probe x with |lam(x)| < tol; lam is monotone in x > 0 with sign lo_sign near 0.
+def _eigen_root(
+    lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, brent: bool
+) -> float:
+    """First probe x with |lam(x)| < tol, where lam has the sign lo_sign at small x.
 
     lo is divided by `shrink` until lam(lo) has the sign lo_sign, then hi is
-    multiplied by `grow` (the old hi becoming lo) until the sign flips, and
-    Brent's method (scipy.optimize.brentq) closes the bracket. Each abscissa
-    is solved once.
+    doubled (the old hi becoming lo) until the sign flips. Brent's method
+    (scipy.optimize.brentq) closes the bracket when `brent` is set, bisection
+    otherwise; where lam vanishes more than once in the bracket, the two may
+    return different zeros. Each abscissa is solved once.
     """
     values: dict = {}
 
@@ -91,22 +96,35 @@ def _eigen_root(lam, lo: float, shrink: float, hi: float, grow: float, lo_sign: 
         for _ in range(60):
             if f(hi) < 0.0:
                 break
-            lo, hi = hi, hi * grow
+            lo, hi = hi, 2.0 * hi
         else:
             raise ThresholdSearchError(f"no {what} above the eigenvalue zero crossing found")
-        # Relative stopping only (xtol at the smallest float): roots may be tiny.
-        brentq(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
+        if brent:
+            # Relative stopping only (xtol at the smallest float): roots may be tiny.
+            brentq(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
+        else:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
     except _RootFound as found:
         return found.args[0]
     raise ThresholdSearchError(f"{what} search did not reach the eigenvalue tolerance")
 
 
 def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | None = None) -> float:
-    """Half-length where the interval eigenvalue vanishes, by Brent's method.
+    """Half-length where the interval eigenvalue vanishes, by bisection.
 
     Only defined in the intermediate regime; outside it the eigenvalue has
     one sign for every length and the applicable regime is reported instead.
     `trace` collects every (length, lambda_p) probe.
+
+    The grid moves with L, so with a discontinuous kernel the discrete
+    eigenvalue jumps in L and can vanish at several lengths a few grid
+    spacings apart (uniform kernel, n=48: 0.59994 and 0.60394). Bisection
+    keeps the zero that earlier versions returned; Brent's method may not.
     """
     reproduction = r0(p)
     if reproduction <= 1.0:
@@ -124,7 +142,7 @@ def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | N
             trace.append((half, val))
         return val
 
-    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 2.0, 1.0, tol, "length")
+    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", brent=False)
 
 
 def find_d_star(
@@ -136,10 +154,12 @@ def find_d_star(
     tol: float = 1e-6,
     trace: list | None = None,
 ) -> float:
-    """Diffusion scale where the eigenvalue on [-h0, h0] crosses zero.
+    """Diffusion scale where the eigenvalue on [-h0, h0] crosses zero, by Brent's method.
 
     The eigenvalue is strictly increasing in the scale, negative in the
-    zero-diffusion limit whenever r0 > 1, and grows without bound.
+    zero-diffusion limit whenever r0 > 1, and grows without bound. The grid
+    stays fixed while the scale changes, so the discrete eigenvalue is
+    continuous in it. `trace` collects every (scale, lambda_p) probe.
     """
     if r0(p) <= 1.0:
         raise ThresholdRegimeError("r0 must exceed 1 for a diffusion threshold")
@@ -155,7 +175,7 @@ def find_d_star(
             trace.append((s, val))
         return val
 
-    return _eigen_root(lam, 1e-8, 4.0, 1.0, 2.0, -1.0, tol, "diffusion scale")
+    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brent=True)
 
 
 def effective_L_star(p: ModelParams, n: int = 241) -> float:

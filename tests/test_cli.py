@@ -392,7 +392,8 @@ def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, block, key, value
     data = deep(BASE_CONFIG)
     data.setdefault(block, {})[key] = value
     cfg, issues = parse_config_dict(data)
-    assert cfg is None and issues == [f"config.{block}.{key}: must be " + ("an integer" if key in ("n", "record_every") else "a number")]
+    kind = "an integer" if key in ("n", "record_every") else "a number"
+    assert cfg is None and issues == [f"config.{block}.{key}: must be {kind}"]
     assert main(["simulate", write_config(tmp_path, data)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

@@ -17,7 +17,9 @@ SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
     max_leaves=12,
 )
 WRONG_TYPES = ("1.0", None, True, [], [1.0], {}, {"x": 1}, math.nan, -math.inf, 10**400, -1, 0, 2.5)

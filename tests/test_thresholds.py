@@ -21,7 +21,7 @@ from epifront import (
     vanishing_mu_bound,
 )
 from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
-from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError
+from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lambda_on_interval
 from helpers import bump_profile, make_params, random_intermediate_params
 
 
@@ -81,11 +81,22 @@ def test_d_star_crossing_and_agreement():
 def test_root_is_a_traced_probe_within_tol(target):
     p = make_params(alpha=2.0, h0=0.4)
     trace = []
-    value = find_L_star(p, n=121, trace=trace) if target == "L" else find_d_star(p, n=121, trace=trace)
+    find = find_L_star if target == "L" else find_d_star
+    value = find(p, n=121, trace=trace)
     hits = [lam for x, lam in trace if x == value]
     assert len(hits) == 1 and abs(hits[0]) < 1e-6
     assert len({x for x, _ in trace}) == len(trace)  # every abscissa solved once
-    assert len(trace) <= 10
+    if target == "d":  # Brent's method; L* bisects (18-21 solves)
+        assert len(trace) <= 10
+
+
+def test_L_star_at_coarse_n_is_the_bisection_crossing():
+    # At n=48 the uniform kernel's edge makes lambda_p(L) jump up near
+    # L=0.6027, so it vanishes near 0.59994 and again near 0.60394. L* keeps
+    # the crossing that bisection reaches (Brent's method reaches the other).
+    p = make_params(alpha=2.0, h0=0.4)
+    assert find_L_star(p, n=48) == pytest.approx(0.59994, abs=1e-5)
+    assert abs(_lambda_on_interval(p, 0.6039383927199767, 48)) < 1e-6
 
 
 @pytest.mark.parametrize("target", ["L", "d"])
