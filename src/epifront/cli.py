@@ -274,6 +274,15 @@ def _sweep_one(payload):
         return value, "error", math.nan, math.nan, math.nan, str(err)
 
 
+def _worker_count(value, name: str, issues: list) -> int:
+    """int(value), or 1 with a reported issue when value is not an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        issues.append(f"{name} must be an integer, got {value!r}")
+        return 1
+
+
 def _cmd_sweep(args) -> int:
     if not os.path.exists(args.spec):
         print(f"sweep spec not found: {args.spec}", file=sys.stderr)
@@ -305,15 +314,18 @@ def _cmd_sweep(args) -> int:
         _, cfg_issues = cfgmod.parse_config_dict(raw_config)
         issues.extend(cfg_issues)
     output = spec.get("output", "sweep.csv")
+    spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
+    env_cap = os.environ.get(WORKER_ENV)
+    if env_cap is not None:
+        env_cap = _worker_count(env_cap, WORKER_ENV, issues)
     if issues:
         for msg in issues:
             print(f"invalid sweep spec: {msg}", file=sys.stderr)
         return 2
 
-    workers = args.workers or int(spec.get("workers", 1))
-    env_cap = os.environ.get(WORKER_ENV)
+    workers = args.workers or spec_workers
     if env_cap is not None:
-        workers = min(workers, max(1, int(env_cap)))
+        workers = min(workers, max(1, env_cap))
     jobs = [(raw_config, parameter, float(v)) for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -262,6 +262,26 @@ def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
     return spec
 
 
+def _threshold_issues(thr: ThresholdConfig, given: dict) -> list:
+    """Range violations of a thresholds block, reported before any solve."""
+    issues = []
+    if thr.n < 16:
+        issues.append("n: must be >= 16")
+    if not thr.tol > 0.0:
+        issues.append("tol: must be > 0")
+    if not 0.0 < thr.rel_tol < 1.0:
+        issues.append("rel_tol: must lie strictly between 0 and 1")
+    # Presence is read from the block itself, so a wrong-typed end (already
+    # reported) does not count as a missing one too.
+    for key, other in (("bracket_lo", "bracket_hi"), ("bracket_hi", "bracket_lo")):
+        if given.get(key) is not None and given.get(other) is None:
+            issues.append(f"{key}: needs {other} too")
+    if thr.bracket_lo is not None and thr.bracket_hi is not None:
+        if not 0.0 < thr.bracket_lo < thr.bracket_hi:
+            issues.append("bracket_lo: must satisfy 0 < bracket_lo < bracket_hi")
+    return [f"config.thresholds.{msg}" for msg in issues]
+
+
 def parse_config_dict(data: dict):
     """Validate a parsed JSON document; returns (RunConfig | None, violations)."""
     issues: list = []
@@ -377,6 +397,7 @@ def parse_config_dict(data: dict):
             bracket_hi=thr_sec.number("bracket_hi"),
         )
         thr_sec.flag_unknown()
+        issues.extend(_threshold_issues(thresholds, thr_sec.data))
 
     root.flag_unknown()
     if issues or params is None or numerics is None or u0 is None or v0 is None:

@@ -121,10 +121,10 @@ def kernel_tail(spec: KernelSpec, x):
     symmetry of the unit-mass density.
     """
     ax = np.asarray(x, dtype=float)
-    if np.any(ax < 0.0):
+    if (ax < 0.0).any():
         raise ValueError("kernel_tail argument must be nonnegative")
     if spec.family == "uniform":
-        out = np.clip(spec.radius - ax, 0.0, None) / (2.0 * spec.radius)
+        out = np.maximum(spec.radius - ax, 0.0) / (2.0 * spec.radius)
     elif spec.family == "gaussian":
         out = 0.5 * erfc(ax / (spec.std * math.sqrt(2.0)))
     elif spec.family == "laplace":
@@ -132,7 +132,7 @@ def kernel_tail(spec: KernelSpec, x):
     else:
         g, x0 = spec.exponent, spec.cutoff
         c = _power_norm(spec)
-        plateau = c * np.clip(x0 - ax, 0.0, None) * x0 ** (-g)
+        plateau = c * np.maximum(x0 - ax, 0.0) * x0 ** (-g)
         decay = c * np.maximum(ax, x0) ** (1.0 - g) / (g - 1.0)
         out = plateau + decay
     return float(out) if out.ndim == 0 else out
@@ -208,7 +208,7 @@ class WeightSpec:
 def weight_eval(spec: WeightSpec, x):
     """Evaluate W(x) for x >= 0 (elementwise)."""
     ax = np.asarray(x, dtype=float)
-    if np.any(ax < 0.0):
+    if (ax < 0.0).any():
         raise ValueError("weight argument must be nonnegative")
     if spec.family == "kernel_tail":
         return kernel_tail(spec.kernel, ax if ax.ndim else float(ax))

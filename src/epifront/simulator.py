@@ -9,11 +9,13 @@ Implements:
     together with the front ODEs
         h' = mu * int_g^h [ u(x) W_J1(h-x) + rho v(x) W(h-x) ] dx
         g' = -mu * int_g^h [ u(x) W_J1(x-g) + rho v(x) W(x-g) ] dx,
-    front rates re-evaluated per stage on the occupied nodes only. The
-    dispersal operator is bounded, so the explicit scheme is stable under
-    dt <= 0.9 / (d1+d2+a+b+e+G'(0)).
-  - Convolutions by direct O(n*m) stencil products (kernel values tabulated
-    at node offsets once per kernel/grid pair); no FFT at this scale.
+    re-evaluated per stage. The dispersal operator is bounded, so the
+    explicit scheme is stable under dt <= 0.9 / (d1+d2+a+b+e+G'(0)).
+  - Stages evaluated on the occupied window [lo, hi), the nodes strictly
+    inside (g, h): convolutions by direct O(n_win*m) stencil products of the
+    window's weighted densities (kernel values tabulated at node offsets
+    once per kernel/grid pair; no FFT at this scale), and both front fluxes
+    from one tail evaluation and one mat-vec. Every other node has zero rate.
   - The equivalence check between the double-integral outward-flux form and
     the tail-weighted single integral.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
@@ -200,20 +202,21 @@ def _front_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, u, v, g: float, h: 
 def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
     """_front_fluxes summed over the occupied nodes [lo, hi) only.
 
-    Every other node has zero weight, so only the summation order differs from
-    the full-grid sum. A kernel_tail weight of kernel1 reuses the J1 tails.
+    Every other node has zero weight, so only rounding differs from the
+    full-grid sum. Both fronts' J1 tails come from one kernel_tail call and
+    both fluxes from one mat-vec; a kernel_tail weight of kernel1 reuses the
+    tails, with u + rho v folded first.
     """
     x = grid.x[lo:hi]
-    to_h, to_g = h - x, x - g  # positive: occupied nodes lie strictly inside (g, h)
-    tail_h = kernel_tail(p.kernel1, to_h)
-    tail_g = kernel_tail(p.kernel1, to_g)
+    to_front = np.array((h - x, x - g))  # positive: occupied nodes lie strictly inside (g, h)
+    tails = kernel_tail(p.kernel1, to_front)
+    wu, rwv = w[lo:hi] * u[lo:hi], p.rho * (w[lo:hi] * v[lo:hi])
     if p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1:
-        wh, wg = tail_h, tail_g
+        flux_h, flux_g = tails @ (wu + rwv)
     else:
-        wh = weight_eval(p.weight, to_h)
-        wg = weight_eval(p.weight, to_g)
-    w, u, rv = w[lo:hi], u[lo:hi], p.rho * v[lo:hi]
-    return float(np.sum(w * (u * tail_h + rv * wh))), float(np.sum(w * (u * tail_g + rv * wg)))
+        weights = weight_eval(p.weight, to_front)
+        flux_h, flux_g = np.hstack((tails, weights)) @ np.concatenate((wu, rwv))
+    return float(flux_h), float(flux_g)
 
 
 def boundary_rates(p: ModelParams, state: SimState):
@@ -226,17 +229,23 @@ def boundary_rates(p: ModelParams, state: SimState):
 
 
 def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
+    """Stage rates (du, dv, g', h') evaluated on the occupied window [lo, hi).
+
+    Densities vanish outside the window, so the convolutions take only the
+    window's weighted values and du, dv are zero elsewhere.
+    """
     if h > grid.cap or g < -grid.cap:
         raise DomainExhausted(0.0, "front left the preallocated grid")
     w, lo, hi = quad_weights(grid, g, h, with_span=True)
-    inside = w > 0.0
-    conv_u = _conv(w * u, st1)
-    conv_v = _conv(w * v, st2)
-    du = np.where(inside, p.d1 * conv_u - (p.d1 + p.a) * u + p.e * v, 0.0)
-    dv = np.where(
-        inside,
-        p.d2 * conv_v - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0)),
-        0.0,
+    du, dv = np.zeros(grid.n), np.zeros(grid.n)
+    if lo == hi:
+        return du, dv, 0.0, 0.0
+    uw, vw = u[lo:hi], v[lo:hi]
+    du[lo:hi] = p.d1 * _conv(w[lo:hi] * uw, st1) - (p.d1 + p.a) * uw + p.e * vw
+    dv[lo:hi] = (
+        p.d2 * _conv(w[lo:hi] * vw, st2)
+        - (p.d2 + p.b) * vw
+        + infection_value(p.infection, np.maximum(uw, 0.0))
     )
     if frozen:
         return du, dv, 0.0, 0.0
@@ -246,22 +255,23 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
 
 def _check_densities(t: float, u: np.ndarray, v: np.ndarray) -> None:
     """Abort on non-finite or clearly negative densities; clamp round-off in place."""
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise SimulationUnstable(t, "density became non-finite; reduce dt")
     worst = min(u.min(), v.min())
     if worst < NEG_TOL:
         raise SimulationUnstable(t, f"density went negative ({worst:.3e})")
-    np.clip(u, 0.0, None, out=u)
-    np.clip(v, 0.0, None, out=v)
+    np.maximum(u, 0.0, out=u)
+    np.maximum(v, 0.0, out=v)
 
 
 def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: bool = False) -> SimState:
     """One explicit 4-stage update of (u, v, g, h).
 
-    Front rates are re-evaluated at every stage; nodes uncovered by the
+    Each stage runs on its own occupied window; nodes uncovered by the
     advancing fronts during the step start at exactly zero (they only enter
-    the interior mask of later evaluations). Negative round-off down to
-    -1e-14 is clamped; anything worse aborts as instability.
+    the windows of later stages). The new densities are zeroed outside the
+    new window. Negative round-off down to -1e-14 is clamped; anything worse
+    aborts as instability.
     """
     grid, dt = state.grid, cfg.dt
     st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
@@ -275,9 +285,10 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
     t_new = state.t + dt
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
-    live = quad_weights(grid, g_new, h_new) > 0.0
-    u_new = np.where(live, u_new, 0.0)
-    v_new = np.where(live, v_new, 0.0)
+    _, lo, hi = quad_weights(grid, g_new, h_new, with_span=True)
+    for dens in (u_new, v_new):
+        dens[:lo] = 0.0
+        dens[hi:] = 0.0
     _check_densities(t_new, u_new, v_new)
     return SimState(t=t_new, g=g_new, h=h_new, u=u_new, v=v_new, grid=grid)
 

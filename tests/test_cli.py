@@ -445,3 +445,58 @@ def test_thresholds_bracket_follows_the_target_sign(tmp_path, capsys, target, lo
     lo, hi = payload["bracket"]
     assert lo <= payload["value"] <= hi
     assert low_sign * lam[lo] > 0.0 > low_sign * lam[hi]
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"n": 4}, "config.thresholds.n: must be >= 16"),
+        ({"tol": 0.0}, "config.thresholds.tol: must be > 0"),
+        ({"tol": -1.0}, "config.thresholds.tol: must be > 0"),
+        ({"rel_tol": 0.0}, "config.thresholds.rel_tol: must lie strictly between 0 and 1"),
+        ({"rel_tol": -0.5}, "config.thresholds.rel_tol: must lie strictly between 0 and 1"),
+        ({"rel_tol": 1.0}, "config.thresholds.rel_tol: must lie strictly between 0 and 1"),
+        ({"bracket_lo": 0.05}, "config.thresholds.bracket_lo: needs bracket_hi too"),
+        ({"bracket_hi": 0.5}, "config.thresholds.bracket_hi: needs bracket_lo too"),
+        ({"bracket_lo": 0.5, "bracket_hi": 0.05}, "config.thresholds.bracket_lo: must satisfy 0 < bracket_lo < bracket_hi"),
+        ({"bracket_lo": 0.0, "bracket_hi": 0.5}, "config.thresholds.bracket_lo: must satisfy 0 < bracket_lo < bracket_hi"),
+        ({"bracket_lo": -0.1, "bracket_hi": 0.5}, "config.thresholds.bracket_lo: must satisfy 0 < bracket_lo < bracket_hi"),
+    ],
+)
+def test_thresholds_block_is_range_checked(tmp_path, capsys, block, message):
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["thresholds"] = block
+    cfg, issues = parse_config_dict(data)
+    assert cfg is None and issues == [message]
+    path = write_config(tmp_path, data)
+    for target in ("Lstar", "mustar"):
+        assert main(["thresholds", path, "--target", target]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config: {message}" in err and "Traceback" not in err
+    assert main(["simulate", path]) == 2
+
+
+def test_thresholds_block_accepts_a_valid_bracket_and_a_wrong_typed_end_alone():
+    data = deep(BASE_CONFIG)
+    data["thresholds"] = {"n": 16, "tol": 1e-9, "rel_tol": 0.9, "bracket_lo": 0.09, "bracket_hi": 0.4}
+    assert parse_config_dict(data)[1] == []
+    data["thresholds"] = {"bracket_lo": "x", "bracket_hi": 0.4}
+    assert parse_config_dict(data)[1] == ["config.thresholds.bracket_lo: must be a number"]
+
+
+@pytest.mark.parametrize("env, spec_workers", [("abc", None), ("1.5", None), (None, "two"), (None, [2])])
+def test_sweep_rejects_non_integer_worker_counts(tmp_path, capsys, monkeypatch, env, spec_workers):
+    if env is None:
+        monkeypatch.delenv("EPIFRONT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("EPIFRONT_WORKERS", env)
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
+    if spec_workers is not None:
+        spec["workers"] = spec_workers
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep spec: ") and "must be an integer" in err
+    assert "Traceback" not in err and not (tmp_path / "s.csv").exists()

@@ -22,13 +22,17 @@ from epifront.simulator import (
     DomainExhausted,
     Grid,
     SimState,
+    _conv,
     _front_fluxes,
     _occupied_fluxes,
+    _rates,
+    _stencil,
     fixed_boundary_rhs,
     quad_weights,
     sample_profile,
     validate_sim_config,
 )
+from epifront.model import infection_value
 from epifront.spectral import EigenProblem, principal_eigenvalue
 from helpers import bump_profile, make_params
 
@@ -536,3 +540,67 @@ def test_occupied_fluxes_match_full_grid(weight):
             assert lo == hi and ref == got == (0.0, 0.0)
         else:
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
+
+
+def _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen):
+    """The stage as it was before it moved to the occupied window: every grid
+    node is convolved and combined, then masked to the interior."""
+    w = quad_weights(grid, g, h)
+    inside = w > 0.0
+    conv_u = _conv(w * u, st1)
+    conv_v = _conv(w * v, st2)
+    du = np.where(inside, p.d1 * conv_u - (p.d1 + p.a) * u + p.e * v, 0.0)
+    dv = np.where(
+        inside,
+        p.d2 * conv_v - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0)),
+        0.0,
+    )
+    if frozen:
+        return du, dv, 0.0, 0.0
+    flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
+    return du, dv, -p.mu * flux_g, p.mu * flux_h
+
+
+_KERNELS = {
+    "uniform": KernelSpec.uniform(1.0),
+    "gaussian": KernelSpec.gaussian(0.6),
+    "laplace": KernelSpec.laplace(0.5),
+    "power_tail": KernelSpec.power_tail(2.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("weight", list(_WEIGHTS), ids=str)
+@pytest.mark.parametrize("kernel", list(_KERNELS), ids=str)
+def test_window_stage_matches_full_grid(kernel, weight):
+    k1 = _KERNELS[kernel]
+    w_spec = WeightSpec.kernel_tail_of(k1) if weight == "tail_of_J1" else _WEIGHTS[weight]
+    p = make_params(kernel=k1, kernel2=KernelSpec.laplace(0.35), weight=w_spec)
+    grid = Grid(0.05, 4.0)
+    x = grid.x
+    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
+    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
+    rng = np.random.default_rng(11)
+    fronts = {
+        "fractional": (-0.913, 1.237),
+        "node_aligned": (x[30], x[140]),
+        "one_node": (x[100] - 0.01, x[100] + 0.02),
+        "empty": (0.011, 0.039),
+    }
+    for name, (g, h) in fronts.items():
+        _, lo, hi = quad_weights(grid, g, h, with_span=True)
+        inside = (x > g) & (x < h)
+        u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        for frozen in (False, True):
+            ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen)
+            got = _rates(p, grid, st1, st2, u, v, g, h, frozen)
+            case = f"{name}, frozen={frozen}"
+            for ref_d, got_d in zip(ref[:2], got[:2]):
+                assert got_d.shape == ref_d.shape
+                assert not got_d[:lo].any() and not got_d[hi:].any(), case
+                assert np.abs(got_d - ref_d).max() <= 1e-12 * np.abs(ref_d).max(), case
+            assert got[2:] == pytest.approx(ref[2:], rel=1e-12, abs=0.0), case
+            if name == "empty" or frozen:
+                assert got[2:] == (0.0, 0.0), case
+            else:
+                assert got[2] < 0.0 < got[3], case
