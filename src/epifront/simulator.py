@@ -286,9 +286,8 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
     _, lo, hi = quad_weights(grid, g_new, h_new, with_span=True)
-    for dens in (u_new, v_new):
-        dens[:lo] = 0.0
-        dens[hi:] = 0.0
+    u_new[:lo] = v_new[:lo] = 0.0
+    u_new[hi:] = v_new[hi:] = 0.0
     _check_densities(t_new, u_new, v_new)
     return SimState(t=t_new, g=g_new, h=h_new, u=u_new, v=v_new, grid=grid)
 
