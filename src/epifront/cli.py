@@ -238,11 +238,18 @@ def _cmd_thresholds(args) -> int:
 
 
 _SWEEPABLE = ("d1", "d2", "a", "b", "e", "mu", "rho", "h0", "sigma")
+# Parameters that leave the interval eigenvalue problem and the L* bracket
+# (h0/10, 2*h0) unchanged, so one L* serves every point of their sweep.
+_L_STAR_FIXED = ("mu", "rho", "sigma")
 
 
 def _sweep_one(payload):
-    """Run one sweep point from picklable inputs (used by worker processes)."""
-    raw_config, parameter, value = payload
+    """Run one sweep point from picklable inputs (used by worker processes).
+
+    l_star is the base config's effective L* when the swept parameter cannot
+    change it, else None and the point solves its own.
+    """
+    raw_config, parameter, value, l_star = payload
     cfg, issues = cfgmod.parse_config_dict(raw_config)
     if issues:
         return value, "error", math.nan, math.nan, math.nan, "invalid config"
@@ -260,7 +267,8 @@ def _sweep_one(payload):
     u0 = lambda x: scale * base_u(x)
     v0 = lambda x: scale * base_v(x)
     try:
-        l_star = effective_L_star(p, n=cfg.thresholds.n)
+        if l_star is None:
+            l_star = effective_L_star(p, n=cfg.thresholds.n)
         stop = None if math.isinf(l_star) else 2.0 * l_star + 2.0 * num.tol_spread
         traj = run(p, num, u0, v0, stop_width=stop)
         outcome = classify(traj, l_star, num)
@@ -272,6 +280,14 @@ def _sweep_one(payload):
         )
     except Exception as err:  # per-run failures are recorded, the sweep continues
         return value, "error", math.nan, math.nan, math.nan, str(err)
+
+
+def _is_number(value) -> bool:
+    """True for a finite JSON number: not a bool, string, container, NaN,
+    infinity or int beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def _worker_count(value, name: str, issues: list) -> int:
@@ -293,6 +309,9 @@ def _cmd_sweep(args) -> int:
         except json.JSONDecodeError as err:
             print(f"invalid sweep spec: {err}", file=sys.stderr)
             return 2
+    if not isinstance(spec, dict):
+        print("invalid sweep spec: the spec must be a JSON object", file=sys.stderr)
+        return 2
     issues = []
     parameter = spec.get("parameter")
     if parameter not in _SWEEPABLE:
@@ -300,6 +319,8 @@ def _cmd_sweep(args) -> int:
     values = spec.get("values")
     if not isinstance(values, list) or not values:
         issues.append("values must be a nonempty list")
+    elif not all(_is_number(v) for v in values):
+        issues.append("values must be finite numbers")
     else:
         diffs = np.diff(np.asarray(values, dtype=float))
         if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
@@ -311,9 +332,11 @@ def _cmd_sweep(args) -> int:
     if raw_config is None:
         issues.append("config (inline) or config_path required")
     else:
-        _, cfg_issues = cfgmod.parse_config_dict(raw_config)
+        cfg, cfg_issues = cfgmod.parse_config_dict(raw_config)
         issues.extend(cfg_issues)
     output = spec.get("output", "sweep.csv")
+    if not isinstance(output, str):
+        issues.append(f"output must be a file path, got {output!r}")
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
@@ -326,7 +349,13 @@ def _cmd_sweep(args) -> int:
     workers = args.workers or spec_workers
     if env_cap is not None:
         workers = min(workers, max(1, env_cap))
-    jobs = [(raw_config, parameter, float(v)) for v in values]
+    l_star = None
+    if parameter in _L_STAR_FIXED:
+        try:
+            l_star = effective_L_star(cfg.params, n=cfg.thresholds.n)
+        except (SpectralError, ThresholdSearchError):
+            pass  # each point then meets the failure and records it in its row
+    jobs = [(raw_config, parameter, float(v), l_star) for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))

@@ -12,7 +12,9 @@ Implements:
     raw endpoint weights would break), then symmetrized once more to scrub
     round-off.
   - The principal eigenvalue lambda_p = -(largest eigenvalue) with its
-    positive eigenfunction pair and a Rayleigh-quotient residual.
+    positive eigenfunction pair and a Rayleigh-quotient residual. Only the
+    top eigenpair is computed (LAPACK dsyevr); the other 2n - 1 eigenvectors
+    are never formed.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
   - Closed-form bounds: the zero-diffusion limit (also the global lower
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import eigh, toeplitz
 
 from .kernels import KernelSpec, kernel_eval
 from .model import ModelParams, gprime0
@@ -110,33 +112,47 @@ def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
 
 
 def assemble_operator(problem: EigenProblem) -> np.ndarray:
-    """Assemble the symmetric 2n x 2n collocation matrix of K = DN - D + A."""
+    """Assemble the symmetric 2n x 2n collocation matrix of K = DN - D + A.
+
+    The matrix is filled block by block: each diagonal block is its kernel
+    term minus its diagonal, symmetrized as 0.5 * (blk + blk.T), and the
+    off-diagonal blocks are the identity coupling, symmetric as they stand.
+    """
     x, _, w = _grid(problem)
     sw = np.sqrt(w)
-    b1 = sw[:, None] * _kernel_matrix(problem.kernel1, x) * sw[None, :]
-    b2 = sw[:, None] * _kernel_matrix(problem.kernel2, x) * sw[None, :]
-    eye = np.eye(problem.n)
-    c1, c2 = problem.d1 / problem.e, problem.d2 / problem.g0
-    top = c1 * b1 - (c1 + problem.a / problem.e) * eye
-    bot = c2 * b2 - (c2 + problem.b / problem.g0) * eye
-    mat = np.block([[top, eye], [eye, bot]])
-    return 0.5 * (mat + mat.T)
+    n = problem.n
+    diag = np.arange(n)
+    mat = np.zeros((2 * n, 2 * n))
+    mat[diag, diag + n] = mat[diag + n, diag] = 1.0
+    blocks = (
+        (problem.kernel1, problem.d1 / problem.e, problem.a / problem.e),
+        (problem.kernel2, problem.d2 / problem.g0, problem.b / problem.g0),
+    )
+    for i, (kernel, c, react) in enumerate(blocks):
+        blk = c * (sw[:, None] * _kernel_matrix(kernel, x) * sw[None, :])
+        blk[diag, diag] -= c + react
+        block = slice(i * n, (i + 1) * n)
+        mat[block, block] = 0.5 * (blk + blk.T)
+    return mat
 
 
 def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     """Principal eigenvalue with sign-normalized positive eigenfunction pair.
 
-    lambda_p is minus the largest eigenvalue of the assembled matrix; the
-    eigenfunctions are recovered in density coordinates (divide out the
-    sqrt-weight conjugation) and normalized to unit discrete L2 norm.
+    lambda_p is minus the largest eigenvalue of the assembled matrix, which
+    is solved for that one eigenpair only (scipy.linalg.eigh with
+    subset_by_index, LAPACK's MRRR driver dsyevr); the eigenfunctions are
+    recovered in density coordinates (divide out the sqrt-weight
+    conjugation) and normalized to unit discrete L2 norm.
     Raises SpectralError when the computed eigenvector is not positive, the
     signature of a grid too coarse for the kernel support.
     """
     mat = assemble_operator(problem)
     x, _, w = _grid(problem)
-    vals, vecs = np.linalg.eigh(mat)
-    top = vecs[:, -1]
-    lam_p = -float(vals[-1])
+    top_index = mat.shape[0] - 1
+    vals, vecs = eigh(mat, subset_by_index=[top_index, top_index], driver="evr")
+    top = vecs[:, 0]
+    lam_p = -float(vals[0])
     n = problem.n
     sw = np.sqrt(w)
     phi1 = top[:n] / sw

@@ -500,3 +500,88 @@ def test_sweep_rejects_non_integer_worker_counts(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("invalid sweep spec: ") and "must be an integer" in err
     assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
+
+
+def _sweep_error(tmp_path, capsys, spec):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep spec: ") and "Traceback" not in err
+    return err
+
+
+def test_sweep_rejects_a_spec_that_is_not_an_object(tmp_path, capsys):
+    err = _sweep_error(tmp_path, capsys, [1, 2])
+    assert "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("values", [["a", 1], [True, 2], [[1], [2]], [1, None], [1, 1e400], [1, 10**400]])
+def test_sweep_rejects_non_numeric_values(tmp_path, capsys, values):
+    out = tmp_path / "s.csv"
+    spec = {"parameter": "mu", "values": values, "config": deep(BASE_CONFIG), "output": str(out)}
+    err = _sweep_error(tmp_path, capsys, spec)
+    assert "values must be finite numbers" in err and not out.exists()
+
+
+def test_sweep_rejects_an_output_that_is_not_a_path(tmp_path, capsys):
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": 7}
+    assert "output must be a file path" in _sweep_error(tmp_path, capsys, spec)
+
+
+@pytest.mark.parametrize(
+    "parameter, values, base_solves",
+    [("mu", [0.05, 0.5, 1.2], 1), ("sigma", [0.05, 0.5, 1.2], 1), ("h0", [0.4, 0.5, 0.6], 0)],
+)
+def test_sweep_solves_l_star_once_when_the_parameter_leaves_it_fixed(
+    tmp_path, monkeypatch, parameter, values, base_solves
+):
+    # mu and sigma change neither the eigenvalue problem nor the L* bracket,
+    # so their sweep solves L* once, from the base config; h0 moves the
+    # bracket and keeps one solve per point. Either way the CSV must equal
+    # the one every point solving its own L* writes.
+    import epifront.cli as cli
+
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["model"]["h0"] = 0.4
+    data["numerics"] = {"dx": 0.04, "dt": 0.12, "t_end": 30.0, "domain_cap": 4.0, "record_every": 10}
+    solves = []
+    real = cli.effective_L_star
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "effective_L_star", counted)
+    outputs, counts = [], []
+    for tag, fixed in (("hoisted", cli._L_STAR_FIXED), ("per_point", ())):
+        monkeypatch.setattr(cli, "_L_STAR_FIXED", fixed)
+        solves.clear()
+        out = tmp_path / f"{tag}.csv"
+        spec = {"parameter": parameter, "values": values, "config": data, "output": str(out)}
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", str(path)]) == 0
+        outputs.append(out.read_bytes())
+        counts.append(len(solves))
+    assert counts == [base_solves or len(values), len(values)]
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_records_a_failed_l_star_in_every_row(tmp_path):
+    # The one L* solve of a mu sweep fails; as when each point solved its own,
+    # the failure is recorded per row and the sweep still exits 0.
+    data = deep(BASE_CONFIG)
+    narrow = {"family": "gaussian", "std": 0.001}
+    data["model"].update(kernel1=narrow, kernel2=narrow, weight={"family": "kernel_tail", "kernel": narrow})
+    data["model"]["infection"]["alpha"] = 2.0
+    data["thresholds"] = {"n": 16}
+    out = tmp_path / "fail.csv"
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": data, "output": str(out)}
+    path = tmp_path / "fail.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",error,nan,nan,nan," in r and "sign changes" in r for r in rows)

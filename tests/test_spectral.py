@@ -12,7 +12,7 @@ from epifront import (
     upper_bound_d2,
     zero_diffusion_limit,
 )
-from epifront.spectral import lower_bound, variational_value
+from epifront.spectral import SpectralError, _grid, _kernel_matrix, lower_bound, variational_value
 from helpers import make_params
 
 # Frozen two-level Richardson oracle for the uniform-kernel benchmark below
@@ -22,6 +22,21 @@ UNIFORM_BENCH_LAMBDA = -0.2286593544716568
 
 def problem(p, L1=-2.0, L2=2.0, n=400, **kw):
     return EigenProblem.from_params(p, L1, L2, n=n, **kw)
+
+
+# kernel1 of each case paired with a kernel2 of another family.
+KERNEL_PAIRS = {
+    "uniform": (KernelSpec.uniform(0.8), KernelSpec.gaussian(0.4)),
+    "gaussian": (KernelSpec.gaussian(0.5), KernelSpec.laplace(0.3)),
+    "laplace": (KernelSpec.laplace(0.4), KernelSpec.power_tail(3.0, 0.25)),
+    "power_tail": (KernelSpec.power_tail(2.5, 0.3), KernelSpec.uniform(0.6)),
+}
+
+
+def pair_problem(family, n, d1=1.0, d2=1.0):
+    k1, k2 = KERNEL_PAIRS[family]
+    p = make_params(alpha=2.0, kernel=k1, kernel2=k2)
+    return EigenProblem.from_params(p, -1.0, 1.0, n=n, d1=d1, d2=d2)
 
 
 def power_method_top(mat: np.ndarray, iters: int = 4000) -> float:
@@ -242,3 +257,59 @@ def test_problem_validation():
         EigenProblem.from_params(p, 1.0, 1.0)
     with pytest.raises(ValueError):
         EigenProblem.from_params(p, -1.0, 1.0, n=8)
+
+
+def block_assembly_reference(prob):
+    """The assembly as it was before it filled the blocks in place: np.block
+    of the four blocks, then the whole matrix symmetrized."""
+    x, _, w = _grid(prob)
+    sw = np.sqrt(w)
+    b1 = sw[:, None] * _kernel_matrix(prob.kernel1, x) * sw[None, :]
+    b2 = sw[:, None] * _kernel_matrix(prob.kernel2, x) * sw[None, :]
+    eye = np.eye(prob.n)
+    c1, c2 = prob.d1 / prob.e, prob.d2 / prob.g0
+    top = c1 * b1 - (c1 + prob.a / prob.e) * eye
+    bot = c2 * b2 - (c2 + prob.b / prob.g0) * eye
+    mat = np.block([[top, eye], [eye, bot]])
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_PAIRS))
+@pytest.mark.parametrize("n", [16, 48, 241])
+@pytest.mark.parametrize("d1, d2", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+def test_assembly_is_bit_identical_to_block_reference(family, n, d1, d2):
+    prob = pair_problem(family, n, d1=d1, d2=d2)
+    mat = assemble_operator(prob)
+    ref = block_assembly_reference(prob)
+    assert mat.shape == ref.shape and mat.dtype == ref.dtype
+    assert mat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_PAIRS))
+@pytest.mark.parametrize("n", [16, 48, 241])
+@pytest.mark.parametrize("scale", [1.0, 1e-8])
+def test_top_eigenpair_matches_full_spectrum(family, n, scale):
+    # scale 1e-8 is find_d_star's lower bracket start: the top of the spectrum
+    # is then nearly n-fold degenerate (gap ~2e-9), and any backward-stable
+    # solver fixes the eigenvector only to about eps * |A| / gap (Davis-Kahan),
+    # so phi is held to that bound there and to 1e-10 elsewhere.
+    prob = pair_problem(family, n, d1=scale, d2=scale)
+    mat = assemble_operator(prob)
+    vals, vecs = np.linalg.eigh(mat)
+    ref = vecs[:, -1] if vecs[n // 2, -1] > 0.0 else -vecs[:, -1]
+    res = principal_eigenvalue(prob)
+    assert abs(res.lambda_p + vals[-1]) < 1e-12
+    gap = vals[-1] - vals[-2]
+    norm = max(abs(vals[0]), abs(vals[-1]))
+    tol = 1e-10 + 100.0 * np.finfo(float).eps * norm / gap
+    sw = np.sqrt(_grid(prob)[2])
+    assert np.abs(res.phi1 - ref[:n] / sw).max() < tol
+    assert np.abs(res.phi2 - ref[n:] / sw).max() < tol
+    assert res.rayleigh_residual < 1e-12
+
+
+def test_top_eigenpair_still_rejects_a_sign_changing_vector():
+    narrow = KernelSpec.gaussian(0.001)
+    prob = problem(make_params(alpha=2.0, kernel=narrow), n=16)
+    with pytest.raises(SpectralError):
+        principal_eigenvalue(prob)
