@@ -5,8 +5,9 @@ write plot-ready CSV plus JSON summaries. Floating-point output is serialized
 with 17 significant digits so repeated invocations are byte-identical and
 round-trip exactly.
 
-Exit codes: 0 success, 2 configuration or assumption failure, 3 numerical
-failure (unstable run, exhausted grid or failed eigen solve).
+Exit codes: 0 success, 2 configuration or assumption failure (an output
+path that cannot be written included), 3 numerical failure (unstable run,
+exhausted grid or failed eigen solve).
 """
 
 from __future__ import annotations
@@ -337,6 +338,8 @@ def _cmd_sweep(args) -> int:
     output = spec.get("output", "sweep.csv")
     if not isinstance(output, str):
         issues.append(f"output must be a file path, got {output!r}")
+    elif not os.path.isdir(os.path.dirname(output) or "."):
+        issues.append(f"output directory does not exist: {os.path.dirname(output)}")
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
@@ -463,6 +466,9 @@ def main(argv=None) -> int:
     except SpectralError as err:  # eigen solves in eigen, thresholds and simulate
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except OSError as err:  # an output path that cannot be created or written
+        print(f"file error: {err}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kernels import KernelSpec, WeightSpec
 
@@ -134,8 +135,9 @@ def equilibrium(p: ModelParams) -> EquilibriumState:
     """Spatially homogeneous equilibrium.
 
     For r0 > 1 the unique positive root of G(u)/u = a*b/e is found by
-    bracketed bisection (G(z)/z is strictly decreasing, so the sign change
-    is unique); v_star = (a/e)*u_star. For r0 <= 1 the equilibrium is (0, 0).
+    Brent's method on a doubled bracket (G(z)/z is strictly decreasing, so
+    the sign change is unique); v_star = (a/e)*u_star. For r0 <= 1 the
+    equilibrium is (0, 0).
     """
     if r0(p) <= 1.0:
         return EquilibriumState(0.0, 0.0)
@@ -154,15 +156,7 @@ def equilibrium(p: ModelParams) -> EquilibriumState:
         hi *= 2.0
     else:
         raise ValueError("no positive equilibrium bracket; saturation shape violated")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    u_star = 0.5 * (lo + hi)
+    u_star = brentq(excess, lo, hi, xtol=np.finfo(float).tiny)
     return EquilibriumState(u_star, p.a / p.e * u_star)
 
 

@@ -16,13 +16,14 @@ Implements:
     window's weighted densities (kernel values tabulated at node offsets
     once per kernel/grid pair; no FFT at this scale), and both front fluxes
     from one tail evaluation and one mat-vec. Every other node has zero rate.
+    The stage, the recorded front rates and the flux check share this code.
   - The equivalence check between the double-integral outward-flux form and
-    the tail-weighted single integral.
+    the tail-weighted single integral the stepper uses.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
     whose long-time profiles approach the unique positive steady state when
-    the interval's principal eigenvalue is negative. It shares the 4-stage
-    step and the density check (finite, round-off clamp at -1e-14) with the
-    moving-front stepper.
+    the interval's principal eigenvalue is negative. It shares the density
+    rates, the 4-stage step and the density check (finite, round-off clamp
+    at -1e-14) with the moving-front stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - Resumable runs: run(resume=traj) continues a completed run whose step
@@ -33,7 +34,7 @@ Implements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,9 +42,7 @@ from scipy.integrate import quad
 
 from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, weight_eval
 from .model import ModelParams, gprime0, infection_value
-from .ode import rk4_step
-
-NEG_TOL = -1e-14  # round-off clamp for nonnegative densities
+from .ode import NEG_TOL, rk4_step
 
 
 class SimulationUnstable(RuntimeError):
@@ -189,23 +188,13 @@ def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: n
     return float(np.sum(w * kernel_eval(kernel, x - grid.x) * density))
 
 
-def _front_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, u, v, g: float, h: float):
-    tail_h = kernel_tail(p.kernel1, np.clip(h - grid.x, 0.0, None))
-    tail_g = kernel_tail(p.kernel1, np.clip(grid.x - g, 0.0, None))
-    wh = weight_eval(p.weight, np.clip(h - grid.x, 0.0, None))
-    wg = weight_eval(p.weight, np.clip(grid.x - g, 0.0, None))
-    flux_h = float(np.sum(w * (u * tail_h + p.rho * v * wh)))
-    flux_g = float(np.sum(w * (u * tail_g + p.rho * v * wg)))
-    return flux_h, flux_g
-
-
 def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
-    """_front_fluxes summed over the occupied nodes [lo, hi) only.
+    """Front-law fluxes (at h, at g): sum of w (u T1 + rho v W) of the
+    distance to the front over the occupied nodes [lo, hi), T1 the J1 tail.
 
-    Every other node has zero weight, so only rounding differs from the
-    full-grid sum. Both fronts' J1 tails come from one kernel_tail call and
-    both fluxes from one mat-vec; a kernel_tail weight of kernel1 reuses the
-    tails, with u + rho v folded first.
+    Both fronts' J1 tails come from one kernel_tail call and both fluxes from
+    one mat-vec; a kernel_tail weight of kernel1 reuses the tails, with
+    u + rho v folded first.
     """
     x = grid.x[lo:hi]
     to_front = np.array((h - x, x - g))  # positive: occupied nodes lie strictly inside (g, h)
@@ -220,12 +209,23 @@ def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int
 
 
 def boundary_rates(p: ModelParams, state: SimState):
-    """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law."""
-    w = quad_weights(state.grid, state.g, state.h)
-    flux_h, flux_g = _front_fluxes(p, state.grid, w, state.u, state.v, state.g, state.h)
+    """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law.
+
+    Evaluated by the stage's own window code, so the rates equal the front
+    rates of the first stage of a step from `state` bit for bit.
+    """
+    w, lo, hi = quad_weights(state.grid, state.g, state.h, with_span=True)
+    flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
     if flux_h < 0.0 or flux_g < 0.0:
         raise SimulationUnstable(state.t, "negative front flux from an invalid state")
     return p.mu * flux_h, -p.mu * flux_g
+
+
+def _density_rates(p: ModelParams, w: np.ndarray, u: np.ndarray, v: np.ndarray, st1, st2):
+    """Dispersal-reaction rates (du, dv) of densities u, v with quadrature weights w."""
+    du = p.d1 * _conv(w * u, st1) - (p.d1 + p.a) * u + p.e * v
+    dv = p.d2 * _conv(w * v, st2) - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0))
+    return du, dv
 
 
 def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
@@ -240,13 +240,7 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
     du, dv = np.zeros(grid.n), np.zeros(grid.n)
     if lo == hi:
         return du, dv, 0.0, 0.0
-    uw, vw = u[lo:hi], v[lo:hi]
-    du[lo:hi] = p.d1 * _conv(w[lo:hi] * uw, st1) - (p.d1 + p.a) * uw + p.e * vw
-    dv[lo:hi] = (
-        p.d2 * _conv(w[lo:hi] * vw, st2)
-        - (p.d2 + p.b) * vw
-        + infection_value(p.infection, np.maximum(uw, 0.0))
-    )
+    du[lo:hi], dv[lo:hi] = _density_rates(p, w[lo:hi], u[lo:hi], v[lo:hi], st1, st2)
     if frozen:
         return du, dv, 0.0, 0.0
     flux_h, flux_g = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
@@ -295,23 +289,22 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
 def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     """|double-integral outward flux - tail-form flux| at the right front.
 
-    The inner dispersal integral is done by adaptive quadrature of the kernel
-    density itself (independent of the closed-form tail used by the stepper).
+    The tail form is the pathogen part (rho = 0) of boundary_rates, the code
+    the stepper runs. The inner dispersal integral of the double form is done
+    by adaptive quadrature of the kernel density itself, independent of the
+    closed-form tail.
     """
     grid = state.grid
-    w = quad_weights(grid, state.g, state.h)
-    idx = np.nonzero(w)[0]
-    tail_form = p.mu * float(
-        np.sum(w[idx] * state.u[idx] * kernel_tail(p.kernel1, np.clip(state.h - grid.x[idx], 0.0, None)))
-    )
+    w, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    tail_form = boundary_rates(replace(p, rho=0.0), state)[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
-    for j in idx:
-        lo = state.h - grid.x[j]
-        if lo >= reach or state.u[j] == 0.0:
+    for j in range(lo, hi):
+        gap = state.h - grid.x[j]
+        if gap >= reach or state.u[j] == 0.0:
             continue
         pts = [p.kernel1.radius] if p.kernel1.family == "uniform" else None
-        inner, _ = quad(lambda s: kernel_eval(p.kernel1, s), lo, reach, points=pts, limit=200)
+        inner, _ = quad(lambda s: kernel_eval(p.kernel1, s), gap, reach, points=pts, limit=200)
         double_form += w[j] * state.u[j] * inner
     double_form *= p.mu
     return abs(double_form - tail_form)
@@ -478,9 +471,7 @@ def fixed_boundary_rhs(p: ModelParams, x: np.ndarray, u: np.ndarray, v: np.ndarr
     w[0] = w[-1] = 0.5 * dx
     st1 = _stencil(p.kernel1, dx, x.size - 1)
     st2 = _stencil(p.kernel2, dx, x.size - 1)
-    du = p.d1 * _conv(w * u, st1) - (p.d1 + p.a) * u + p.e * v
-    dv = p.d2 * _conv(w * v, st2) - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0))
-    return du, dv
+    return _density_rates(p, w, u, v, st1, st2)
 
 
 def fixed_boundary_run(

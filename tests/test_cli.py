@@ -585,3 +585,45 @@ def test_sweep_records_a_failed_l_star_in_every_row(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 2
     assert all(",error,nan,nan,nan," in r and "sign changes" in r for r in rows)
+
+
+def _assert_file_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eigen_dump_to_a_missing_directory_is_a_file_error(tmp_path, capsys):
+    data = deep(BASE_CONFIG)
+    data["eigen"] = {"L1": -2.0, "L2": 2.0, "n": 48}
+    path = write_config(tmp_path, data)
+    assert main(["eigen", path, "--dump", str(tmp_path / "missing" / "modes.csv")]) == 2
+    _assert_file_error(capsys)
+
+
+def test_thresholds_out_to_a_missing_directory_is_a_file_error(tmp_path, capsys):
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["thresholds"] = {"n": 48}
+    path = write_config(tmp_path, data)
+    assert main(["thresholds", path, "--target", "Lstar", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    _assert_file_error(capsys)
+
+
+def test_simulate_into_an_existing_file_is_a_file_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    data = deep(BASE_CONFIG)
+    data["output"]["directory"] = str(taken)
+    assert main(["simulate", write_config(tmp_path, data)]) == 2
+    _assert_file_error(capsys)
+
+
+def test_sweep_output_in_a_missing_directory_is_rejected_before_any_point(tmp_path, capsys, monkeypatch):
+    def no_point(job):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr("epifront.cli._sweep_one", no_point)
+    missing = tmp_path / "missing"
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(missing / "s.csv")}
+    err = _sweep_error(tmp_path, capsys, spec)
+    assert f"output directory does not exist: {missing}" in err

@@ -23,7 +23,6 @@ from epifront.simulator import (
     Grid,
     SimState,
     _conv,
-    _front_fluxes,
     _occupied_fluxes,
     _rates,
     _stencil,
@@ -32,6 +31,7 @@ from epifront.simulator import (
     sample_profile,
     validate_sim_config,
 )
+from epifront.kernels import kernel_tail, weight_eval
 from epifront.model import infection_value
 from epifront.spectral import EigenProblem, principal_eigenvalue
 from helpers import bump_profile, make_params
@@ -542,6 +542,18 @@ def test_occupied_fluxes_match_full_grid(weight):
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), name
 
 
+def _front_fluxes(p, grid, w, u, v, g, h):
+    """The front law summed over the whole grid, as it was before the stage
+    moved to the occupied window; zero-weight nodes add exact zeros."""
+    tail_h = kernel_tail(p.kernel1, np.clip(h - grid.x, 0.0, None))
+    tail_g = kernel_tail(p.kernel1, np.clip(grid.x - g, 0.0, None))
+    wh = weight_eval(p.weight, np.clip(h - grid.x, 0.0, None))
+    wg = weight_eval(p.weight, np.clip(grid.x - g, 0.0, None))
+    flux_h = float(np.sum(w * (u * tail_h + p.rho * v * wh)))
+    flux_g = float(np.sum(w * (u * tail_g + p.rho * v * wg)))
+    return flux_h, flux_g
+
+
 def _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen):
     """The stage as it was before it moved to the occupied window: every grid
     node is convolved and combined, then masked to the interior."""
@@ -604,3 +616,53 @@ def test_window_stage_matches_full_grid(kernel, weight):
                 assert got[2:] == (0.0, 0.0), case
             else:
                 assert got[2] < 0.0 < got[3], case
+
+
+@pytest.mark.parametrize("weight", ["tail_of_J1", "constant_on", "table"], ids=str)
+@pytest.mark.parametrize("kernel", list(_KERNELS), ids=str)
+def test_recorded_rates_are_the_stage_rates(kernel, weight):
+    # The rates a run records at a state are the front rates the next step's
+    # first stage uses there, bit for bit: both come from one front-law code.
+    k1 = _KERNELS[kernel]
+    w_spec = WeightSpec.kernel_tail_of(k1) if weight == "tail_of_J1" else _WEIGHTS[weight]
+    p = make_params(mu=2.0, kernel=k1, kernel2=KernelSpec.laplace(0.35), weight=w_spec)
+    cfg = SimConfig(dx=0.05, dt=0.1, t_end=3.0, domain_cap=5.0)
+    grid = Grid(cfg.dx, cfg.domain_cap)
+    bump = bump_profile(1.0)
+    state = SimState(
+        t=0.0, g=-1.0, h=1.0,
+        u=sample_profile(bump, grid, 1.0),
+        v=sample_profile(lambda x: bump(x) * (1.0 + 0.5 * x), grid, 1.0),
+        grid=grid,
+    )
+    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
+    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
+    for k in range(30):
+        state = step(p, cfg, state)
+        _, _, g_rate, h_rate = _rates(p, grid, st1, st2, state.u, state.v, state.g, state.h, False)
+        assert boundary_rates(p, state) == (h_rate, g_rate), f"step {k + 1}"
+    assert state.h > 1.0 + cfg.dx and state.g < -1.0 - cfg.dx
+
+
+@pytest.mark.parametrize("weight", list(_WEIGHTS), ids=str)
+def test_boundary_rates_match_full_grid_front_law(weight):
+    p = make_params(kernel=KernelSpec.uniform(1.0), weight=_WEIGHTS[weight])
+    grid = Grid(0.05, 4.0)
+    x = grid.x
+    rng = np.random.default_rng(7)
+    fronts = {
+        "fractional": (-0.913, 1.237),
+        "node_aligned": (x[30], x[140]),
+        "one_node": (x[100] - 0.01, x[100] + 0.02),
+        "empty": (0.011, 0.039),
+    }
+    for name, (g, h) in fronts.items():
+        w = quad_weights(grid, g, h)
+        u = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        v = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
+        flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
+        got = boundary_rates(p, SimState(t=0.0, g=g, h=h, u=u, v=v, grid=grid))
+        if name == "empty":
+            assert got == (0.0, 0.0)
+        else:
+            assert got == pytest.approx((p.mu * flux_h, -p.mu * flux_g), rel=1e-12, abs=0.0), name

@@ -1,0 +1,65 @@
+"""Dead-code guard over the package source: no unused import, no orphaned private name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "epifront"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(node, skip=None) -> set:
+    """Names loaded (x) and attributes read (obj.x) under node, skipping the subtree `skip`."""
+    found = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            found.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            found.add(cur.attr)
+        stack.extend(ast.iter_child_nodes(cur))
+    return found
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "__init__.py"])
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    used = _references(tree)
+    unused = sorted(name for name in _imported_names(tree) if name not in used)
+    assert not unused, f"{module} imports unused names: {unused}"
+
+
+def test_every_private_name_is_referenced():
+    orphans = []
+    for module, tree in MODULES.items():
+        for name, node in _private_definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in _references(other, skip=node) for other in MODULES.values()):
+                orphans.append(f"{module}:{name}")
+    assert not orphans, f"private names defined but never referenced: {orphans}"
