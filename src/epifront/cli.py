@@ -6,8 +6,10 @@ with 17 significant digits so repeated invocations are byte-identical and
 round-trip exactly.
 
 Exit codes: 0 success, 2 configuration or assumption failure (an output
-path that cannot be written included), 3 numerical failure (unstable run,
-exhausted grid or failed eigen solve).
+path that cannot be written and a threshold asked for outside its regime
+included), 3 numerical failure (unstable run, exhausted grid, failed eigen
+solve or failed threshold search). `main` maps every failure to its code and
+one stderr line.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def _write_json(path: str, payload) -> None:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def _missing_directory(path: str) -> str | None:
+    """The complaint about path's directory when it does not exist, else None."""
+    folder = os.path.dirname(path)
+    return None if os.path.isdir(folder or ".") else f"output directory does not exist: {folder}"
 
 
 def _load(path: str):
@@ -170,6 +178,8 @@ def _cmd_eigen(args) -> int:
     if cfg.eigen is None:
         print("invalid config: eigen block required for the eigen subcommand", file=sys.stderr)
         return 2
+    if args.dump and (missing := _missing_directory(args.dump)):
+        raise FileNotFoundError(missing)  # before the solve, not after it
     problem = EigenProblem.from_params(cfg.params, cfg.eigen.L1, cfg.eigen.L2, n=cfg.eigen.n)
     result = principal_eigenvalue(problem)
     residual = rayleigh_check(problem, result)
@@ -190,48 +200,41 @@ def _cmd_thresholds(args) -> int:
     p, thr = cfg.params, cfg.thresholds
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
+    if args.out and (missing := _missing_directory(args.out)):
+        raise FileNotFoundError(missing)  # before the search, not after it
     bracket = None
     if thr.bracket_lo is not None and thr.bracket_hi is not None:
         bracket = (thr.bracket_lo, thr.bracket_hi)
-    try:
-        if args.target in ("Lstar", "dstar"):
-            trace: list = []
-            if args.target == "Lstar":
-                value = find_L_star(p, n=thr.n, tol=thr.tol, trace=trace)
-            else:
-                value = find_d_star(p, n=thr.n, tol=thr.tol, trace=trace)
-            low_sign = 1.0 if args.target == "Lstar" else -1.0  # sign of lambda_p below the root
-            lo = max((x for x, lam in trace if low_sign * lam > 0.0), default=None)
-            hi = min((x for x, lam in trace if low_sign * lam < 0.0), default=None)
-            payload = {
-                "target": args.target,
-                "value": value,
-                "bracket": [lo, hi],
-                "probes": [[x, lam] for x, lam in trace],
-            }
+    if args.target in ("Lstar", "dstar"):
+        trace: list = []
+        find = find_L_star if args.target == "Lstar" else find_d_star
+        value = find(p, n=thr.n, tol=thr.tol, trace=trace)
+        low_sign = 1.0 if args.target == "Lstar" else -1.0  # sign of lambda_p below the root
+        lo = max((x for x, lam in trace if low_sign * lam > 0.0), default=None)
+        hi = min((x for x, lam in trace if low_sign * lam < 0.0), default=None)
+        payload = {
+            "target": args.target,
+            "value": value,
+            "bracket": [lo, hi],
+            "probes": [[x, lam] for x, lam in trace],
+        }
+    else:
+        if args.target == "mustar":
+            res = find_mu_star(p, cfg.numerics, u0, v0, bracket=bracket, rel_tol=thr.rel_tol, n=thr.n)
         else:
-            if args.target == "mustar":
-                res = find_mu_star(p, cfg.numerics, u0, v0, bracket=bracket, rel_tol=thr.rel_tol, n=thr.n)
-            else:
-                res = find_sigma_star(
-                    p, cfg.numerics, u0, v0,
-                    bracket=bracket or (1e-3, 1e3), rel_tol=thr.rel_tol, n=thr.n,
-                )
-            payload = {
-                "target": args.target,
-                "value": res.value,
-                "bracket": [res.lo, res.hi],
-                "lo_outcome": res.lo_outcome,
-                "hi_outcome": res.hi_outcome,
-                "iterations": res.iterations,
-                "probes": [[x, out] for x, out in res.probes],
-            }
-    except ThresholdRegimeError as err:
-        print(f"regime error: {err}", file=sys.stderr)
-        return 2
-    except ThresholdSearchError as err:
-        print(f"search failure: {err}", file=sys.stderr)
-        return 3
+            res = find_sigma_star(
+                p, cfg.numerics, u0, v0,
+                bracket=bracket or (1e-3, 1e3), rel_tol=thr.rel_tol, n=thr.n,
+            )
+        payload = {
+            "target": args.target,
+            "value": res.value,
+            "bracket": [res.lo, res.hi],
+            "lo_outcome": res.lo_outcome,
+            "hi_outcome": res.hi_outcome,
+            "iterations": res.iterations,
+            "probes": [[x, out] for x, out in res.probes],
+        }
     print(json.dumps(payload))
     if args.out:
         _write_json(args.out, payload)
@@ -245,28 +248,24 @@ _L_STAR_FIXED = ("mu", "rho", "sigma")
 
 
 def _sweep_one(payload):
-    """Run one sweep point from picklable inputs (used by worker processes).
+    """Run one sweep point of the parsed RunConfig (picklable, so it also runs
+    in worker processes).
 
     l_star is the base config's effective L* when the swept parameter cannot
     change it, else None and the point solves its own.
     """
-    raw_config, parameter, value, l_star = payload
-    cfg, issues = cfgmod.parse_config_dict(raw_config)
-    if issues:
-        return value, "error", math.nan, math.nan, math.nan, "invalid config"
-    p, num = cfg.params, cfg.numerics
-    if parameter != "sigma":
+    cfg, parameter, value, l_star = payload
+    p, num, u0, v0 = cfg.params, cfg.numerics, cfg.u0, cfg.v0
+    if parameter == "sigma":
+        u0 = cfgmod.ProfileSpec("scaled", sigma=value, base=u0)
+        v0 = cfgmod.ProfileSpec("scaled", sigma=value, base=v0)
+    else:
         p = replace(p, **{parameter: value})
         bad = validate_params(p)
         if bad:
             return value, "error", math.nan, math.nan, math.nan, "; ".join(bad)
-        scale = 1.0
-    else:
-        scale = value
-    base_u = cfgmod.build_profile(cfg.u0, p.h0)
-    base_v = cfgmod.build_profile(cfg.v0, p.h0)
-    u0 = lambda x: scale * base_u(x)
-    v0 = lambda x: scale * base_v(x)
+    u0 = cfgmod.build_profile(u0, p.h0)
+    v0 = cfgmod.build_profile(v0, p.h0)
     try:
         if l_star is None:
             l_star = effective_L_star(p, n=cfg.thresholds.n)
@@ -326,25 +325,24 @@ def _cmd_sweep(args) -> int:
         diffs = np.diff(np.asarray(values, dtype=float))
         if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
             issues.append("values must be strictly monotone")
-    raw_config = spec.get("config")
-    if raw_config is None and "config_path" in spec:
-        loaded = _load(spec["config_path"])
-        raw_config = loaded.raw if loaded is not None else None
-    if raw_config is None:
-        issues.append("config (inline) or config_path required")
-    else:
-        cfg, cfg_issues = cfgmod.parse_config_dict(raw_config)
+    cfg = None
+    if spec.get("config") is not None:
+        cfg, cfg_issues = cfgmod.parse_config_dict(spec["config"])
         issues.extend(cfg_issues)
+    elif "config_path" in spec:
+        cfg = _load(spec["config_path"])  # reports its own violations
+    else:
+        issues.append("config (inline) or config_path required")
     output = spec.get("output", "sweep.csv")
     if not isinstance(output, str):
         issues.append(f"output must be a file path, got {output!r}")
-    elif not os.path.isdir(os.path.dirname(output) or "."):
-        issues.append(f"output directory does not exist: {os.path.dirname(output)}")
+    elif missing := _missing_directory(output):
+        issues.append(missing)
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
         env_cap = _worker_count(env_cap, WORKER_ENV, issues)
-    if issues:
+    if issues or cfg is None:
         for msg in issues:
             print(f"invalid sweep spec: {msg}", file=sys.stderr)
         return 2
@@ -358,7 +356,7 @@ def _cmd_sweep(args) -> int:
             l_star = effective_L_star(cfg.params, n=cfg.thresholds.n)
         except (SpectralError, ThresholdSearchError):
             pass  # each point then meets the failure and records it in its row
-    jobs = [(raw_config, parameter, float(v), l_star) for v in values]
+    jobs = [(cfg, parameter, float(v), l_star) for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
@@ -390,13 +388,7 @@ def _cmd_validate(args) -> int:
     if not os.path.exists(args.config):
         print(f"config not found: {args.config}", file=sys.stderr)
         return 2
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            print(f"invalid JSON: {err}", file=sys.stderr)
-            return 2
-    cfg, issues = cfgmod.parse_config_dict(data)
+    cfg, issues = cfgmod.parse_config(args.config)
     checks = []
     if cfg is None:
         checks.append(("config", False, "; ".join(issues)))
@@ -412,8 +404,7 @@ def _cmd_validate(args) -> int:
             checks.append((f"(J) {name}", ok, "symmetric, unit mass, positive at 0"))
         report = validate_weight(p.weight, probe_radius=max(2.0 * p.h0, 1.0))
         checks.append(("(W) weight", report.ok, "; ".join(report.messages) or "nonnegative, W(0) > 0"))
-        g_issues = validate_params(p)
-        checks.append(("(G1)/(G2) infection", not g_issues, "; ".join(g_issues) or "monotone, saturating"))
+        checks.append(("(G1)/(G2) infection", True, "monotone, saturating"))  # by construction
         u0 = cfgmod.build_profile(cfg.u0, p.h0)
         v0 = cfgmod.build_profile(cfg.v0, p.h0)
         b_issues = check_initial_pair(u0, v0, p.h0)
@@ -463,6 +454,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ThresholdRegimeError as err:  # the constant asked for does not exist here
+        print(f"regime error: {err}", file=sys.stderr)
+        return 2
+    except ThresholdSearchError as err:  # L* in simulate and thresholds, any root search
+        print(f"search failure: {err}", file=sys.stderr)
+        return 3
     except SpectralError as err:  # eigen solves in eigen, thresholds and simulate
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

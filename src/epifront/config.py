@@ -17,9 +17,13 @@ violation in the file is reported in one pass rather than failing on the
 first. The numerics are checked against the model only when the model is
 valid.
 
-Numerics defaults: dx = h0/20, dt = the explicit stability limit
-0.9/(d1+d2+a+b+e+G'(0)), t_end = 100, domain_cap = 8*h0, record_every = 10,
-tol_vanish = 1e-3, tol_spread = 0.5.
+Defaults live on the block dataclasses (OutputConfig, EigenConfig,
+OdeConfig, ThresholdConfig and simulator.SimConfig) and nowhere else: a block
+reader returns only the keys present, so an absent key, a JSON null and a
+wrong-typed value (reported) all leave the field at its dataclass default.
+The numerics defaults that depend on the model are set here: dx = h0/20,
+dt = the explicit stability limit 0.9/(d1+d2+a+b+e+G'(0)), t_end = 100,
+domain_cap = 8*h0.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,6 +158,19 @@ class _Section:
             self.issues.append(f"{self.path}.{key}: must be a block")
             return None
         return _Section(val, f"{self.path}.{key}", self.issues)
+
+
+def _read(sec: _Section, cls, required=()) -> dict:
+    """The keys of `sec` that are present and well typed, read as the fields of
+    dataclass `cls` (int-annotated fields as integers, the rest as numbers)."""
+    values = {}
+    for f in fields(cls):
+        read = sec.integer if f.type in (int, "int") else sec.number
+        val = read(f.name, required=f.name in required)
+        if val is not None:
+            values[f.name] = val
+    sec.flag_unknown()
+    return values
 
 
 def _nan_if_missing(value):
@@ -315,12 +332,7 @@ def parse_config_dict(data: dict):
 
     # The numerics keys are read (and type-checked) even without a valid
     # model; their defaults and the checks against the model need one.
-    num_sec = root.subsection("numerics") or _Section({}, "config.numerics", issues)
-    given = {}
-    for key in ("dx", "dt", "t_end", "domain_cap", "tol_vanish", "tol_spread"):
-        given[key] = num_sec.number(key)
-    given["record_every"] = num_sec.integer("record_every")
-    num_sec.flag_unknown()
+    given = _read(root.subsection("numerics") or _Section({}, "config.numerics", issues), SimConfig)
     numerics = None
     if params is not None:
         settings = {
@@ -329,10 +341,7 @@ def parse_config_dict(data: dict):
             "t_end": 100.0,
             "domain_cap": 8.0 * params.h0,
         }
-        for key, val in given.items():
-            if val is not None:
-                settings[key] = val
-        numerics = SimConfig(**settings)
+        numerics = SimConfig(**{**settings, **given})
         for msg in validate_sim_config(params, numerics):
             issues.append(f"config.numerics: {msg}")
 
@@ -343,60 +352,42 @@ def parse_config_dict(data: dict):
         v0 = _parse_profile(init_sec.subsection("v0", required=True), issues)
         init_sec.flag_unknown()
     else:
-        u0 = ProfileSpec("bump", amplitude=1.0)
-        v0 = ProfileSpec("bump", amplitude=1.0)
+        u0 = v0 = ProfileSpec("bump")
 
     output = OutputConfig()
     out_sec = root.subsection("output")
     if out_sec is not None:
-        directory = out_sec.get("directory", ".")
-        snapshots = out_sec.get("snapshots", False)
-        if not isinstance(directory, str):
-            issues.append("config.output.directory: must be a string")
-            directory = "."
-        if not isinstance(snapshots, bool):
-            issues.append("config.output.snapshots: must be a boolean")
-            snapshots = False
-        output = OutputConfig(directory=directory, snapshots=snapshots)
+        given = {}
+        for key, kind, noun in (("directory", str, "a string"), ("snapshots", bool, "a boolean")):
+            val = out_sec.get(key)
+            if isinstance(val, kind):
+                given[key] = val
+            elif val is not None:
+                issues.append(f"config.output.{key}: must be {noun}")
+        output = OutputConfig(**given)
         out_sec.flag_unknown()
 
     eigen = None
     eig_sec = root.subsection("eigen")
     if eig_sec is not None:
-        L1 = eig_sec.number("L1", required=True)
-        L2 = eig_sec.number("L2", required=True)
-        n = eig_sec.integer("n", 400)
-        eig_sec.flag_unknown()
-        if L1 is not None and L2 is not None and n is not None:
-            if L2 > L1 and n >= 16:
-                eigen = EigenConfig(L1=L1, L2=L2, n=n)
-            else:
+        given = _read(eig_sec, EigenConfig, required=("L1", "L2"))
+        if "L1" in given and "L2" in given:
+            eigen = EigenConfig(**given)
+            if not (eigen.L2 > eigen.L1 and eigen.n >= 16):
                 issues.append("config.eigen: needs L1 < L2 and n >= 16")
+                eigen = None
 
     ode_cfg = None
     ode_sec = root.subsection("ode")
     if ode_sec is not None:
-        ode_cfg = OdeConfig(
-            u0=ode_sec.number("u0", 1.0),
-            v0=ode_sec.number("v0", 1.0),
-            t_end=ode_sec.number("t_end", 100.0),
-            dt=ode_sec.number("dt", 0.01),
-        )
-        ode_sec.flag_unknown()
+        ode_cfg = OdeConfig(**_read(ode_sec, OdeConfig))
         if ode_cfg.u0 < 0.0 or ode_cfg.v0 < 0.0 or ode_cfg.dt <= 0.0 or ode_cfg.t_end <= 0.0:
             issues.append("config.ode: needs u0, v0 >= 0 and dt, t_end > 0")
 
     thresholds = ThresholdConfig()
     thr_sec = root.subsection("thresholds")
     if thr_sec is not None:
-        thresholds = ThresholdConfig(
-            n=thr_sec.integer("n", 241),
-            tol=thr_sec.number("tol", 1e-6),
-            rel_tol=thr_sec.number("rel_tol", 1e-2),
-            bracket_lo=thr_sec.number("bracket_lo"),
-            bracket_hi=thr_sec.number("bracket_hi"),
-        )
-        thr_sec.flag_unknown()
+        thresholds = ThresholdConfig(**_read(thr_sec, ThresholdConfig))
         issues.extend(_threshold_issues(thresholds, thr_sec.data))
 
     root.flag_unknown()

@@ -67,7 +67,8 @@ class _RootFound(Exception):
 
 
 def _eigen_root(
-    lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, brent: bool
+    lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, brent: bool,
+    trace: list | None = None,
 ) -> float:
     """First probe x with |lam(x)| < tol, where lam has the sign lo_sign at small x.
 
@@ -75,7 +76,9 @@ def _eigen_root(
     doubled (the old hi becoming lo) until the sign flips. Brent's method
     (scipy.optimize.brentq) closes the bracket when `brent` is set, bisection
     otherwise; where lam vanishes more than once in the bracket, the two may
-    return different zeros. Each abscissa is solved once.
+    return different zeros. Each abscissa is solved once; `trace`, when
+    given, receives every (x, lam(x)) probe in solve order, also when the
+    search fails.
     """
     values: dict = {}
 
@@ -111,6 +114,9 @@ def _eigen_root(
                     hi = mid
     except _RootFound as found:
         return found.args[0]
+    finally:
+        if trace is not None:
+            trace.extend(values.items())
     raise ThresholdSearchError(f"{what} search did not reach the eigenvalue tolerance")
 
 
@@ -135,14 +141,8 @@ def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | N
         raise ThresholdRegimeError(
             "spreading-sufficient regime (r0 >= (1 + d1/a)(1 + d2/b)): eigenvalue negative for every length"
         )
-
-    def lam(half: float) -> float:
-        val = _lambda_on_interval(p, half, n)
-        if trace is not None:
-            trace.append((half, val))
-        return val
-
-    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", brent=False)
+    lam = lambda half: _lambda_on_interval(p, half, n)
+    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", brent=False, trace=trace)
 
 
 def find_d_star(
@@ -168,14 +168,8 @@ def find_d_star(
     if not (d1_0 > 0.0 and d2_0 > 0.0):
         raise ValueError("reference diffusion rates must be positive")
     half = p.h0 if h0 is None else h0
-
-    def lam(s: float) -> float:
-        val = _lambda_on_interval(p, half, n, d1=s * d1_0, d2=s * d2_0)
-        if trace is not None:
-            trace.append((s, val))
-        return val
-
-    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brent=True)
+    lam = lambda s: _lambda_on_interval(p, half, n, d1=s * d1_0, d2=s * d2_0)
+    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brent=True, trace=trace)
 
 
 def effective_L_star(p: ModelParams, n: int = 241) -> float:

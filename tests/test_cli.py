@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epifront.cli import main
 from epifront.config import build_profile, parse_config_dict
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "model": {
@@ -627,3 +630,98 @@ def test_sweep_output_in_a_missing_directory_is_rejected_before_any_point(tmp_pa
     spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(missing / "s.csv")}
     err = _sweep_error(tmp_path, capsys, spec)
     assert f"output directory does not exist: {missing}" in err
+
+
+def test_validate_accepts_a_slowly_saturating_infection(tmp_path, capsys):
+    # G(z) = 3z/(1 + z^0.05) meets (G1)/(G2); G(z)/z reaches a*b/e = 1 only at
+    # u* = 2^20, far beyond any fixed sample point.
+    data = json.loads((CONFIG_DIR / "vanishing.json").read_text())
+    data["model"]["infection"].update({"alpha": 3.0, "lambda": 0.05})
+    cfg, issues = parse_config_dict(data)
+    assert issues == [] and cfg is not None
+    assert main(["validate", write_config(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_validate_reports_invalid_json_as_a_config_failure(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL config: invalid JSON: ")
+    assert captured.err == ""
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("command", ["eigen", "thresholds"])
+def test_missing_output_directory_is_reported_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("epifront.cli.find_L_star", _no_solve)
+    monkeypatch.setattr("epifront.cli.principal_eigenvalue", _no_solve)
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["eigen"] = {"L1": -2.0, "L2": 2.0, "n": 48}
+    path = write_config(tmp_path, data)
+    missing = tmp_path / "missing"
+    if command == "eigen":
+        argv = ["eigen", path, "--dump", str(missing / "modes.csv")]
+    else:
+        argv = ["thresholds", path, "--target", "Lstar", "--out", str(missing / "x.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"file error: output directory does not exist: {missing}\n"
+    assert captured.out == ""
+
+
+def test_a_search_failure_in_simulate_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    from epifront.thresholds import ThresholdSearchError
+
+    def failing(*args, **kwargs):
+        raise ThresholdSearchError("length search did not reach the eigenvalue tolerance")
+
+    monkeypatch.setattr("epifront.cli.effective_L_star", failing)
+    data = deep(BASE_CONFIG)
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main(["simulate", write_config(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("search failure: ") and err.count("\n") == 1
+
+
+def test_sweep_with_an_invalid_config_path_reports_its_violations(tmp_path, capsys):
+    bad = json.loads((CONFIG_DIR / "vanishing.json").read_text())
+    bad["model"]["a"] = -1
+    config = write_config(tmp_path, bad, "bad.json")
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config_path": config, "output": str(tmp_path / "s.csv")}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid config: config.model: a must be > 0\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("how", ["config", "config_path"])
+def test_sweep_parses_its_config_once(tmp_path, monkeypatch, how):
+    import epifront.config as cfgmod
+
+    parses = []
+    real = cfgmod.parse_config_dict
+
+    def counted(data):
+        parses.append(data)
+        return real(data)
+
+    monkeypatch.setattr(cfgmod, "parse_config_dict", counted)
+    data = deep(BASE_CONFIG)
+    data["numerics"]["t_end"] = 2.0
+    spec = {"parameter": "sigma", "values": [0.5, 1.0, 2.0], "output": str(tmp_path / "s.csv")}
+    spec[how] = data if how == "config" else write_config(tmp_path, data)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 0
+    assert len(parses) == 1  # not once more per point, nor again for a config_path
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 4

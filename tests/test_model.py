@@ -116,3 +116,14 @@ def test_validate_params_collects_violations():
     issues = validate_params(bad)
     assert any("a must be > 0" in s for s in issues)
     assert any("rho" in s for s in issues)
+
+
+@pytest.mark.parametrize("alpha, lam", [(3.0, 0.05), (50.0, 0.1), (1e-3, 1.0), (2.0, 0.5)])
+def test_every_saturating_response_is_a_valid_model(alpha, lam):
+    # (G1)/(G2) hold analytically for alpha > 0 and 0 < lam <= 1, however
+    # slowly G(z)/z = alpha/(1 + z^lam) falls toward a*b/e.
+    p = make_params(alpha=alpha, lam=lam)
+    assert validate_params(p) == []
+    if r0(p) > 1.0:
+        eq = equilibrium(p)
+        assert infection_value(p.infection, eq.u_star) / eq.u_star == pytest.approx(p.a * p.b / p.e)

@@ -201,3 +201,22 @@ def test_find_sigma_star_bracket():
     outcomes = [o for _, o in sorted(res.probes)]
     flips = sum(1 for a, b in zip(outcomes, outcomes[1:]) if a != b)
     assert flips == 1  # single switch along the sigma axis
+
+
+def test_L_star_trace_keeps_the_probes_of_a_failed_search(monkeypatch):
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4)
+    solved = []
+    real = thr._lambda_on_interval
+
+    def counted(*args, **kwargs):
+        solved.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thr, "_lambda_on_interval", counted)
+    trace = []
+    with pytest.raises(ThresholdSearchError, match="did not reach the eigenvalue tolerance"):
+        find_L_star(p, n=32, tol=0.0, trace=trace)
+    assert [x for x, _ in trace] == solved and len(solved) > 2
+    assert all(lam == real(p, x, 32) for x, lam in trace[:3])
