@@ -414,6 +414,6 @@ def parse_config(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             return None, [f"invalid JSON: {err}"]
     return parse_config_dict(data)

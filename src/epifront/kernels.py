@@ -142,7 +142,7 @@ def support_radius(spec: KernelSpec, tail_mass: float = TAIL_CUTOFF_MASS) -> flo
     """Radius beyond which the one-sided tail mass drops below `tail_mass`.
 
     Quadrature treats J as zero outside [-radius, radius]; this bounds every
-    convolution stencil. Closed form per family.
+    convolution stencil. Closed form per family; inf beyond the float range.
     """
     if spec.family == "uniform":
         return spec.radius
@@ -152,7 +152,10 @@ def support_radius(spec: KernelSpec, tail_mass: float = TAIL_CUTOFF_MASS) -> flo
         return spec.scale * math.log(0.5 / tail_mass)
     g = spec.exponent
     c = _power_norm(spec)
-    return (c / (tail_mass * (g - 1.0))) ** (1.0 / (g - 1.0))
+    try:
+        return (c / (tail_mass * (g - 1.0))) ** (1.0 / (g - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def has_finite_first_moment(spec: KernelSpec) -> bool:
@@ -271,11 +274,14 @@ def validate_weight(spec: WeightSpec, probe_radius: float, samples: int = 2001) 
 
     Violations are reported, not raised; the Lipschitz constant is the largest
     sampled secant slope, a lower estimate that is exact for piecewise-linear
-    weights once samples fall inside single segments.
+    weights once samples fall inside single segments. A table is also sampled
+    at its knots, where its extremes lie, so its sign verdict is exact.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
     xs = np.linspace(0.0, probe_radius, samples)
+    if spec.family == "table":
+        xs = np.union1d(xs, [x for x in spec.xs if x <= probe_radius])
     vals = np.asarray(weight_eval(spec, xs), dtype=float)
     w0 = float(vals[0])
     slopes = np.abs(np.diff(vals)) / np.diff(xs)

@@ -10,7 +10,7 @@ Implements:
     decay rates, pathogen multiplication, front response mu, infected-human
     front weight rho, initial half-length, kernels, boundary weight).
   - Reproduction number r0 = e*G'(0)/(a*b) and the positive equilibrium
-    (u_star, v_star) solving G(u)/u = a*b/e, v = (a/e)*u when r0 > 1.
+    u_star = (r0 - 1)^(1/lam), v_star = (a/e)*u_star when r0 > 1.
   - The closed-form sufficient spreading test r0 >= (1 + d1/a)(1 + d2/b).
   - Sup-norm a-priori bounds (A, B) that no trajectory may exceed.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import KernelSpec, WeightSpec
 
@@ -116,29 +115,19 @@ class EquilibriumState:
 def equilibrium(p: ModelParams) -> EquilibriumState:
     """Spatially homogeneous equilibrium.
 
-    For r0 > 1 the unique positive root of G(u)/u = a*b/e is found by
-    Brent's method on a doubled bracket (G(z)/z is strictly decreasing, so
-    the sign change is unique); v_star = (a/e)*u_star. For r0 <= 1 the
-    equilibrium is (0, 0).
+    For r0 > 1, G(u)/u = alpha/(1 + u^lam) = a*b/e gives 1 + u^lam = r0, so
+    u_star = (r0 - 1)^(1/lam) and v_star = (a/e)*u_star. For r0 <= 1 the
+    equilibrium is (0, 0). ValueError when u_star is outside the float range.
     """
-    if r0(p) <= 1.0:
+    excess = r0(p) - 1.0
+    if excess <= 0.0:
         return EquilibriumState(0.0, 0.0)
-    target = p.a * p.b / p.e
-
-    def excess(u: float) -> float:
-        return infection_value(p.infection, u) / u - target
-
-    lo = 1e-12
-    if excess(lo) <= 0.0:
-        raise ValueError("no positive equilibrium bracket; saturation shape violated")
-    hi = 1.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("no positive equilibrium bracket; saturation shape violated")
-    u_star = brentq(excess, lo, hi, xtol=np.finfo(float).tiny)
+    try:
+        u_star = excess ** (1.0 / p.infection.lam)
+    except OverflowError:
+        u_star = np.inf
+    if not 0.0 < u_star < np.inf:
+        raise ValueError(f"u_star = {excess:g}^(1/{p.infection.lam:g}) is outside the float range")
     return EquilibriumState(u_star, p.a / p.e * u_star)
 
 

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from epifront.cli import main
 from epifront.config import build_profile, parse_config_dict
+from epifront.kernels import support_radius
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -725,3 +728,106 @@ def test_sweep_parses_its_config_once(tmp_path, monkeypatch, how):
     assert main(["sweep", str(path)]) == 0
     assert len(parses) == 1  # not once more per point, nor again for a config_path
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 4
+
+
+DECADES = st.floats(-3.0, 3.0).map(lambda k: 10.0**k)
+KERNEL_BLOCKS = st.one_of(
+    st.builds(lambda r: {"family": "uniform", "radius": r}, DECADES),
+    st.builds(lambda s: {"family": "gaussian", "std": s}, DECADES),
+    st.builds(lambda s: {"family": "laplace", "scale": s}, DECADES),
+    st.builds(
+        lambda g, c: {"family": "power_tail", "exponent": g, "cutoff": c},
+        st.floats(1.0, 3.0, exclude_min=True),
+        DECADES,
+    ),
+)
+
+
+@settings(
+    derandomize=True, database=None, max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(KERNEL_BLOCKS)
+def test_every_admitted_kernel_has_a_radius_and_validates(tmp_path, capsys, kern):
+    # (J) holds by construction, so validate passes every kernel the parser
+    # admits; a heavy tail's support radius may be inf but never raises.
+    data = deep(BASE_CONFIG)
+    data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
+    cfg, issues = parse_config_dict(data)
+    assert issues == []
+    radius = support_radius(cfg.params.kernel1)
+    assert isinstance(radius, float) and radius > 0.0
+    assert main(["validate", write_config(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_simulate_runs_a_heavy_tailed_model(tmp_path, capsys):
+    # exponent 1.01 puts the support radius beyond the float range; the
+    # stencil is then capped by the grid width.
+    data = json.loads((CONFIG_DIR / "vanishing.json").read_text())
+    kern = {"family": "power_tail", "exponent": 1.01, "cutoff": 0.5}
+    data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
+    data["numerics"]["t_end"] = 2.0
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main(["simulate", write_config(tmp_path, data)]) == 0
+    assert capsys.readouterr().out.startswith("classification=")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "completed"
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0.0, 1.0], [5.0, -1.0]],  # negative on (2.5, 5], beyond the old [0, 2*h0] probe
+        [[0.0, 1.0], [1.00001, 1.0], [1.000015, -1e-3], [1.00002, 1.0], [12.0, 1.0]],  # between samples
+    ],
+)
+def test_validate_fails_a_weight_negative_where_the_front_law_reads_it(tmp_path, capsys, points):
+    data = json.loads((CONFIG_DIR / "vanishing.json").read_text())  # h0 = 1, domain_cap = 6
+    data["model"]["weight"] = {"family": "table", "points": points}
+    assert main(["validate", write_config(tmp_path, data)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL (W) weight: negative weight values sampled" in out
+
+
+NOT_UTF8 = b"\xff\xfe{"
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["ode"], ["eigen"], ["thresholds", "--target", "Lstar"]])
+def test_a_config_that_is_not_utf8_is_one_line_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "config.json"
+    path.write_bytes(NOT_UTF8)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid config: invalid JSON: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_validate_reports_a_file_that_is_not_utf8_as_a_config_failure(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL config: invalid JSON: ")
+    assert captured.err == ""
+
+
+def test_a_sweep_spec_that_is_not_utf8_is_one_line_exit_2(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep spec: ") and err.count("\n") == 1
+
+
+# A config_path of int or bool type would name a file descriptor of this
+# process, so only null and a float are exercised here.
+@pytest.mark.parametrize(
+    "config_path, message",
+    [(None, "config (inline) or config_path required"), (7.5, "config_path must be a file path")],
+)
+def test_sweep_rejects_a_config_path_that_is_not_a_path(tmp_path, capsys, config_path, message):
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config_path": config_path, "output": str(tmp_path / "s.csv")}
+    assert _sweep_error(tmp_path, capsys, spec) == f"invalid sweep spec: {message}\n"

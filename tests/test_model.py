@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from epifront import (
+    EquilibriumState,
     InfectionFn,
     a_priori_bounds,
+    classify_ode_limit,
     equilibrium,
     infection_value,
     r0,
@@ -127,3 +129,29 @@ def test_every_saturating_response_is_a_valid_model(alpha, lam):
     if r0(p) > 1.0:
         eq = equilibrium(p)
         assert infection_value(p.infection, eq.u_star) / eq.u_star == pytest.approx(p.a * p.b / p.e)
+
+
+# alpha = 1.5 and 1 + 1e-13 put u* below the old search's 1e-12 bracket end,
+# alpha = 50 at lam = 0.01 puts u* = 49^100 beyond its 200 doublings.
+@pytest.mark.parametrize("alpha, lam", [(1.5, 0.01), (1.0 + 1e-13, 1.0), (50.0, 0.01)])
+def test_equilibrium_is_the_closed_form_root(alpha, lam):
+    p = make_params(alpha=alpha, lam=lam, a=2.0, b=0.5, e=1.0)  # a*b/e = 1, v* = 2u*
+    eq = equilibrium(p)
+    assert eq.u_star > 0.0
+    assert infection_value(p.infection, eq.u_star) / eq.u_star == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert eq.v_star == 2.0 * eq.u_star
+
+
+def test_equilibrium_beyond_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        equilibrium(make_params(alpha=50.0, lam=0.001))
+    assert equilibrium(make_params(alpha=1.0, lam=0.001)) == EquilibriumState(0.0, 0.0)
+    assert equilibrium(make_params(alpha=0.5, lam=0.001)) == EquilibriumState(0.0, 0.0)
+
+
+def test_bounds_and_ode_limit_accept_a_tiny_equilibrium():
+    p = make_params(alpha=1.5, lam=0.01)
+    cap_u, cap_v = a_priori_bounds(p, 1.0, 1.0)
+    assert cap_u == 1.0 and cap_v == 1.0
+    outcome = classify_ode_limit(p, 1.0, 1.0, t_end=1.0)
+    assert (outcome.u_star, outcome.v_star) == (equilibrium(p).u_star, equilibrium(p).v_star)
