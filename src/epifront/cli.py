@@ -30,7 +30,7 @@ from . import config as cfgmod
 from .kernels import validate_weight
 from .model import r0, validate_params
 from .ode import integrate_ode, lyapunov_series
-from .simulator import check_initial_pair, classify, run
+from .simulator import check_initial_pair, classify, run, spreading_stop_width
 from .spectral import EigenProblem, SpectralError, principal_eigenvalue, rayleigh_check
 from .thresholds import (
     ThresholdRegimeError,
@@ -154,8 +154,7 @@ def _cmd_ode(args) -> int:
     if cfg is None:
         return 2
     p = cfg.params
-    ode_cfg = cfg.ode or cfgmod.OdeConfig()
-    states = integrate_ode(p, ode_cfg.u0, ode_cfg.v0, ode_cfg.t_end, ode_cfg.dt)
+    states = integrate_ode(p, cfg.ode.u0, cfg.ode.v0, cfg.ode.t_end, cfg.ode.dt)
     outdir = cfg.output.directory
     os.makedirs(outdir, exist_ok=True)
     balanced = abs(r0(p) - 1.0) <= 1e-12
@@ -203,9 +202,7 @@ def _cmd_thresholds(args) -> int:
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
     if args.out and (missing := _missing_directory(args.out)):
         raise FileNotFoundError(missing)  # before the search, not after it
-    bracket = None
-    if thr.bracket_lo is not None and thr.bracket_hi is not None:
-        bracket = (thr.bracket_lo, thr.bracket_hi)
+    bracket = None if thr.bracket_lo is None else (thr.bracket_lo, thr.bracket_hi)  # parsed as a pair
     if args.target in ("Lstar", "dstar"):
         trace: list = []
         find = find_L_star if args.target == "Lstar" else find_d_star
@@ -220,13 +217,8 @@ def _cmd_thresholds(args) -> int:
             "probes": [[x, lam] for x, lam in trace],
         }
     else:
-        if args.target == "mustar":
-            res = find_mu_star(p, cfg.numerics, u0, v0, bracket=bracket, rel_tol=thr.rel_tol, n=thr.n)
-        else:
-            res = find_sigma_star(
-                p, cfg.numerics, u0, v0,
-                bracket=bracket or (1e-3, 1e3), rel_tol=thr.rel_tol, n=thr.n,
-            )
+        find = find_mu_star if args.target == "mustar" else find_sigma_star
+        res = find(p, cfg.numerics, u0, v0, bracket=bracket, rel_tol=thr.rel_tol, n=thr.n)
         payload = {
             "target": args.target,
             "value": res.value,
@@ -270,8 +262,7 @@ def _sweep_one(payload):
     try:
         if l_star is None:
             l_star = effective_L_star(p, n=cfg.thresholds.n)
-        stop = None if math.isinf(l_star) else 2.0 * l_star + 2.0 * num.tol_spread
-        traj = run(p, num, u0, v0, stop_width=stop)
+        traj = run(p, num, u0, v0, stop_width=spreading_stop_width(l_star, num))
         outcome = classify(traj, l_star, num)
         return (
             value, outcome,
@@ -350,7 +341,8 @@ def _cmd_sweep(args) -> int:
             print(f"invalid sweep spec: {msg}", file=sys.stderr)
         return 2
 
-    workers = args.workers or spec_workers
+    # At most one worker per point: a fork pool starts every worker up front.
+    workers = min(args.workers or spec_workers, len(values))
     if env_cap is not None:
         workers = min(workers, max(1, env_cap))
     l_star = None

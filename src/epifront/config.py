@@ -17,10 +17,11 @@ violation in the file is reported in one pass rather than failing on the
 first. The numerics are checked against the model only when the model is
 valid.
 
-Defaults live on the block dataclasses (OutputConfig, EigenConfig,
-OdeConfig, ThresholdConfig and simulator.SimConfig) and nowhere else: a block
+Defaults live on the block dataclasses (OutputConfig, EigenConfig, OdeConfig,
+simulator.SimConfig, thresholds.ThresholdConfig) and nowhere else: a block
 reader returns only the keys present, so an absent key, a JSON null and a
-wrong-typed value (reported) all leave the field at its dataclass default.
+wrong-typed value (reported) all leave the field at its dataclass default;
+an absent block other than eigen is its dataclass with every default.
 The numerics defaults that depend on the model are set here: dx = h0/20,
 dt = the explicit stability limit 0.9/(d1+d2+a+b+e+G'(0)), t_end = 100,
 domain_cap = 8*h0.
@@ -38,6 +39,7 @@ import numpy as np
 from .kernels import KernelSpec, WeightSpec
 from .model import InfectionFn, ModelParams, validate_constants, validate_params
 from .simulator import SimConfig, stability_limit, validate_sim_config
+from .thresholds import ThresholdConfig
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,6 @@ class OdeConfig:
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
-    n: int = 241
-    tol: float = 1e-6
-    rel_tol: float = 1e-2
-    bracket_lo: float | None = None
-    bracket_hi: float | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
     numerics: SimConfig
@@ -86,7 +79,7 @@ class RunConfig:
     v0: ProfileSpec
     output: OutputConfig
     eigen: EigenConfig | None
-    ode: OdeConfig | None
+    ode: OdeConfig
     thresholds: ThresholdConfig
     raw: dict
 
@@ -377,7 +370,7 @@ def parse_config_dict(data: dict):
                 issues.append("config.eigen: needs L1 < L2 and n >= 16")
                 eigen = None
 
-    ode_cfg = None
+    ode_cfg = OdeConfig()
     ode_sec = root.subsection("ode")
     if ode_sec is not None:
         ode_cfg = OdeConfig(**_read(ode_sec, OdeConfig))

@@ -208,17 +208,21 @@ def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int
     return float(flux_h), float(flux_g)
 
 
+def _front_rates(p: ModelParams, state: SimState, w: np.ndarray, lo: int, hi: int):
+    """boundary_rates given the state's quad_weights(..., with_span=True)."""
+    flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
+    if flux_h < 0.0 or flux_g < 0.0:
+        raise SimulationUnstable(state.t, "negative front flux from an invalid state")
+    return p.mu * flux_h, -p.mu * flux_g
+
+
 def boundary_rates(p: ModelParams, state: SimState):
     """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law.
 
     Evaluated by the stage's own window code, so the rates equal the front
     rates of the first stage of a step from `state` bit for bit.
     """
-    w, lo, hi = quad_weights(state.grid, state.g, state.h, with_span=True)
-    flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
-    if flux_h < 0.0 or flux_g < 0.0:
-        raise SimulationUnstable(state.t, "negative front flux from an invalid state")
-    return p.mu * flux_h, -p.mu * flux_g
+    return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h, with_span=True))
 
 
 def _density_rates(p: ModelParams, w: np.ndarray, u: np.ndarray, v: np.ndarray, st1, st2):
@@ -296,7 +300,7 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     """
     grid = state.grid
     w, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
-    tail_form = boundary_rates(replace(p, rho=0.0), state)[0]
+    tail_form = _front_rates(replace(p, rho=0.0), state, w, lo, hi)[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
     for j in range(lo, hi):
@@ -367,8 +371,8 @@ def run(
     snapshots = []
 
     def record(s: SimState):
-        w = quad_weights(grid, s.g, s.h)
-        hr, gr = boundary_rates(p, s)
+        w, lo, hi = quad_weights(grid, s.g, s.h, with_span=True)
+        hr, gr = _front_rates(p, s, w, lo, hi)
         rows.append((
             s.t, s.g, s.h,
             float(s.u.max()), float(s.v.max()),
@@ -434,6 +438,12 @@ def run(
         snapshots=snapshots,
         steps=done,
     )
+
+
+def spreading_stop_width(L_star: float, cfg: SimConfig) -> float:
+    """Width past which run stops early: tol_spread beyond classify's spreading
+    width 2*L_star + tol_spread (never, for an infinite L_star)."""
+    return 2.0 * L_star + 2.0 * cfg.tol_spread
 
 
 def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:

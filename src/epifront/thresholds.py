@@ -19,9 +19,13 @@ Implements:
     whose ends agree are expanded up to a cap. A doubled probe resumes its
     previous run from the final state when that run completed on a step
     count that is a multiple of record_every (the outcome is then identical
-    to a fresh run); otherwise it restarts from t = 0.
+    to a fresh run); otherwise it restarts from t = 0. A run that ended
+    unstable or off the grid would fail again at the same step, so the
+    search stops there and names the run status.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval.
+
+The keyword defaults read from ThresholdConfig, the parsed thresholds block.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ from scipy.optimize import brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
-from .simulator import SimConfig, classify, run
+from .simulator import SimConfig, classify, run, spreading_stop_width
 from .spectral import EigenProblem, principal_eigenvalue
+
+_HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
+_BRACKET_EXPANSIONS = 5  # a bracket end with the wrong label moves out at most 5 times
 
 
 class ThresholdRegimeError(ValueError):
@@ -44,6 +51,17 @@ class ThresholdRegimeError(ValueError):
 
 class ThresholdSearchError(RuntimeError):
     """Bracketing or classification failed within the configured caps."""
+
+
+@dataclass(frozen=True)
+class ThresholdConfig:
+    """Threshold-search settings; the only copies of their defaults."""
+
+    n: int = 241
+    tol: float = 1e-6
+    rel_tol: float = 1e-2
+    bracket_lo: float | None = None
+    bracket_hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -120,7 +138,9 @@ def _eigen_root(
     raise ThresholdSearchError(f"{what} search did not reach the eigenvalue tolerance")
 
 
-def find_L_star(p: ModelParams, n: int = 241, tol: float = 1e-6, trace: list | None = None) -> float:
+def find_L_star(
+    p: ModelParams, n: int = ThresholdConfig.n, tol: float = ThresholdConfig.tol, trace: list | None = None
+) -> float:
     """Half-length where the interval eigenvalue vanishes, by bisection.
 
     Only defined in the intermediate regime; outside it the eigenvalue has
@@ -150,8 +170,8 @@ def find_d_star(
     d1_0: float | None = None,
     d2_0: float | None = None,
     h0: float | None = None,
-    n: int = 241,
-    tol: float = 1e-6,
+    n: int = ThresholdConfig.n,
+    tol: float = ThresholdConfig.tol,
     trace: list | None = None,
 ) -> float:
     """Diffusion scale where the eigenvalue on [-h0, h0] crosses zero, by Brent's method.
@@ -172,19 +192,27 @@ def find_d_star(
     return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brent=True, trace=trace)
 
 
-def effective_L_star(p: ModelParams, n: int = 241) -> float:
+def effective_L_star(p: ModelParams, n: int = ThresholdConfig.n) -> float:
     """Critical half-length extended to every regime.
 
     inf when r0 <= 1 (no width ever flips the eigenvalue negative), 0 in the
     spreading-sufficient regime (every width already has it negative), and
     the zero crossing from find_L_star in between. This is what finite-horizon
-    classification should compare widths against.
+    classification should compare widths against. find_L_star reports both
+    outer regimes before any eigen solve.
     """
-    if r0(p) <= 1.0:
-        return math.inf
-    if spreading_sufficient(p):
-        return 0.0
-    return find_L_star(p, n=n)
+    try:
+        return find_L_star(p, n=n)
+    except ThresholdRegimeError:
+        return math.inf if r0(p) <= 1.0 else 0.0
+
+
+def _L_star_above_h0(p: ModelParams, n: int, what: str, L_star: float | None = None) -> float:
+    """L_star (solved unless given), which `what` needs to exceed h0."""
+    Ls = find_L_star(p, n=n) if L_star is None else L_star
+    if not p.h0 < Ls:
+        raise ThresholdRegimeError(f"{what} needs h0 < L_star")
+    return Ls
 
 
 def d_star_lower_bound(p: ModelParams) -> float:
@@ -195,8 +223,8 @@ def d_star_lower_bound(p: ModelParams) -> float:
     return 0.5 * (math.sqrt((p.a - p.b) ** 2 + 4.0 * p.e * g0) - (p.a + p.b))
 
 
-def _profile_sup(profile, h0: float, samples: int = 1025) -> float:
-    xs = np.linspace(-h0, h0, samples)
+def _profile_sup(profile, h0: float) -> float:
+    xs = np.linspace(-h0, h0, 1025)
     return float(np.max(np.abs(np.asarray(profile(xs), dtype=float))))
 
 
@@ -204,7 +232,7 @@ def vanishing_mu_bound(
     p: ModelParams,
     u0_profile,
     v0_profile,
-    n: int = 241,
+    n: int = ThresholdConfig.n,
     L_star: float | None = None,
 ) -> float:
     """Explicit mu level below which the fronts provably stall.
@@ -214,9 +242,7 @@ def vanishing_mu_bound(
     there is still positive). Scale-invariant in the eigenfunction
     normalization and inverse-linear in the initial sup norms.
     """
-    Ls = find_L_star(p, n=n) if L_star is None else L_star
-    if not p.h0 < Ls:
-        raise ThresholdRegimeError("the vanishing bound needs h0 < L_star")
+    Ls = _L_star_above_h0(p, n, "the vanishing bound", L_star)
     frac = 0.1
     res = None
     h1 = p.h0
@@ -242,18 +268,11 @@ def vanishing_mu_bound(
     return level * phi_floor / data_norm
 
 
-def _classify_with_horizon(
-    p: ModelParams,
-    cfg: SimConfig,
-    u0_profile,
-    v0_profile,
-    L_star: float,
-    max_doublings: int = 3,
-) -> str:
-    stop = 2.0 * L_star + 2.0 * cfg.tol_spread
+def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float) -> str:
+    stop = spreading_stop_width(L_star, cfg)
     horizon = cfg.t_end
     traj = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_HORIZON_DOUBLINGS + 1):
         local = replace(cfg, t_end=horizon)
         # Extends the previous horizon's run when it is exactly continuable;
         # run() itself falls back to a fresh start from t = 0 otherwise.
@@ -261,21 +280,18 @@ def _classify_with_horizon(
         outcome = classify(traj, L_star, local)
         if outcome != "undecided":
             return outcome
+        if traj.status in ("unstable", "domain_exhausted"):  # a longer run fails at the same step
+            raise ThresholdSearchError(f"probe run ended {traj.status} after t={traj.t[-1]:.6g}, undecided")
         horizon *= 2.0
     return "undecided"
 
 
-def _dichotomy_bisect(
-    classify_at,
-    lo: float,
-    hi: float,
-    rel_tol: float,
-    expansions: int = 5,
-) -> BisectionResult:
+def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> BisectionResult:
     """Bisection on a monotone vanishing->spreading dichotomy.
 
-    The low end must classify vanishing and the high end spreading; ends
-    with the wrong label are pushed outward up to `expansions` times.
+    The low end must classify vanishing and the high end spreading; an end
+    carrying the other label is moved outward by a factor of 4 (exact in
+    binary) up to _BRACKET_EXPANSIONS times.
     """
     probes = []
 
@@ -284,22 +300,19 @@ def _dichotomy_bisect(
         probes.append((x, outcome))
         return outcome
 
-    lo_out = probe(lo)
-    for _ in range(expansions):
-        if lo_out != "spreading":
-            break
-        lo /= 4.0
-        lo_out = probe(lo)
-    if lo_out != "vanishing":
-        raise ThresholdSearchError(f"low bracket end classifies as {lo_out}, not vanishing")
-    hi_out = probe(hi)
-    for _ in range(expansions):
-        if hi_out != "vanishing":
-            break
-        hi *= 4.0
-        hi_out = probe(hi)
-    if hi_out != "spreading":
-        raise ThresholdSearchError(f"high bracket end classifies as {hi_out}, not spreading")
+    def settle(x: float, factor: float, end: str, want: str, other: str) -> float:
+        out = probe(x)
+        for _ in range(_BRACKET_EXPANSIONS):
+            if out != other:
+                break
+            x *= factor
+            out = probe(x)
+        if out != want:
+            raise ThresholdSearchError(f"{end} bracket end classifies as {out}, not {want}")
+        return x
+
+    lo = settle(lo, 0.25, "low", "vanishing", "spreading")
+    hi = settle(hi, 4.0, "high", "spreading", "vanishing")
     iterations = 0
     while hi - lo > rel_tol * hi:
         mid = math.sqrt(lo * hi)  # geometric midpoint: brackets span decades
@@ -314,13 +327,8 @@ def _dichotomy_bisect(
         if iterations > 200:
             raise ThresholdSearchError("bisection failed to close the bracket")
     return BisectionResult(
-        value=0.5 * (lo + hi),
-        lo=lo,
-        hi=hi,
-        iterations=iterations,
-        lo_outcome="vanishing",
-        hi_outcome="spreading",
-        probes=tuple(probes),
+        value=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iterations,
+        lo_outcome="vanishing", hi_outcome="spreading", probes=tuple(probes),
     )
 
 
@@ -330,8 +338,8 @@ def find_mu_star(
     u0_profile,
     v0_profile,
     bracket: tuple | None = None,
-    rel_tol: float = 1e-2,
-    n: int = 241,
+    rel_tol: float = ThresholdConfig.rel_tol,
+    n: int = ThresholdConfig.n,
 ) -> BisectionResult:
     """Front-response threshold separating vanishing from spreading.
 
@@ -339,9 +347,7 @@ def find_mu_star(
     monotone in mu, so bisection applies. The default bracket starts at the
     explicit vanishing bound and one thousand times it.
     """
-    Ls = find_L_star(p, n=n)
-    if not p.h0 < Ls:
-        raise ThresholdRegimeError("mu threshold search needs h0 < L_star")
+    Ls = _L_star_above_h0(p, n, "mu threshold search")
     if bracket is None:
         base = vanishing_mu_bound(p, u0_profile, v0_profile, n=n, L_star=Ls)
         bracket = (base, 1e3 * base)
@@ -349,7 +355,7 @@ def find_mu_star(
     def classify_at(mu: float) -> str:
         return _classify_with_horizon(replace(p, mu=mu), cfg, u0_profile, v0_profile, Ls)
 
-    return _dichotomy_bisect(classify_at, bracket[0], bracket[1], rel_tol)
+    return _dichotomy_bisect(classify_at, *bracket, rel_tol)
 
 
 def find_sigma_star(
@@ -357,9 +363,9 @@ def find_sigma_star(
     cfg: SimConfig,
     psi1,
     psi2,
-    bracket: tuple = (1e-3, 1e3),
-    rel_tol: float = 1e-2,
-    n: int = 241,
+    bracket: tuple | None = None,
+    rel_tol: float = ThresholdConfig.rel_tol,
+    n: int = ThresholdConfig.n,
 ) -> BisectionResult:
     """Initial-data scale threshold for (u0, v0) = sigma * (psi1, psi2).
 
@@ -368,9 +374,7 @@ def find_sigma_star(
     [0, 2*L_star]; otherwise arbitrarily large data may still fail to push
     the fronts and no sharp scale exists.
     """
-    Ls = find_L_star(p, n=n)
-    if not p.h0 < Ls:
-        raise ThresholdRegimeError("sigma threshold search needs h0 < L_star")
+    Ls = _L_star_above_h0(p, n, "sigma threshold search")
     if not (kernel_positive_everywhere(p.kernel1) or weight_positive_on(p.weight, 2.0 * Ls)):
         raise ThresholdRegimeError(
             "sigma threshold needs a strictly positive pathogen kernel or a front "
@@ -382,4 +386,4 @@ def find_sigma_star(
         v0 = lambda x: sigma * psi2(x)
         return _classify_with_horizon(p, cfg, u0, v0, Ls)
 
-    return _dichotomy_bisect(classify_at, bracket[0], bracket[1], rel_tol)
+    return _dichotomy_bisect(classify_at, *(bracket or (1e-3, 1e3)), rel_tol)

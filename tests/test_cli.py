@@ -831,3 +831,41 @@ def test_a_sweep_spec_that_is_not_utf8_is_one_line_exit_2(tmp_path, capsys):
 def test_sweep_rejects_a_config_path_that_is_not_a_path(tmp_path, capsys, config_path, message):
     spec = {"parameter": "mu", "values": [0.1, 0.2], "config_path": config_path, "output": str(tmp_path / "s.csv")}
     assert _sweep_error(tmp_path, capsys, spec) == f"invalid sweep spec: {message}\n"
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # A fork pool starts all max_workers processes at the first submit, so the
+    # pool is sized to the points; the fake pool maps in this process.
+    import epifront.cli as cli
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    data = deep(BASE_CONFIG)
+    data["numerics"]["t_end"] = 1.0
+    spec = {"parameter": "mu", "values": [0.1, 0.2, 0.3], "config": data, "output": str(tmp_path / "w.csv")}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path), "--workers", "100000"]) == 0
+    assert sizes == [3]
+    assert len((tmp_path / "w.csv").read_text().splitlines()) == 4
+
+
+def test_an_absent_ode_block_is_the_default_ode_config():
+    from epifront.config import OdeConfig
+
+    cfg, issues = parse_config_dict({"model": deep(BASE_CONFIG["model"])})
+    assert issues == [] and cfg.ode == OdeConfig()

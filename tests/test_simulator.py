@@ -666,3 +666,33 @@ def test_boundary_rates_match_full_grid_front_law(weight):
             assert got == (0.0, 0.0)
         else:
             assert got == pytest.approx((p.mu * flux_h, -p.mu * flux_g), rel=1e-12, abs=0.0), name
+
+
+def test_a_recorded_row_computes_its_quadrature_weights_once(monkeypatch):
+    # The masses and the front rates of a row share one quad_weights call;
+    # the steps' own calls are not counted.
+    import epifront.simulator as sim
+
+    p = make_params(alpha=2.0, h0=0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=6.0, domain_cap=4.0, record_every=10)
+    real_weights, real_step = sim.quad_weights, sim.step
+    counted, stepping = [], []
+
+    def weights(*args, **kwargs):
+        if not stepping:
+            counted.append(args[1:3])
+        return real_weights(*args, **kwargs)
+
+    def stepped(*args, **kwargs):
+        stepping.append(True)
+        try:
+            return real_step(*args, **kwargs)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(sim, "quad_weights", weights)
+    monkeypatch.setattr(sim, "step", stepped)
+    bump = bump_profile(0.4)
+    traj = run(p, cfg, bump, bump)
+    assert len(counted) == traj.t.size == 6
+    assert counted == list(zip(traj.g.tolist(), traj.h.tolist()))

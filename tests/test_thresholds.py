@@ -220,3 +220,78 @@ def test_L_star_trace_keeps_the_probes_of_a_failed_search(monkeypatch):
         find_L_star(p, n=32, tol=0.0, trace=trace)
     assert [x for x, _ in trace] == solved and len(solved) > 2
     assert all(lam == real(p, x, 32) for x, lam in trace[:3])
+
+
+@pytest.mark.parametrize("status, domain_cap", [("unstable", 4.0), ("domain_exhausted", 1.0)])
+def test_a_failed_probe_run_is_not_rerun(monkeypatch, status, domain_cap):
+    # An unstable or grid-exhausted run restarts from t = 0 at a longer
+    # horizon and fails at the same step, so the probe runs once and the
+    # search names the status. A cap of 1 keeps the exhausted run's escape
+    # width below 2 L* + tol_spread, so it stays undecided.
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4)
+    cfg = replace(MU_CFG, domain_cap=domain_cap)
+    bump = bump_profile(0.4)
+    failed = replace(run(p, replace(cfg, t_end=1.2), bump, bump), status=status)
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append(args[1].t_end)
+        return failed
+
+    monkeypatch.setattr(thr, "run", fake_run)
+    with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
+        find_mu_star(p, cfg, bump, bump, bracket=(0.1, 1.0))
+    assert calls == [cfg.t_end]
+
+
+def test_bracket_ends_move_out_by_four_until_their_label_fits(monkeypatch):
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    threshold = [0.5]
+    monkeypatch.setattr(
+        thr, "_classify_with_horizon",
+        lambda q, cfg, u0, v0, Ls: "spreading" if q.mu > threshold[0] else "vanishing",
+    )
+    res = find_mu_star(p, MU_CFG, bump, bump, bracket=(0.6, 0.7), rel_tol=0.9)
+    assert [x for x, _ in res.probes[:3]] == [0.6, 0.15, 0.7]
+    res = find_mu_star(p, MU_CFG, bump, bump, bracket=(0.1, 0.2), rel_tol=0.9)
+    assert [x for x, _ in res.probes[:3]] == [0.1, 0.2, 0.8]
+    threshold[0] = 1e-9  # five quarterings of 1.0 still spread
+    with pytest.raises(ThresholdSearchError, match="low bracket end classifies as spreading, not vanishing"):
+        find_mu_star(p, MU_CFG, bump, bump, bracket=(1.0, 2.0))
+    threshold[0] = 1e9  # five quadruplings of 2.0 still vanish
+    with pytest.raises(ThresholdSearchError, match="high bracket end classifies as vanishing, not spreading"):
+        find_mu_star(p, MU_CFG, bump, bump, bracket=(1.0, 2.0))
+
+
+def test_sigma_search_brackets_from_its_own_default(monkeypatch):
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4, kernel=KernelSpec.gaussian(0.5), mu=2.0)
+    bump = bump_profile(0.4)
+    monkeypatch.setattr(
+        thr, "_classify_with_horizon",
+        lambda q, cfg, u0, v0, Ls: "spreading" if u0(0.0) > 0.5 else "vanishing",
+    )
+    res = find_sigma_star(p, MU_CFG, bump, bump, bracket=None)
+    assert res.probes[:2] == ((1e-3, "vanishing"), (1e3, "spreading"))
+    assert res.lo <= 0.5 <= res.hi
+
+
+def test_search_defaults_are_the_threshold_config_defaults():
+    import inspect
+
+    from epifront.config import ThresholdConfig as ParsedConfig
+    from epifront.thresholds import ThresholdConfig
+
+    assert ParsedConfig is ThresholdConfig
+    defaults = ThresholdConfig()
+    for fn in (find_L_star, find_d_star, effective_L_star, vanishing_mu_bound, find_mu_star, find_sigma_star):
+        params = inspect.signature(fn).parameters
+        for name in ("n", "tol", "rel_tol"):
+            if name in params:
+                assert params[name].default == getattr(defaults, name), (fn.__name__, name)
