@@ -7,11 +7,12 @@ round-trip exactly.
 
 Exit codes: 0 success, 2 configuration or assumption failure (an output
 path that cannot be written and a threshold asked for outside its regime
-included), 3 numerical failure (unstable run, exhausted grid, failed eigen
-solve or failed threshold search). `main` maps every failure to its code and
-one stderr line. `validate` probes the weight W over [0, 2*domain_cap], every
-distance h - x the front law reads it at, table knots included; (J) and
-(G1)/(G2) hold by construction for every family the parser admits.
+included), 3 numerical failure (any ode.NumericalFailure: unstable run,
+exhausted grid, failed eigen solve) or failed threshold search. `main` maps
+every failure to its code and one stderr line. `validate` probes the weight
+W over [0, 2*domain_cap], every distance h - x the front law reads it at,
+table knots included; (J) and (G1)/(G2) hold by construction for every
+family the parser admits.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 from . import config as cfgmod
 from .kernels import validate_weight
 from .model import r0, validate_params
-from .ode import integrate_ode, lyapunov_series
+from .ode import NumericalFailure, integrate_ode, lyapunov_series
 from .simulator import check_initial_pair, classify, run, spreading_stop_width
-from .spectral import EigenProblem, SpectralError, principal_eigenvalue, rayleigh_check
+from .spectral import EigenProblem, principal_eigenvalue, rayleigh_check
 from .thresholds import (
     ThresholdRegimeError,
     ThresholdSearchError,
@@ -274,14 +275,6 @@ def _sweep_one(payload):
         return value, "error", math.nan, math.nan, math.nan, str(err)
 
 
-def _is_number(value) -> bool:
-    """True for a finite JSON number: not a bool, string, container, NaN,
-    infinity or int beyond float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max
-
-
 def _worker_count(value, name: str, issues: list) -> int:
     """int(value), or 1 with a reported issue when value is not an integer."""
     try:
@@ -295,14 +288,9 @@ def _cmd_sweep(args) -> int:
     if not os.path.exists(args.spec):
         print(f"sweep spec not found: {args.spec}", file=sys.stderr)
         return 2
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            print(f"invalid sweep spec: {err}", file=sys.stderr)
-            return 2
-    if not isinstance(spec, dict):
-        print("invalid sweep spec: the spec must be a JSON object", file=sys.stderr)
+    spec, err = cfgmod.load_json(args.spec)
+    if err is not None or not isinstance(spec, dict):
+        print(f"invalid sweep spec: {err or 'the spec must be a JSON object'}", file=sys.stderr)
         return 2
     issues = []
     parameter = spec.get("parameter")
@@ -311,7 +299,7 @@ def _cmd_sweep(args) -> int:
     values = spec.get("values")
     if not isinstance(values, list) or not values:
         issues.append("values must be a nonempty list")
-    elif not all(_is_number(v) for v in values):
+    elif any(cfgmod.number_issue(v) for v in values):
         issues.append("values must be finite numbers")
     else:
         diffs = np.diff(np.asarray(values, dtype=float))
@@ -349,7 +337,7 @@ def _cmd_sweep(args) -> int:
     if parameter in _L_STAR_FIXED:
         try:
             l_star = effective_L_star(cfg.params, n=cfg.thresholds.n)
-        except (SpectralError, ThresholdSearchError):
+        except (NumericalFailure, ThresholdSearchError):
             pass  # each point then meets the failure and records it in its row
     jobs = [(cfg, parameter, float(v), l_star) for v in values]
     if workers > 1:
@@ -437,7 +425,7 @@ def main(argv=None) -> int:
     except ThresholdSearchError as err:  # L* in simulate and thresholds, any root search
         print(f"search failure: {err}", file=sys.stderr)
         return 3
-    except SpectralError as err:  # eigen solves in eigen, thresholds and simulate
+    except NumericalFailure as err:  # unstable integration, exhausted grid, failed eigen solve
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:  # an output path that cannot be created or written

@@ -39,6 +39,7 @@ import numpy as np
 from .kernels import KernelSpec, WeightSpec
 from .model import InfectionFn, ModelParams, validate_constants, validate_params
 from .simulator import SimConfig, stability_limit, validate_sim_config
+from .spectral import EIGEN_NODES, MIN_EIGEN_NODES
 from .thresholds import ThresholdConfig
 
 
@@ -60,7 +61,7 @@ class OutputConfig:
 class EigenConfig:
     L1: float
     L2: float
-    n: int = 400
+    n: int = EIGEN_NODES
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,22 @@ def build_profile(spec: ProfileSpec, h0: float):
     return lambda x: sig * base(x)
 
 
+def number_issue(value) -> str | None:
+    """Why a JSON value is not a finite number (a bool, NaN, inf, a huge int), or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    return None if abs(value) <= sys.float_info.max else "must be finite"
+
+
+def load_json(path: str):
+    """(document, None) for a UTF-8 JSON file, else (None, the decoding error)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh), None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            return None, err
+
+
 class _Section:
     """One config block with strict key accounting."""
 
@@ -125,11 +142,8 @@ class _Section:
         val = self.get(key, required=required)
         if val is None:
             return default
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.issues.append(f"{self.path}.{key}: must be a number")
-            return default
-        if not abs(val) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
-            self.issues.append(f"{self.path}.{key}: must be finite")
+        if issue := number_issue(val):
+            self.issues.append(f"{self.path}.{key}: {issue}")
             return default
         return float(val)
 
@@ -275,8 +289,8 @@ def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
 def _threshold_issues(thr: ThresholdConfig, given: dict) -> list:
     """Range violations of a thresholds block, reported before any solve."""
     issues = []
-    if thr.n < 16:
-        issues.append("n: must be >= 16")
+    if thr.n < MIN_EIGEN_NODES:
+        issues.append(f"n: must be >= {MIN_EIGEN_NODES}")
     if not thr.tol > 0.0:
         issues.append("tol: must be > 0")
     if not 0.0 < thr.rel_tol < 1.0:
@@ -366,8 +380,8 @@ def parse_config_dict(data: dict):
         given = _read(eig_sec, EigenConfig, required=("L1", "L2"))
         if "L1" in given and "L2" in given:
             eigen = EigenConfig(**given)
-            if not (eigen.L2 > eigen.L1 and eigen.n >= 16):
-                issues.append("config.eigen: needs L1 < L2 and n >= 16")
+            if not (eigen.L2 > eigen.L1 and eigen.n >= MIN_EIGEN_NODES):
+                issues.append(f"config.eigen: needs L1 < L2 and n >= {MIN_EIGEN_NODES}")
                 eigen = None
 
     ode_cfg = OdeConfig()
@@ -404,9 +418,5 @@ def parse_config_dict(data: dict):
 
 def parse_config(path: str):
     """Load and validate a JSON run configuration from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            return None, [f"invalid JSON: {err}"]
-    return parse_config_dict(data)
+    data, err = load_json(path)
+    return (None, [f"invalid JSON: {err}"]) if err is not None else parse_config_dict(data)

@@ -1,12 +1,13 @@
 """Spatially homogeneous two-species dynamics and its dichotomy diagnostics.
 
 Implements:
+  - NumericalFailure, the base of every numerical failure (exit 3 in the CLI).
   - rk4_step, the classical 4-stage update of a tuple of scalars or arrays;
     the front simulator and the frozen-interval run step through it too.
   - Fixed-step integration of
         u' = -a*u + e*v,   v' = -b*v + G(u)
-    with nonnegativity enforcement (round-off clamp at -1e-14, hard error
-    beyond that).
+    with nonnegativity enforcement (round-off clamp at -1e-14, beyond that
+    OdeInstabilityError, a NumericalFailure).
   - The decay functional V(t) = (G'(0)/a)*u(t) + v(t), nonincreasing along
     trajectories exactly at the r0 = 1 balance point.
   - Long-horizon classification of the limit: extinction, convergence to the
@@ -23,12 +24,16 @@ from .model import ModelParams, equilibrium, gprime0, infection_value, r0
 NEG_TOL = -1e-14  # round-off clamp for nonnegative states
 
 
-class OdeInstabilityError(RuntimeError):
-    """State left the admissible region (NaN or negative beyond round-off)."""
+class NumericalFailure(RuntimeError):
+    """A numerical failure, stamped with the time t it happened at (if any)."""
 
-    def __init__(self, t: float, message: str):
-        super().__init__(f"t={t:.6g}: {message}")
+    def __init__(self, t: float | None, message: str):
+        super().__init__(message if t is None else f"t={t:.6g}: {message}")
         self.t = t
+
+
+class OdeInstabilityError(NumericalFailure):
+    """State left the admissible region (NaN or negative beyond round-off)."""
 
 
 @dataclass(frozen=True)

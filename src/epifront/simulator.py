@@ -42,19 +42,16 @@ from scipy.integrate import quad
 
 from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, weight_eval
 from .model import ModelParams, gprime0, infection_value
-from .ode import NEG_TOL, rk4_step
+from .ode import NEG_TOL, NumericalFailure, rk4_step
+from .spectral import trapezoid_weights
 
 
-class SimulationUnstable(RuntimeError):
-    def __init__(self, t: float, message: str):
-        super().__init__(f"t={t:.6g}: {message}")
-        self.t = t
+class SimulationUnstable(NumericalFailure):
+    """Densities left the admissible region, or a front flux came out negative."""
 
 
-class DomainExhausted(RuntimeError):
-    def __init__(self, t: float, message: str):
-        super().__init__(f"t={t:.6g}: {message}")
-        self.t = t
+class DomainExhausted(NumericalFailure):
+    """A front left the preallocated grid."""
 
 
 class Grid:
@@ -477,11 +474,9 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
 def fixed_boundary_rhs(p: ModelParams, x: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Right-hand side of the frozen-interval system on nodes spanning [L1, L2]."""
     dx = x[1] - x[0]
-    w = np.full(x.size, dx)
-    w[0] = w[-1] = 0.5 * dx
     st1 = _stencil(p.kernel1, dx, x.size - 1)
     st2 = _stencil(p.kernel2, dx, x.size - 1)
-    return _density_rates(p, w, u, v, st1, st2)
+    return _density_rates(p, trapezoid_weights(x.size, dx), u, v, st1, st2)
 
 
 def fixed_boundary_run(

@@ -6,8 +6,9 @@ Implements:
     on a uniform grid over [L1, L2], where N applies the two kernel
     convolutions restricted to the interval, D = diag(d1/e, d2/g0), and
         A = [[-a/e, 1], [1, -b/g0]],   g0 = G'(0).
-    The convolution rows carry composite-trapezoid quadrature weights; the
-    matrix is conjugated by sqrt(weights) so the discrete operator is exactly
+    The convolution rows carry composite-trapezoid weights (trapezoid_weights,
+    shared with the frozen-interval run and the vanishing bound); the matrix
+    is conjugated by sqrt(weights) so the discrete operator is exactly
     symmetric with respect to the plain inner product (self-adjointness that
     raw endpoint weights would break), then symmetrized once more to scrub
     round-off.
@@ -31,9 +32,13 @@ from scipy.linalg import eigh, toeplitz
 
 from .kernels import KernelSpec, kernel_eval
 from .model import ModelParams, gprime0
+from .ode import NumericalFailure
+
+EIGEN_NODES = 400  # default grid size of an eigen solve
+MIN_EIGEN_NODES = 16  # coarsest admissible grid
 
 
-class SpectralError(RuntimeError):
+class SpectralError(NumericalFailure):
     """Discretization failure (non-positive principal eigenvector)."""
 
 
@@ -51,13 +56,13 @@ class EigenProblem:
     g0: float  # G'(0)
     kernel1: KernelSpec
     kernel2: KernelSpec
-    n: int = 400
+    n: int = EIGEN_NODES
 
     def __post_init__(self) -> None:
         if not self.L2 - self.L1 > 0.0:
             raise ValueError("interval must have positive length")
-        if self.n < 16:
-            raise ValueError("need at least 16 nodes")
+        if self.n < MIN_EIGEN_NODES:
+            raise ValueError(f"need at least {MIN_EIGEN_NODES} nodes")
         for name in ("a", "b", "e", "g0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -70,7 +75,7 @@ class EigenProblem:
         params: ModelParams,
         L1: float,
         L2: float,
-        n: int = 400,
+        n: int = EIGEN_NODES,
         d1: float | None = None,
         d2: float | None = None,
     ) -> "EigenProblem":
@@ -98,12 +103,17 @@ class EigenResult:
     rayleigh_residual: float
 
 
+def trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Composite-trapezoid weights of n nodes dx apart, dx/2 at both ends."""
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
+    return w
+
+
 def _grid(problem: EigenProblem):
     x = np.linspace(problem.L1, problem.L2, problem.n)
     dx = (problem.L2 - problem.L1) / (problem.n - 1)
-    w = np.full(problem.n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    return x, dx, w
+    return x, dx, trapezoid_weights(problem.n, dx)
 
 
 def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
@@ -162,6 +172,7 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     floor = -1e-10 * max(phi1.max(), phi2.max())
     if phi1.min() < floor or phi2.min() < floor:
         raise SpectralError(
+            None,
             "principal eigenvector has sign changes; refine the grid "
             f"(n={n}, kernel support vs spacing mismatch)"
         )

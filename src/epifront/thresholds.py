@@ -9,7 +9,7 @@ Implements:
     strictly increasing in s), defined for r0 > 1, together with its
     closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
     Both roots share one search: widen a sign-changing bracket, then close
-    it until |lambda_p| < tol (Brent's method for d_star, bisection for
+    it until |lambda_p| < tol (scipy's brentq for d_star, its bisect for
     L_star). The monotonicity holds for the continuous problem; at coarse n
     the discrete eigenvalue can cross zero more than once in L (find_L_star).
   - mu_star and sigma_star: simulation-backed bisections on the front
@@ -34,12 +34,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import bisect, brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
 from .simulator import SimConfig, classify, run, spreading_stop_width
-from .spectral import EigenProblem, principal_eigenvalue
+from .spectral import EigenProblem, principal_eigenvalue, trapezoid_weights
 
 _HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
 _BRACKET_EXPANSIONS = 5  # a bracket end with the wrong label moves out at most 5 times
@@ -85,18 +85,17 @@ class _RootFound(Exception):
 
 
 def _eigen_root(
-    lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, brent: bool,
+    lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, close,
     trace: list | None = None,
 ) -> float:
     """First probe x with |lam(x)| < tol, where lam has the sign lo_sign at small x.
 
     lo is divided by `shrink` until lam(lo) has the sign lo_sign, then hi is
-    doubled (the old hi becoming lo) until the sign flips. Brent's method
-    (scipy.optimize.brentq) closes the bracket when `brent` is set, bisection
-    otherwise; where lam vanishes more than once in the bracket, the two may
-    return different zeros. Each abscissa is solved once; `trace`, when
-    given, receives every (x, lam(x)) probe in solve order, also when the
-    search fails.
+    doubled (the old hi becoming lo) until the sign flips. scipy's bracketed
+    root finder `close` (bisect or brentq) then closes the bracket; where
+    lam vanishes more than once in it, the two may return different zeros.
+    Each abscissa is solved once; `trace`, when given, receives every
+    (x, lam(x)) probe in solve order, also when the search fails.
     """
     values: dict = {}
 
@@ -120,16 +119,8 @@ def _eigen_root(
             lo, hi = hi, 2.0 * hi
         else:
             raise ThresholdSearchError(f"no {what} above the eigenvalue zero crossing found")
-        if brent:
-            # Relative stopping only (xtol at the smallest float): roots may be tiny.
-            brentq(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
-        else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+        # Relative stopping only (xtol at the smallest float): roots may be tiny.
+        close(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
     except _RootFound as found:
         return found.args[0]
     finally:
@@ -141,7 +132,7 @@ def _eigen_root(
 def find_L_star(
     p: ModelParams, n: int = ThresholdConfig.n, tol: float = ThresholdConfig.tol, trace: list | None = None
 ) -> float:
-    """Half-length where the interval eigenvalue vanishes, by bisection.
+    """Half-length where the interval eigenvalue vanishes, by scipy.optimize.bisect.
 
     Only defined in the intermediate regime; outside it the eigenvalue has
     one sign for every length and the applicable regime is reported instead.
@@ -162,7 +153,7 @@ def find_L_star(
             "spreading-sufficient regime (r0 >= (1 + d1/a)(1 + d2/b)): eigenvalue negative for every length"
         )
     lam = lambda half: _lambda_on_interval(p, half, n)
-    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", brent=False, trace=trace)
+    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", bisect, trace=trace)
 
 
 def find_d_star(
@@ -189,7 +180,7 @@ def find_d_star(
         raise ValueError("reference diffusion rates must be positive")
     half = p.h0 if h0 is None else h0
     lam = lambda s: _lambda_on_interval(p, half, n, d1=s * d1_0, d2=s * d2_0)
-    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brent=True, trace=trace)
+    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brentq, trace=trace)
 
 
 def effective_L_star(p: ModelParams, n: int = ThresholdConfig.n) -> float:
@@ -256,9 +247,7 @@ def vanishing_mu_bound(
         raise ThresholdSearchError("no enlarged interval with positive eigenvalue found")
     decay = 0.5 * res.lambda_p * min(p.e, gprime0(p))
     margin = h1 - p.h0
-    dx = res.x[1] - res.x[0]
-    w = np.full(res.x.size, dx)
-    w[0] = w[-1] = 0.5 * dx
+    w = trapezoid_weights(res.x.size, res.x[1] - res.x[0])
     mass1 = float(np.sum(w * res.phi1))
     mass2 = float(np.sum(w * res.phi2))
     level = margin * decay / (mass1 + p.rho * weight_sup(p.weight, 2.0 * h1) * mass2)

@@ -869,3 +869,33 @@ def test_an_absent_ode_block_is_the_default_ode_config():
 
     cfg, issues = parse_config_dict({"model": deep(BASE_CONFIG["model"])})
     assert issues == [] and cfg.ode == OdeConfig()
+
+
+def _vanishing_with(tmp_path, model=None, ode=None):
+    data = json.loads((CONFIG_DIR / "vanishing.json").read_text())
+    data["model"].update(model or {})
+    data["ode"].update(ode or {})
+    data["output"]["directory"] = str(tmp_path / "out")
+    return write_config(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "argv, model, ode, message",
+    [
+        (["ode"], None, {"dt": 5}, "t=5: state went negative"),
+        (
+            ["simulate"],
+            {"rho": 5, "weight": {"family": "table", "points": [[0, 1], [0.1, -5], [3, -5]]}},
+            None,
+            "t=0: negative front flux from an invalid state",
+        ),
+    ],
+    ids=["unstable_ode", "negative_front_flux"],
+)
+def test_a_failed_integration_is_one_line_exit_3(tmp_path, capsys, argv, model, ode, message):
+    # An ode step too large for the scheme, and a weight negative where the
+    # front law reads it, both fail in the integrator; that is exit 3 with one
+    # stderr line, not a traceback.
+    assert main(argv + [_vanishing_with(tmp_path, model, ode)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1

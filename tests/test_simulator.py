@@ -23,6 +23,7 @@ from epifront.simulator import (
     Grid,
     SimState,
     _conv,
+    _density_rates,
     _occupied_fluxes,
     _rates,
     _stencil,
@@ -696,3 +697,19 @@ def test_a_recorded_row_computes_its_quadrature_weights_once(monkeypatch):
     traj = run(p, cfg, bump, bump)
     assert len(counted) == traj.t.size == 6
     assert counted == list(zip(traj.g.tolist(), traj.h.tolist()))
+
+
+def test_frozen_interval_rates_integrate_with_the_endpoint_trapezoid_rule():
+    # The frozen-interval rates are the density rates under trapezoid weights
+    # of spacing x[1] - x[0], dx/2 at both endpoints, bit for bit.
+    p = make_params(alpha=2.0, kernel=KernelSpec.gaussian(0.3))
+    x = np.linspace(-1.1, 0.9, 81)
+    u, v = 1.0 - (x / 1.2) ** 2, 0.5 + 0.1 * x
+    dx = x[1] - x[0]
+    w = np.full(x.size, dx)
+    w[0] = w[-1] = 0.5 * dx
+    st1 = _stencil(p.kernel1, dx, x.size - 1)
+    st2 = _stencil(p.kernel2, dx, x.size - 1)
+    want = _density_rates(p, w, u, v, st1, st2)
+    got = fixed_boundary_rhs(p, x, u, v)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]

@@ -1,6 +1,9 @@
-"""Dead-code guard over the package source: no unused import, no orphaned private name."""
+"""Source guards over the package: no unused import, no orphaned private
+name, no public exception that the CLI would let escape as a traceback."""
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,30 @@ def test_every_private_name_is_referenced():
             if not any(name in _references(other, skip=node) for other in MODULES.values()):
                 orphans.append(f"{module}:{name}")
     assert not orphans, f"private names defined but never referenced: {orphans}"
+
+
+def _handled_by_main() -> tuple:
+    """The exception classes named in the except clauses of cli.main."""
+    cli = importlib.import_module("epifront.cli")
+    main = next(n for n in MODULES["cli.py"].body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    names = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.extend(t.id for t in types)
+    return tuple(getattr(cli, name, None) or getattr(builtins, name) for name in names)
+
+
+def test_every_public_exception_is_handled_by_main():
+    handled = _handled_by_main()
+    assert handled
+    unhandled = []
+    for module, tree in MODULES.items():
+        loaded = importlib.import_module(f"epifront.{module[:-3]}" if module != "__init__.py" else "epifront")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            cls = getattr(loaded, node.name)
+            if issubclass(cls, BaseException) and not issubclass(cls, handled):
+                unhandled.append(f"{module}:{node.name}")
+    assert not unhandled, f"exceptions that cli.main does not map to an exit code: {unhandled}"

@@ -313,3 +313,15 @@ def test_top_eigenpair_still_rejects_a_sign_changing_vector():
     prob = problem(make_params(alpha=2.0, kernel=narrow), n=16)
     with pytest.raises(SpectralError):
         principal_eigenvalue(prob)
+
+
+def test_eigen_grid_weights_are_the_endpoint_trapezoid_rule():
+    # Interior nodes weigh dx and both endpoints dx/2, with dx = (L2-L1)/(n-1)
+    # exactly as written, so the assembled operator keeps its bits.
+    prob = problem(make_params(alpha=2.0), L1=-1.3, L2=0.7, n=97)
+    dx = (prob.L2 - prob.L1) / (prob.n - 1)
+    want = np.full(prob.n, dx)
+    want[0] = want[-1] = 0.5 * dx
+    x, grid_dx, w = _grid(prob)
+    assert grid_dx == dx and x.size == prob.n
+    assert w.tobytes() == want.tobytes()

@@ -295,3 +295,41 @@ def test_search_defaults_are_the_threshold_config_defaults():
         for name in ("n", "tol", "rel_tol"):
             if name in params:
                 assert params[name].default == getattr(defaults, name), (fn.__name__, name)
+
+
+def test_L_star_at_coarse_n_keeps_the_bisection_zero_and_solve_count():
+    # Closing the bracket by bisection reaches the zero near 0.59994 (not the
+    # one near 0.60394) after 19 eigen solves, bracket widening included.
+    p = make_params(alpha=2.0, h0=0.4)
+    trace = []
+    value = find_L_star(p, n=48, trace=trace)
+    assert value == pytest.approx(0.599939880371094, abs=1e-15)
+    assert len(trace) == 19 and len({x for x, _ in trace}) == 19
+    assert trace[-1] == (value, _lambda_on_interval(p, value, 48))
+    assert abs(trace[-1][1]) < 1e-6
+
+
+def test_vanishing_bound_masses_use_the_endpoint_trapezoid_rule(monkeypatch):
+    # The eigenfunction masses are integrated with dx = x[1] - x[0] inside and
+    # dx/2 at both ends of the enlarged interval's grid, bit for bit.
+    import epifront.thresholds as thresholds
+
+    seen = {}
+    solve, weights = thresholds.principal_eigenvalue, thresholds.trapezoid_weights
+
+    def spy_solve(prob):
+        seen["x"] = (res := solve(prob)).x
+        return res
+
+    def spy_weights(n, dx):
+        seen["w"] = weights(n, dx)
+        return seen["w"]
+
+    monkeypatch.setattr(thresholds, "principal_eigenvalue", spy_solve)
+    monkeypatch.setattr(thresholds, "trapezoid_weights", spy_weights)
+    p = make_params(alpha=2.0, h0=0.4)
+    bound = vanishing_mu_bound(p, bump_profile(0.4), bump_profile(0.4), n=64)
+    x = seen["x"]
+    want = np.full(x.size, x[1] - x[0])
+    want[0] = want[-1] = 0.5 * (x[1] - x[0])
+    assert bound > 0.0 and seen["w"].tobytes() == want.tobytes()
