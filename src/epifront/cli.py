@@ -276,12 +276,11 @@ def _sweep_one(payload):
 
 
 def _worker_count(value, name: str, issues: list) -> int:
-    """int(value), or 1 with a reported issue when value is not an integer."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        issues.append(f"{name} must be an integer, got {value!r}")
-        return 1
+    """value when it is an integer (a bool is not), else 1 with a reported issue."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    issues.append(f"{name} must be an integer, got {value!r}")
+    return 1
 
 
 def _cmd_sweep(args) -> int:
@@ -323,6 +322,10 @@ def _cmd_sweep(args) -> int:
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
+        try:
+            env_cap = int(env_cap)
+        except ValueError:
+            pass  # reported below with the text as given
         env_cap = _worker_count(env_cap, WORKER_ENV, issues)
     if issues or cfg is None:
         for msg in issues:

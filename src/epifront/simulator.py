@@ -26,9 +26,9 @@ Implements:
     at -1e-14) with the moving-front stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
-  - Resumable runs: run(resume=traj) continues a completed run whose step
-    count is a multiple of record_every and reproduces a fresh run at the
-    longer horizon bit for bit; any other prefix restarts from t = 0.
+  - Resumable runs: run(resume=traj) continues every completed run from its
+    final state, bit for bit like a fresh run at the longer horizon; a run
+    that stopped early or failed is final.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ def validate_sim_config(p: ModelParams, cfg: SimConfig) -> list:
         issues.append("t_end must be > 0")
     if cfg.record_every < 1:
         issues.append("record_every must be >= 1")
+    if not cfg.tol_vanish > 0.0:
+        issues.append("tol_vanish must be > 0")
+    if not cfg.tol_spread >= 0.0:
+        issues.append("tol_spread must be >= 0")
     if cfg.dt > stability_limit(p) * (1.0 + 1e-12):
         issues.append(f"dt exceeds the stability guard {stability_limit(p):.6g}")
     if cfg.dx > p.h0 / 10.0 * (1.0 + 1e-12):
@@ -352,12 +356,11 @@ def run(
     below the vanishing tolerance, when the fronts exhaust the grid, or on
     numerical failure; the status field records which.
 
-    `resume` continues an earlier run from its final state, keeping its rows,
-    snapshots and step count. The caller passes the same model, profiles,
-    stop width, snapshot setting and numerics; only t_end may grow. If the
-    earlier run completed on a step count that is a multiple of record_every,
-    the result equals a fresh run bit for bit. Otherwise `resume` is ignored
-    and the run starts again from t = 0.
+    `resume` continues an earlier completed run from its final state, keeping
+    its rows (less an off-cadence horizon row), snapshots and step count. The
+    caller passes the same model, profiles, stop width, snapshot setting and
+    numerics; only t_end may grow. The result equals a fresh run bit for bit.
+    A run that stopped early or failed is final: it restarts from t = 0.
     """
     issues = validate_sim_config(p, cfg)
     issues += check_initial_pair(u0_profile, v0_profile, p.h0)
@@ -380,18 +383,14 @@ def run(
             snapshots.append((s.t, grid.x.copy(), s.u.copy(), s.v.copy()))
         return hr, gr
 
-    # Continuing is exact only from a completed run whose last row is also a
-    # cadence row of this run; any other prefix restarts from t = 0.
-    if (
-        resume is not None
-        and resume.status == "completed"
-        and resume.steps % cfg.record_every == 0
-        and resume.steps <= n_steps
-    ):
+    # An off-cadence last row is the prefix's horizon row, which a longer run
+    # does not record; at the prefix's own horizon the final record restores it.
+    if resume is not None and resume.status == "completed" and resume.steps <= n_steps:
         state = resume.final_state
         grid = state.grid
-        rows.extend(zip(*(getattr(resume, name).tolist() for name in _ROW_FIELDS)))
-        snapshots.extend(resume.snapshots)
+        keep = len(resume.t) - (resume.steps % cfg.record_every != 0)
+        rows.extend(zip(*(getattr(resume, name)[:keep].tolist() for name in _ROW_FIELDS)))
+        snapshots.extend(resume.snapshots[:keep])
         done = resume.steps
     else:
         grid = Grid(cfg.dx, cfg.domain_cap)
@@ -456,12 +455,12 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
     if np.any(width > 2.0 * L_star + cfg.tol_spread):
         return "spreading"
     if trajectory.status == "domain_exhausted":
-        # The fronts left the grid: the escaping side passed domain_cap - dx
-        # and the other never retreats past its start, so the width exceeded
-        # domain_cap - dx + h0 (up to one stage overshoot). The last recorded
-        # row predates the escape, hence this explicit rule.
-        g0 = float(trajectory.g[0])
-        escape_width = cfg.domain_cap - cfg.dx - g0
+        # The fronts left the grid: the escaping side passed cap - dx (the grid's
+        # cap, domain_cap rounded to a multiple of dx) and the other never retreats
+        # past its start, so the width exceeded cap - dx + h0 (up to one stage
+        # overshoot). The last recorded row predates the escape, hence this rule.
+        grid = trajectory.final_state.grid
+        escape_width = grid.cap - grid.dx - float(trajectory.g[0])
         if escape_width > 2.0 * L_star + cfg.tol_spread:
             return "spreading"
     decayed = trajectory.sup_u[-1] + trajectory.sup_v[-1] < cfg.tol_vanish

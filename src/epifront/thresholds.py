@@ -14,14 +14,11 @@ Implements:
     the discrete eigenvalue can cross zero more than once in L (find_L_star).
   - mu_star and sigma_star: simulation-backed bisections on the front
     response mu and on the initial-data scale sigma. Monotonicity of the
-    dichotomy in both parameters makes plain bisection valid; probes that
-    come back undecided trigger horizon doubling up to a cap, and brackets
-    whose ends agree are expanded up to a cap. A doubled probe resumes its
-    previous run from the final state when that run completed on a step
-    count that is a multiple of record_every (the outcome is then identical
-    to a fresh run); otherwise it restarts from t = 0. A run that ended
-    unstable or off the grid would fail again at the same step, so the
-    search stops there and names the run status.
+    dichotomy in both parameters makes plain bisection valid, and brackets
+    whose ends agree are expanded up to a cap. A completed, undecided probe
+    run continues from its final state at twice the horizon, up to a cap. A
+    run that stopped is final: a probe that ends undecided, there or at the
+    last horizon, fails the search with its status and evidence.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval.
 
@@ -263,20 +260,22 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
     traj = None
     for _ in range(_HORIZON_DOUBLINGS + 1):
         local = replace(cfg, t_end=horizon)
-        # Extends the previous horizon's run when it is exactly continuable;
-        # run() itself falls back to a fresh start from t = 0 otherwise.
         traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj)
         outcome = classify(traj, L_star, local)
         if outcome != "undecided":
             return outcome
-        if traj.status in ("unstable", "domain_exhausted"):  # a longer run fails at the same step
-            raise ThresholdSearchError(f"probe run ended {traj.status} after t={traj.t[-1]:.6g}, undecided")
+        if traj.status != "completed":  # a run that stopped is final
+            break
         horizon *= 2.0
-    return "undecided"
+    raise ThresholdSearchError(
+        f"probe run ended {traj.status} at t={traj.t[-1]:.6g}, undecided: width {traj.h[-1] - traj.g[-1]:.6g} "
+        f"against 2L*={2.0 * L_star:.6g} and 2L*+tol_spread={2.0 * L_star + cfg.tol_spread:.6g}, sup u+v "
+        f"{traj.sup_u[-1] + traj.sup_v[-1]:.3g}, front speed {traj.h_rate[-1] - traj.g_rate[-1]:.3g}"
+    )
 
 
 def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> BisectionResult:
-    """Bisection on a monotone vanishing->spreading dichotomy.
+    """Bisection on a monotone dichotomy whose probes classify vanishing or spreading.
 
     The low end must classify vanishing and the high end spreading; an end
     carrying the other label is moved outward by a factor of 4 (exact in
@@ -308,10 +307,8 @@ def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> Bise
         out = probe(mid)
         if out == "vanishing":
             lo = mid
-        elif out == "spreading":
-            hi = mid
         else:
-            raise ThresholdSearchError("probe stayed undecided after horizon doubling")
+            hi = mid
         iterations += 1
         if iterations > 200:
             raise ThresholdSearchError("bisection failed to close the bracket")

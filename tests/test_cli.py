@@ -230,6 +230,17 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("tol_vanish", 0), ("tol_spread", -5)])
+def test_classification_tolerances_out_of_range_exit_2(tmp_path, capsys, key, value):
+    bad = deep(BASE_CONFIG)
+    bad["numerics"][key] = value
+    cfg, issues = parse_config_dict(bad)
+    bound = "> 0" if key == "tol_vanish" else ">= 0"
+    assert cfg is None and issues == [f"config.numerics: {key} must be {bound}"]
+    assert main(["simulate", write_config(tmp_path, bad)]) == 2
+    assert f"{key} must be {bound}" in capsys.readouterr().err
+
+
 def test_sweep_single_switch(tmp_path):
     data = deep(BASE_CONFIG)
     data["model"]["infection"]["alpha"] = 2.0
@@ -491,7 +502,10 @@ def test_thresholds_block_accepts_a_valid_bracket_and_a_wrong_typed_end_alone():
     assert parse_config_dict(data)[1] == ["config.thresholds.bracket_lo: must be a number"]
 
 
-@pytest.mark.parametrize("env, spec_workers", [("abc", None), ("1.5", None), (None, "two"), (None, [2])])
+@pytest.mark.parametrize(
+    "env, spec_workers",
+    [("abc", None), ("1.5", None), (None, "two"), (None, [2]), (None, 2.5), (None, True), (None, "2")],
+)
 def test_sweep_rejects_non_integer_worker_counts(tmp_path, capsys, monkeypatch, env, spec_workers):
     if env is None:
         monkeypatch.delenv("EPIFRONT_WORKERS", raising=False)

@@ -22,6 +22,7 @@ from epifront.simulator import (
     DomainExhausted,
     Grid,
     SimState,
+    Trajectory,
     _conv,
     _density_rates,
     _occupied_fluxes,
@@ -224,6 +225,22 @@ def test_config_guards():
     assert any("stability" in s for s in issues)
     assert any("h0/10" in s for s in issues)
     assert any("domain_cap" in s for s in issues)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tol_vanish", 0.0, "tol_vanish must be > 0"),
+    ("tol_vanish", -1e-3, "tol_vanish must be > 0"),
+    ("tol_spread", -5.0, "tol_spread must be >= 0"),
+])
+def test_classification_tolerances_are_range_checked(field, value, message):
+    # tol_vanish = 0 would let no run vanish; a negative tol_spread would call
+    # widths below 2 L* spreading.
+    p = make_params()
+    cfg = replace(SimConfig(dx=0.05, dt=0.1, t_end=1.0, domain_cap=4.0), **{field: value})
+    assert validate_sim_config(p, cfg) == [message]
+    with pytest.raises(ValueError, match=message):
+        run(p, cfg, bump_profile(1.0), bump_profile(1.0))
+    assert validate_sim_config(p, replace(cfg, tol_vanish=1e-3, tol_spread=0.0)) == []
 
 
 def test_run_requires_admissible_initial_data():
@@ -450,6 +467,25 @@ def test_classify_rules():
     assert classify(stuck, 2.0, cfg) == "undecided"
 
 
+def test_escape_width_of_an_exhausted_run_reads_the_grid_cap():
+    # Grid rounds domain_cap = 1 to 33 cells of 0.03, so the grid ends at
+    # 0.99 and a front escapes past 0.96: the escape width is 0.96 + h0,
+    # not domain_cap - dx + h0 = 1.27.
+    h0, dx = 0.3, 0.03
+    grid = Grid(dx, 1.0)
+    assert grid.cap == pytest.approx(0.99)
+    cfg = SimConfig(dx=dx, dt=0.1, t_end=1.0, domain_cap=1.0, tol_spread=0.5)
+    last = SimState(t=1.0, g=-h0, h=0.9, u=np.zeros(grid.n), v=np.zeros(grid.n), grid=grid)
+    exhausted = Trajectory(
+        t=np.array([0.0, 1.0]), g=np.array([-h0, -h0]), h=np.array([h0, 0.9]),
+        sup_u=np.ones(2), sup_v=np.ones(2), mass_u=np.zeros(2), mass_v=np.zeros(2),
+        h_rate=np.ones(2), g_rate=np.zeros(2), status="domain_exhausted", final_state=last,
+    )
+    # 2 L* + tol_spread = 1.255 lies below the escape width 1.26, 1.265 above it.
+    assert classify(exhausted, 0.3775, cfg) == "spreading"
+    assert classify(exhausted, 0.3825, cfg) == "undecided"
+
+
 _TRAJECTORY_ARRAYS = ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v", "h_rate", "g_rate")
 
 
@@ -482,6 +518,37 @@ def test_resume_matches_fresh_run_bitwise(snapshots):
     assert_same_run(resumed, fresh)
     # Resuming at the prefix's own horizon returns the prefix unchanged.
     assert_same_run(run(p, cfg, bump, bump, stop_width=50.0, record_snapshots=snapshots, resume=prefix), prefix)
+
+
+@pytest.mark.parametrize("snapshots", [False, True])
+def test_an_off_cadence_prefix_resumes_from_its_final_state(monkeypatch, snapshots):
+    # 95 steps is off the record_every = 10 cadence: the prefix's last row is
+    # its horizon row, which the 190-step run does not record.
+    import epifront.simulator as sim
+
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=95 * 0.12, domain_cap=4.0, record_every=10)
+    prefix = run(p, cfg, bump, bump, stop_width=50.0, record_snapshots=snapshots)
+    assert prefix.status == "completed" and (prefix.steps, prefix.t.size) == (95, 11)
+    longer = replace(cfg, t_end=2.0 * cfg.t_end)
+    fresh = run(p, longer, bump, bump, stop_width=50.0, record_snapshots=snapshots)
+    assert (fresh.steps, fresh.t.size) == (190, 20)  # rows every 10 steps only
+    calls = []
+    real_step = sim.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "step", counted)
+    resumed = run(p, longer, bump, bump, stop_width=50.0, record_snapshots=snapshots, resume=prefix)
+    assert len(calls) == 95
+    assert_same_run(resumed, fresh)
+    # Resuming at the prefix's own horizon re-records its horizon row.
+    again = run(p, cfg, bump, bump, stop_width=50.0, record_snapshots=snapshots, resume=prefix)
+    assert len(calls) == 95
+    assert_same_run(again, prefix)
 
 
 def _fallback_cases():

@@ -21,6 +21,7 @@ from epifront import (
     vanishing_mu_bound,
 )
 from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
+from epifront.simulator import stability_limit
 from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lambda_on_interval
 from helpers import bump_profile, make_params, random_intermediate_params
 
@@ -222,12 +223,14 @@ def test_L_star_trace_keeps_the_probes_of_a_failed_search(monkeypatch):
     assert all(lam == real(p, x, 32) for x, lam in trace[:3])
 
 
-@pytest.mark.parametrize("status, domain_cap", [("unstable", 4.0), ("domain_exhausted", 1.0)])
+@pytest.mark.parametrize(
+    "status, domain_cap", [("unstable", 4.0), ("domain_exhausted", 1.0), ("stopped_decayed", 4.0)]
+)
 def test_a_failed_probe_run_is_not_rerun(monkeypatch, status, domain_cap):
-    # An unstable or grid-exhausted run restarts from t = 0 at a longer
-    # horizon and fails at the same step, so the probe runs once and the
-    # search names the status. A cap of 1 keeps the exhausted run's escape
-    # width below 2 L* + tol_spread, so it stays undecided.
+    # A run that stopped is final: at a longer horizon it would restart from
+    # t = 0 and end at the same step, so the probe runs once and the search
+    # names the status. A cap of 1 keeps the exhausted run's escape width
+    # below 2 L* + tol_spread, so it stays undecided.
     import epifront.thresholds as thr
 
     p = make_params(alpha=2.0, h0=0.4)
@@ -244,6 +247,68 @@ def test_a_failed_probe_run_is_not_rerun(monkeypatch, status, domain_cap):
     with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
         find_mu_star(p, cfg, bump, bump, bracket=(0.1, 1.0))
     assert calls == [cfg.t_end]
+
+
+def test_a_probe_undecided_at_every_horizon_names_its_evidence(monkeypatch):
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    undecided = run(p, replace(MU_CFG, t_end=1.2), bump, bump)
+    assert undecided.status == "completed"
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append(args[1].t_end)
+        return undecided
+
+    monkeypatch.setattr(thr, "run", fake_run)
+    with pytest.raises(ThresholdSearchError) as failure:
+        find_mu_star(p, MU_CFG, bump, bump, bracket=(0.1, 1.0))
+    assert calls == [150.0, 300.0, 600.0, 1200.0]
+    Ls = find_L_star(p)
+    width = undecided.h[-1] - undecided.g[-1]
+    sup = undecided.sup_u[-1] + undecided.sup_v[-1]
+    speed = undecided.h_rate[-1] - undecided.g_rate[-1]
+    assert str(failure.value) == (
+        f"probe run ended completed at t={undecided.t[-1]:.6g}, undecided: width {width:.6g} "
+        f"against 2L*={2 * Ls:.6g} and 2L*+tol_spread={2 * Ls + 0.5:.6g}, "
+        f"sup u+v {sup:.3g}, front speed {speed:.3g}"
+    )
+
+
+def test_every_mu_probe_step_is_new_off_the_record_cadence(monkeypatch):
+    # At the default dt = 0.9/7 a 150 horizon is 1167 steps, off the
+    # record_every = 10 cadence. A doubled probe still continues its run, so
+    # the search steps exactly as often as its probes' final runs did.
+    import epifront.simulator as sim
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = replace(MU_CFG, dt=stability_limit(p))
+    calls = []
+    real_step = sim.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    final = {}
+    horizons = []
+
+    def traced_run(q, local, *args, **kwargs):
+        traj = run(q, local, *args, **kwargs)
+        final[q.mu] = traj
+        horizons.append((q.mu, local.t_end, traj.steps, traj.status))
+        return traj
+
+    monkeypatch.setattr(sim, "step", counted)
+    monkeypatch.setattr(thr, "run", traced_run)
+    res = find_mu_star(p, cfg, bump, bump, bracket=(0.15, 0.2), rel_tol=0.9)
+    assert [out for _, out in res.probes] == ["vanishing", "spreading"]
+    assert (0.2, 150.0, 1167, "completed") in horizons and (0.2, 300.0) in [h[:2] for h in horizons]
+    assert len(calls) == sum(traj.steps for traj in final.values())
 
 
 def test_bracket_ends_move_out_by_four_until_their_label_fits(monkeypatch):
