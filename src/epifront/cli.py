@@ -320,6 +320,9 @@ def _cmd_sweep(args) -> int:
     elif missing := _missing_directory(output):
         issues.append(missing)
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
+    for value, origin in ((spec_workers, "spec"), (args.workers, "--workers")):
+        if value is not None and value < 1:
+            issues.append(f"workers must be >= 1, got {value} ({origin})")
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
         try:
@@ -333,7 +336,7 @@ def _cmd_sweep(args) -> int:
         return 2
 
     # At most one worker per point: a fork pool starts every worker up front.
-    workers = min(args.workers or spec_workers, len(values))
+    workers = min(spec_workers if args.workers is None else args.workers, len(values))
     if env_cap is not None:
         workers = min(workers, max(1, env_cap))
     l_star = None
@@ -362,7 +365,11 @@ def _cmd_validate(args) -> int:
     if not os.path.exists(args.config):
         print(f"config not found: {args.config}", file=sys.stderr)
         return 2
-    cfg, issues = cfgmod.parse_config(args.config)
+    data, err = cfgmod.load_json(args.config)
+    if err is not None:
+        cfg, issues = None, [f"invalid JSON: {err}"]
+    else:  # (W) gets its own line below
+        cfg, issues = cfgmod.parse_config_dict(data, check_weight=False)
     checks = []
     if cfg is None:
         checks.append(("config", False, "; ".join(issues)))

@@ -306,8 +306,12 @@ def _threshold_issues(thr: ThresholdConfig, given: dict) -> list:
     return [f"config.thresholds.{msg}" for msg in issues]
 
 
-def parse_config_dict(data: dict):
-    """Validate a parsed JSON document; returns (RunConfig | None, violations)."""
+def parse_config_dict(data: dict, check_weight: bool = True):
+    """Validate a parsed JSON document; returns (RunConfig | None, violations).
+
+    Hypothesis (W) on the front weight is a numerics violation unless
+    `check_weight` is off (simulator.validate_sim_config).
+    """
     issues: list = []
     if not isinstance(data, dict):
         return None, ["top level: must be an object"]
@@ -349,7 +353,7 @@ def parse_config_dict(data: dict):
             "domain_cap": 8.0 * params.h0,
         }
         numerics = SimConfig(**{**settings, **given})
-        for msg in validate_sim_config(params, numerics):
+        for msg in validate_sim_config(params, numerics, check_weight=check_weight):
             issues.append(f"config.numerics: {msg}")
 
     u0 = v0 = None

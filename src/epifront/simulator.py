@@ -26,6 +26,11 @@ Implements:
     at -1e-14) with the moving-front stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
+  - The sign of the principal eigenvalue of the frozen linearization on the
+    occupied window (the eigen solver's operator on the simulator's nodes,
+    weights and stencils; one Cholesky attempt). Runs of the threshold
+    searches stop as `stopped_certified` once it is not positive, a
+    certificate of spreading; simulate and sweep runs never do.
   - Resumable runs: run(resume=traj) continues every completed run from its
     final state, bit for bit like a fresh run at the longer horizon; a run
     that stopped early or failed is final.
@@ -39,11 +44,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
-from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, weight_eval
+from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, validate_weight, weight_eval
 from .model import ModelParams, gprime0, infection_value
 from .ode import NEG_TOL, NumericalFailure, rk4_step
-from .spectral import trapezoid_weights
+from .spectral import coupled_operator, trapezoid_weights
 
 
 class SimulationUnstable(NumericalFailure):
@@ -85,7 +91,10 @@ def stability_limit(p: ModelParams) -> float:
     return 0.9 / (p.d1 + p.d2 + p.a + p.b + p.e + gprime0(p))
 
 
-def validate_sim_config(p: ModelParams, cfg: SimConfig) -> list:
+def validate_sim_config(p: ModelParams, cfg: SimConfig, check_weight: bool = True) -> list:
+    """Violations of the numerics, and of hypothesis (W) on the front weight
+    over [0, 2*domain_cap], every distance h - x the front law reads it at
+    (unless `check_weight` is off: `validate` reports (W) on its own line)."""
     issues = []
     if not cfg.dx > 0.0:
         issues.append("dx must be > 0")
@@ -105,6 +114,9 @@ def validate_sim_config(p: ModelParams, cfg: SimConfig) -> list:
         issues.append("dx must not exceed h0/10")
     if not cfg.domain_cap > p.h0:
         issues.append("domain_cap must exceed h0")
+    elif check_weight:
+        report = validate_weight(p.weight, 2.0 * cfg.domain_cap)
+        issues.extend(f"weight violates (W) on [0, 2*domain_cap]: {msg}" for msg in report.messages)
     return issues
 
 
@@ -224,6 +236,39 @@ def boundary_rates(p: ModelParams, state: SimState):
     rates of the first stage of a step from `state` bit for bit.
     """
     return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h, with_span=True))
+
+
+def _window_kernel(kernel: KernelSpec, grid: Grid, size: int) -> np.ndarray:
+    """Kernel values at the node pairs of `size` consecutive grid nodes, from the stencil."""
+    stencil = _stencil(kernel, grid.dx, grid.n - 1)
+    m = (stencil.size - 1) // 2
+    column = np.zeros(size)
+    reach = min(size, m + 1)
+    column[:reach] = stencil[m : m + reach]
+    return toeplitz(column)
+
+
+def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
+    """Whether the principal eigenvalue of the frozen linearization on the
+    occupied window of `state` is positive.
+
+    The operator K = DN - D + A (spectral.coupled_operator) is built on the
+    nodes strictly inside (g, h) with their fractional-cell quad_weights and
+    the stepper's node-sampled kernels. Only the sign is needed: -K is
+    positive definite exactly when lambda_p > 0, so one Cholesky attempt
+    decides it, to rounding.
+    """
+    grid = state.grid
+    w, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    mat = coupled_operator(
+        w[lo:hi], lambda kernel: _window_kernel(kernel, grid, hi - lo), p.kernel1, p.kernel2,
+        p.d1, p.d2, p.a, p.b, p.e, gprime0(p),
+    )
+    try:
+        np.linalg.cholesky(-mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _density_rates(p: ModelParams, w: np.ndarray, u: np.ndarray, v: np.ndarray, st1, st2):
@@ -348,6 +393,7 @@ def run(
     stop_width: float | None = None,
     record_snapshots: bool = False,
     resume: Trajectory | None = None,
+    certify_spreading: bool = False,
 ) -> Trajectory:
     """Advance the moving-front system to t_end, recording on a fixed cadence.
 
@@ -355,6 +401,13 @@ def run(
     decided), when the densities and front speeds have decayed two orders
     below the vanishing tolerance, when the fronts exhaust the grid, or on
     numerical failure; the status field records which.
+
+    With `certify_spreading` a run also stops, as `stopped_certified`, at the
+    first recorded row whose occupied window has a principal eigenvalue that
+    is not positive (window_lambda_positive). Fronts never retreat and the
+    eigenvalue falls as the window grows, so such a run can never stall with
+    lambda_p >= 0, which vanishing requires: it spreads. The threshold
+    searches pass it; simulate and sweep do not.
 
     `resume` continues an earlier completed run from its final state, keeping
     its rows (less an off-cadence horizon row), snapshots and step count. The
@@ -421,6 +474,9 @@ def run(
             break
         if done % cfg.record_every == 0 or done == n_steps:
             hr, gr = record(state)
+            if certify_spreading and not window_lambda_positive(p, state):
+                status = "stopped_certified"
+                break
             if state.u.max() + state.v.max() < decay_floor and hr - gr < decay_floor:
                 status = "stopped_decayed"
                 break
@@ -445,14 +501,15 @@ def spreading_stop_width(L_star: float, cfg: SimConfig) -> float:
 def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
     """Finite-horizon spreading / vanishing / undecided proxy.
 
-    spreading: the occupied width exceeded 2*L_star + tol_spread at some
-    recorded time (beyond that width the interval eigenvalue is negative, so
-    the range can never stall). vanishing: at the final time the densities
-    and the front speeds sit below tol_vanish and the width is still at most
-    2*L_star. Everything else is undecided.
+    spreading: the run stopped on a window eigenvalue certificate
+    (`stopped_certified`), or the occupied width exceeded 2*L_star +
+    tol_spread at some recorded time (beyond that width the interval
+    eigenvalue is negative, so the range can never stall). vanishing: at the
+    final time the densities and the front speeds sit below tol_vanish and
+    the width is still at most 2*L_star. Everything else is undecided.
     """
     width = trajectory.h - trajectory.g
-    if np.any(width > 2.0 * L_star + cfg.tol_spread):
+    if trajectory.status == "stopped_certified" or np.any(width > 2.0 * L_star + cfg.tol_spread):
         return "spreading"
     if trajectory.status == "domain_exhausted":
         # The fronts left the grid: the escaping side passed cap - dx (the grid's

@@ -121,29 +121,38 @@ def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     return toeplitz(kernel_eval(kernel, x - x[0]))
 
 
-def assemble_operator(problem: EigenProblem) -> np.ndarray:
-    """Assemble the symmetric 2n x 2n collocation matrix of K = DN - D + A.
+def coupled_operator(w: np.ndarray, kernel_matrix, kernel1, kernel2, d1, d2, a, b, e, g0) -> np.ndarray:
+    """The symmetric 2n x 2n matrix of K = DN - D + A on n nodes.
 
-    The matrix is filled block by block: each diagonal block is its kernel
-    term minus its diagonal, symmetrized as 0.5 * (blk + blk.T), and the
-    off-diagonal blocks are the identity coupling, symmetric as they stand.
+    kernel_matrix(kernel) gives the kernel values J(x_j - x_k) at the node
+    pairs, formed only while its block is filled; w holds the quadrature
+    weights, conjugated in as sqrt(w_j) J sqrt(w_k). Each diagonal block is
+    its kernel term minus its diagonal, symmetrized as 0.5 * (blk + blk.T),
+    and the off-diagonal blocks are the identity coupling, symmetric as they
+    stand.
     """
-    x, _, w = _grid(problem)
     sw = np.sqrt(w)
-    n = problem.n
+    n = w.size
     diag = np.arange(n)
     mat = np.zeros((2 * n, 2 * n))
     mat[diag, diag + n] = mat[diag + n, diag] = 1.0
-    blocks = (
-        (problem.kernel1, problem.d1 / problem.e, problem.a / problem.e),
-        (problem.kernel2, problem.d2 / problem.g0, problem.b / problem.g0),
-    )
+    blocks = ((kernel1, d1 / e, a / e), (kernel2, d2 / g0, b / g0))
     for i, (kernel, c, react) in enumerate(blocks):
-        blk = c * (sw[:, None] * _kernel_matrix(kernel, x) * sw[None, :])
+        blk = c * (sw[:, None] * kernel_matrix(kernel) * sw[None, :])
         blk[diag, diag] -= c + react
         block = slice(i * n, (i + 1) * n)
         mat[block, block] = 0.5 * (blk + blk.T)
     return mat
+
+
+def assemble_operator(problem: EigenProblem) -> np.ndarray:
+    """Assemble the collocation matrix of K = DN - D + A (coupled_operator)
+    on the problem's grid with its trapezoid weights."""
+    x, _, w = _grid(problem)
+    return coupled_operator(
+        w, lambda kernel: _kernel_matrix(kernel, x), problem.kernel1, problem.kernel2,
+        problem.d1, problem.d2, problem.a, problem.b, problem.e, problem.g0,
+    )
 
 
 def principal_eigenvalue(problem: EigenProblem) -> EigenResult:

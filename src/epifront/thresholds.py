@@ -15,10 +15,13 @@ Implements:
   - mu_star and sigma_star: simulation-backed bisections on the front
     response mu and on the initial-data scale sigma. Monotonicity of the
     dichotomy in both parameters makes plain bisection valid, and brackets
-    whose ends agree are expanded up to a cap. A completed, undecided probe
-    run continues from its final state at twice the horizon, up to a cap. A
-    run that stopped is final: a probe that ends undecided, there or at the
-    last horizon, fails the search with its status and evidence.
+    whose ends agree are expanded up to a cap. Probe runs stop as spreading
+    once their window eigenvalue is not positive (stopped_certified). A
+    completed, undecided probe run continues from its final state at twice
+    the horizon, up to a cap. A run that stopped is final. At its last
+    chance (the last horizon, or a stopped_decayed run) a decayed, stalled
+    probe whose window eigenvalue is positive is vanishing; any other
+    undecided probe fails the search with its status and evidence.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval.
 
@@ -35,7 +38,7 @@ from scipy.optimize import bisect, brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
-from .simulator import SimConfig, classify, run, spreading_stop_width
+from .simulator import SimConfig, classify, run, spreading_stop_width, window_lambda_positive
 from .spectral import EigenProblem, principal_eigenvalue, trapezoid_weights
 
 _HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
@@ -255,18 +258,30 @@ def vanishing_mu_bound(
 
 
 def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float) -> str:
+    """A probe's label: classify its run, doubling a completed undecided run's
+    horizon; runs stop early on the window eigenvalue certificate.
+
+    A run still undecided at its last chance (the last horizon, or a
+    `stopped_decayed` run) is vanishing when it is decayed and stalled below
+    tol_vanish and its window eigenvalue is positive; otherwise the search fails.
+    """
     stop = spreading_stop_width(L_star, cfg)
     horizon = cfg.t_end
     traj = None
     for _ in range(_HORIZON_DOUBLINGS + 1):
         local = replace(cfg, t_end=horizon)
-        traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj)
+        traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj, certify_spreading=True)
         outcome = classify(traj, L_star, local)
         if outcome != "undecided":
             return outcome
         if traj.status != "completed":  # a run that stopped is final
             break
         horizon *= 2.0
+    decayed = traj.sup_u[-1] + traj.sup_v[-1] < cfg.tol_vanish
+    stalled = traj.h_rate[-1] - traj.g_rate[-1] < cfg.tol_vanish
+    last_chance = traj.status in ("completed", "stopped_decayed")
+    if last_chance and decayed and stalled and window_lambda_positive(p, traj.final_state):
+        return "vanishing"
     raise ThresholdSearchError(
         f"probe run ended {traj.status} at t={traj.t[-1]:.6g}, undecided: width {traj.h[-1] - traj.g[-1]:.6g} "
         f"against 2L*={2.0 * L_star:.6g} and 2L*+tol_spread={2.0 * L_star + cfg.tol_spread:.6g}, sup u+v "

@@ -356,6 +356,54 @@ def test_thresholds_mustar_with_config_bracket(tmp_path, capsys):
     assert payload["bracket"][0] <= 0.2 <= payload["bracket"][1] or abs(payload["value"] - 0.188) < 0.05
 
 
+def _gaussian_threshold_config(tmp_path, **thresholds):
+    data = json.loads((CONFIG_DIR / "threshold_search.json").read_text())
+    kernel = {"family": "gaussian", "std": 0.5}
+    data["model"].update(kernel1=kernel, kernel2=kernel, weight={"family": "kernel_tail", "kernel": kernel})
+    data["output"]["directory"] = str(tmp_path / "out")
+    data["thresholds"].update(thresholds)
+    return write_config(tmp_path, data)
+
+
+def test_gaussian_sigmastar_settles_a_decayed_probe_by_its_window_eigenvalue(tmp_path, capsys):
+    # The probe sigma = 0.025483 stops decayed (sup u + v 9.9e-6, front speed
+    # 1.2e-6) at t = 880.8 with width 0.9335, just above 2L* = 0.9209 from the
+    # n = 241 spectral grid, where the width rule cannot call it. Its window
+    # eigenvalue on the simulator's grid is positive, so it vanishes. The
+    # high end is certified spreading early.
+    lo, hi = 0.025482967479793464, 0.03162277660168379
+    path = _gaussian_threshold_config(tmp_path, bracket_lo=lo, bracket_hi=hi, rel_tol=0.25)
+    assert main(["thresholds", path, "--target", "sigmastar"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["probes"] == [[lo, "vanishing"], [hi, "spreading"]]
+    assert payload["bracket"] == [lo, hi] and payload["iterations"] == 0
+
+
+def test_simulate_and_sweep_never_certify(tmp_path, capsys):
+    # mu = 0.2 on threshold_search.json: a certifying run stops at its window
+    # eigenvalue, but simulate and sweep run it to t_end: its width is not yet
+    # past 2 L* + tol_spread. At mu = 0.3 sweep runs to the stop width.
+    from epifront import run
+    from epifront.config import parse_config
+
+    data = json.loads((CONFIG_DIR / "threshold_search.json").read_text())
+    data["model"]["mu"] = 0.2
+    data["output"]["directory"] = str(tmp_path / "out")
+    path = write_config(tmp_path, data)
+    cfg, _ = parse_config(path)
+    u0, v0 = build_profile(cfg.u0, 0.4), build_profile(cfg.v0, 0.4)
+    certified = run(cfg.params, cfg.numerics, u0, v0, certify_spreading=True)
+    assert certified.status == "stopped_certified" and certified.t[-1] < 60.0
+    assert main(["simulate", path]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "completed" and summary["classification"] == "undecided"  # width rule only
+    spec = {"parameter": "mu", "values": [0.2, 0.3], "config": data, "output": str(tmp_path / "s.csv")}
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    assert main(["sweep", str(tmp_path / "sweep.json")]) == 0
+    rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["completed", "stopped_width"]
+
+
 def test_simulate_numerical_failure_exit(tmp_path):
     data = deep(BASE_CONFIG)
     data["model"]["infection"]["alpha"] = 2.0
@@ -520,6 +568,23 @@ def test_sweep_rejects_non_integer_worker_counts(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("invalid sweep spec: ") and "must be an integer" in err
     assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("spec_workers, flag", [(-3, None), (0, None), (2, "0"), (None, "-1")])
+def test_sweep_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch, spec_workers, flag):
+    # A count below 1 is an error, not a serial run; --workers 0 is a count,
+    # not an absent flag that would defer to the spec.
+    monkeypatch.delenv("EPIFRONT_WORKERS", raising=False)
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
+    if spec_workers is not None:
+        spec["workers"] = spec_workers
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)] + ([] if flag is None else ["--workers", flag])) == 2
+    err = capsys.readouterr().err
+    bad, origin = (spec_workers, "spec") if flag is None else (int(flag), "--workers")
+    assert err == f"invalid sweep spec: workers must be >= 1, got {bad} ({origin})\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def _sweep_error(tmp_path, capsys, spec):
@@ -895,21 +960,40 @@ def _vanishing_with(tmp_path, model=None, ode=None):
 
 @pytest.mark.parametrize(
     "argv, model, ode, message",
-    [
-        (["ode"], None, {"dt": 5}, "t=5: state went negative"),
-        (
-            ["simulate"],
-            {"rho": 5, "weight": {"family": "table", "points": [[0, 1], [0.1, -5], [3, -5]]}},
-            None,
-            "t=0: negative front flux from an invalid state",
-        ),
-    ],
-    ids=["unstable_ode", "negative_front_flux"],
+    [(["ode"], None, {"dt": 5}, "t=5: state went negative")],
+    ids=["unstable_ode"],
 )
 def test_a_failed_integration_is_one_line_exit_3(tmp_path, capsys, argv, model, ode, message):
-    # An ode step too large for the scheme, and a weight negative where the
-    # front law reads it, both fail in the integrator; that is exit 3 with one
-    # stderr line, not a traceback.
+    # An ode step too large for the scheme fails in the integrator; that is
+    # exit 3 with one stderr line, not a traceback.
     assert main(argv + [_vanishing_with(tmp_path, model, ode)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1
+
+
+NEGATIVE_WEIGHT = {"rho": 5, "weight": {"family": "table", "points": [[0, 1], [0.1, -5], [3, -5]]}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["thresholds", "--target", "mustar"], ["ode"], ["eigen"]],
+    ids=["simulate", "thresholds_mustar", "ode", "eigen"],
+)
+def test_a_weight_violating_W_is_one_line_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    # The weight is negative where the front law reads it. Every subcommand
+    # that loads the model rejects it as a config violation: no eigen solve,
+    # no integration (a simulate used to exit 3 at t=0 on a negative flux,
+    # a mu* search after 18 eigen solves and the vanishing bound).
+    import epifront.simulator as sim
+    import epifront.spectral as spectral
+
+    solves = []
+    monkeypatch.setattr(spectral, "assemble_operator", lambda *a: solves.append(a))
+    monkeypatch.setattr(sim, "step", lambda *a, **k: solves.append(a))
+    path = _vanishing_with(tmp_path, NEGATIVE_WEIGHT)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "invalid config: config.numerics: weight violates (W) on [0, 2*domain_cap]: negative weight values sampled\n"
+    )
+    assert solves == [] and captured.out == ""

@@ -32,10 +32,11 @@ from epifront.simulator import (
     quad_weights,
     sample_profile,
     validate_sim_config,
+    window_lambda_positive,
 )
-from epifront.kernels import kernel_tail, weight_eval
-from epifront.model import infection_value
-from epifront.spectral import EigenProblem, principal_eigenvalue
+from epifront.kernels import kernel_eval, kernel_tail, weight_eval
+from epifront.model import gprime0, infection_value
+from epifront.spectral import EigenProblem, coupled_operator, principal_eigenvalue
 from helpers import bump_profile, make_params
 
 
@@ -780,3 +781,68 @@ def test_frozen_interval_rates_integrate_with_the_endpoint_trapezoid_rule():
     want = _density_rates(p, w, u, v, st1, st2)
     got = fixed_boundary_rhs(p, x, u, v)
     assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
+def window_lambda(p, grid: Grid, g: float, h: float) -> float:
+    """lambda_p of the frozen linearization on the occupied window, by a full
+    eigvalsh of the window operator with exactly evaluated kernel entries."""
+    w, lo, hi = quad_weights(grid, g, h, with_span=True)
+    x = grid.x[lo:hi]
+    exact = lambda kernel: kernel_eval(kernel, x[:, None] - x[None, :])
+    mat = coupled_operator(w[lo:hi], exact, p.kernel1, p.kernel2, p.d1, p.d2, p.a, p.b, p.e, gprime0(p))
+    return -float(np.linalg.eigvalsh(mat)[-1])
+
+
+CERTIFY_CFG = SimConfig(dx=0.04, dt=0.12, t_end=30.0, domain_cap=4.0, record_every=10)
+
+
+@pytest.mark.parametrize(
+    "kernel", [KernelSpec.uniform(1.0), KernelSpec.gaussian(0.5), KernelSpec.laplace(0.5)], ids=lambda k: k.family
+)
+def test_the_window_eigenvalue_only_falls_along_a_run(kernel):
+    # The discrete soundness of the spreading certificate: as the fronts
+    # advance, the window operator grows entrywise (end-cell weights grow,
+    # entering nodes border it), so its top eigenvalue only rises and
+    # lambda_p never turns positive again once it is negative.
+    p = make_params(alpha=2.0, h0=0.4, mu=1.0, kernel=kernel)
+    bump = bump_profile(0.4)
+    traj = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True)
+    grid = traj.final_state.grid
+    lams, signs = [], []
+    for (t, _, u, v), g, h in zip(traj.snapshots, traj.g, traj.h):
+        lams.append(window_lambda(p, grid, g, h))
+        signs.append(window_lambda_positive(p, SimState(t, g, h, u, v, grid)))
+        if abs(lams[-1]) > 1e-9:
+            assert signs[-1] == (lams[-1] > 0.0)
+    assert lams[0] > 0.0 > lams[-1]
+    assert np.all(np.diff(lams) <= 1e-12)
+    assert signs == sorted(signs, reverse=True)  # True, ..., True, False, ..., False
+
+
+def test_a_certified_run_stops_at_its_first_nonpositive_window():
+    p = make_params(alpha=2.0, h0=0.4, mu=1.0)
+    bump = bump_profile(0.4)
+    full = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True)
+    certified = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True, certify_spreading=True)
+    assert full.status == "completed" and certified.status == "stopped_certified"
+    rows = certified.t.size
+    assert certified.t.tobytes() == full.t[:rows].tobytes() and certified.h.tobytes() == full.h[:rows].tobytes()
+    grid = full.final_state.grid
+    positive = [
+        window_lambda_positive(p, SimState(t, g, h, u, v, grid))
+        for (t, _, u, v), g, h in zip(full.snapshots, full.g, full.h)
+    ]
+    assert positive.index(False) == rows - 1  # the initial row is not checked; it is positive
+    width = certified.h[-1] - certified.g[-1]
+    assert width < 2.0 * 0.6 + CERTIFY_CFG.tol_spread  # the width rule would not call it yet
+    assert classify(certified, 0.6, CERTIFY_CFG) == "spreading"
+
+
+def test_run_rejects_a_weight_violating_W_before_stepping():
+    # Negative where the front law reads it, inside [0, 2*domain_cap].
+    weight = WeightSpec.table([(0.0, 1.0), (0.1, -5.0), (3.0, -5.0)])
+    p = make_params(alpha=0.5, rho=5.0, weight=weight)
+    cfg = SimConfig(dx=0.05, dt=0.1, t_end=1.0, domain_cap=6.0)
+    with pytest.raises(ValueError, match=r"weight violates \(W\) on \[0, 2\*domain_cap\]: negative weight"):
+        run(p, cfg, bump_profile(1.0), bump_profile(1.0))
+    assert validate_sim_config(p, cfg, check_weight=False) == []

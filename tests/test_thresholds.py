@@ -21,7 +21,7 @@ from epifront import (
     vanishing_mu_bound,
 )
 from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
-from epifront.simulator import stability_limit
+from epifront.simulator import Grid, SimState, stability_limit, window_lambda_positive
 from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lambda_on_interval
 from helpers import bump_profile, make_params, random_intermediate_params
 
@@ -280,7 +280,9 @@ def test_a_probe_undecided_at_every_horizon_names_its_evidence(monkeypatch):
 def test_every_mu_probe_step_is_new_off_the_record_cadence(monkeypatch):
     # At the default dt = 0.9/7 a 150 horizon is 1167 steps, off the
     # record_every = 10 cadence. A doubled probe still continues its run, so
-    # the search steps exactly as often as its probes' final runs did.
+    # the search steps exactly as often as its probes' final runs did. The
+    # low end, mu = 0.187, reaches its first horizon undecided; the high end
+    # is certified spreading before it.
     import epifront.simulator as sim
     import epifront.thresholds as thr
 
@@ -305,9 +307,9 @@ def test_every_mu_probe_step_is_new_off_the_record_cadence(monkeypatch):
 
     monkeypatch.setattr(sim, "step", counted)
     monkeypatch.setattr(thr, "run", traced_run)
-    res = find_mu_star(p, cfg, bump, bump, bracket=(0.15, 0.2), rel_tol=0.9)
+    res = find_mu_star(p, cfg, bump, bump, bracket=(0.187, 0.2), rel_tol=0.9)
     assert [out for _, out in res.probes] == ["vanishing", "spreading"]
-    assert (0.2, 150.0, 1167, "completed") in horizons and (0.2, 300.0) in [h[:2] for h in horizons]
+    assert (0.187, 150.0, 1167, "completed") in horizons and (0.187, 300.0) in [h[:2] for h in horizons]
     assert len(calls) == sum(traj.steps for traj in final.values())
 
 
@@ -398,3 +400,65 @@ def test_vanishing_bound_masses_use_the_endpoint_trapezoid_rule(monkeypatch):
     want = np.full(x.size, x[1] - x[0])
     want[0] = want[-1] = 0.5 * (x[1] - x[0])
     assert bound > 0.0 and seen["w"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel", [KernelSpec.uniform(1.0), KernelSpec.gaussian(0.5), KernelSpec.laplace(0.5)], ids=lambda k: k.family
+)
+def test_the_window_sign_matches_the_interval_eigenvalue_off_L_star(kernel):
+    # On the simulator's grid (dx = 0.04) a window 0.1 short of L* on each
+    # side has lambda_p > 0 and one 0.1 beyond it lambda_p < 0, as on the
+    # spectral grid.
+    p = make_params(alpha=2.0, h0=0.4, kernel=kernel)
+    Ls = find_L_star(p)
+    grid = Grid(0.04, 4.0)
+    for half in (Ls - 0.1, Ls + 0.1):
+        state = SimState(0.0, -half, half, np.zeros(grid.n), np.zeros(grid.n), grid)
+        assert window_lambda_positive(p, state) == (lam_half(p, half) > 0.0) == (half < Ls)
+
+
+def _decayed_run(p, bump):
+    """A run whose last row is decayed and stalled below tol_vanish."""
+    traj = run(p, replace(MU_CFG, t_end=60.0), bump, bump)
+    assert traj.sup_u[-1] + traj.sup_v[-1] < MU_CFG.tol_vanish and traj.h_rate[-1] - traj.g_rate[-1] < MU_CFG.tol_vanish
+    return traj
+
+
+@pytest.mark.parametrize(
+    "status, positive, outcome, runs",
+    [
+        ("completed", True, "vanishing", 4),
+        ("stopped_decayed", True, "vanishing", 1),
+        ("completed", False, None, 4),
+        ("stopped_decayed", False, None, 1),
+        ("unstable", True, None, 1),
+        ("domain_exhausted", True, None, 1),
+    ],
+)
+def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(
+    monkeypatch, status, positive, outcome, runs
+):
+    # Only where the search used to fail: at the last horizon of a completed
+    # run and for a stopped_decayed run. There a decayed, stalled run whose
+    # window eigenvalue is positive is vanishing; unstable and exhausted runs
+    # still fail the search.
+    import epifront.thresholds as thr
+
+    p = make_params(alpha=2.0, h0=0.4, mu=0.01)
+    bump = bump_profile(0.4)
+    traj = replace(_decayed_run(p, bump), status=status)
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append(args[1].t_end)
+        return traj
+
+    monkeypatch.setattr(thr, "run", fake_run)
+    monkeypatch.setattr(thr, "classify", lambda *args: "undecided")
+    monkeypatch.setattr(thr, "window_lambda_positive", lambda q, state: positive)
+    if outcome is None:
+        with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
+            thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6)
+    else:
+        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6) == outcome
+    assert len(calls) == runs
