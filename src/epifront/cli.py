@@ -320,9 +320,6 @@ def _cmd_sweep(args) -> int:
     elif missing := _missing_directory(output):
         issues.append(missing)
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
-    for value, origin in ((spec_workers, "spec"), (args.workers, "--workers")):
-        if value is not None and value < 1:
-            issues.append(f"workers must be >= 1, got {value} ({origin})")
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
         try:
@@ -330,6 +327,9 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             pass  # reported below with the text as given
         env_cap = _worker_count(env_cap, WORKER_ENV, issues)
+    for value, origin in ((spec_workers, "spec"), (args.workers, "--workers"), (env_cap, WORKER_ENV)):
+        if value is not None and value < 1:
+            issues.append(f"workers must be >= 1, got {value} ({origin})")
     if issues or cfg is None:
         for msg in issues:
             print(f"invalid sweep spec: {msg}", file=sys.stderr)
@@ -338,7 +338,7 @@ def _cmd_sweep(args) -> int:
     # At most one worker per point: a fork pool starts every worker up front.
     workers = min(spec_workers if args.workers is None else args.workers, len(values))
     if env_cap is not None:
-        workers = min(workers, max(1, env_cap))
+        workers = min(workers, env_cap)
     l_star = None
     if parameter in _L_STAR_FIXED:
         try:

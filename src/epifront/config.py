@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import KernelSpec, WeightSpec
+from .kernels import KERNEL_SHAPE_FIELD, KernelSpec, WeightSpec
 from .model import InfectionFn, ModelParams, validate_constants, validate_params
 from .simulator import SimConfig, stability_limit, validate_sim_config
 from .spectral import EIGEN_NODES, MIN_EIGEN_NODES
@@ -189,22 +189,17 @@ def _parse_kernel(sec: _Section | None, issues: list):
         return None
     family = sec.get("family", required=True)
     spec = None
-    try:
-        if family == "uniform":
-            spec = KernelSpec.uniform(_nan_if_missing(sec.number("radius", required=True)))
-        elif family == "gaussian":
-            spec = KernelSpec.gaussian(_nan_if_missing(sec.number("std", required=True)))
-        elif family == "laplace":
-            spec = KernelSpec.laplace(_nan_if_missing(sec.number("scale", required=True)))
-        elif family == "power_tail":
-            spec = KernelSpec.power_tail(
-                _nan_if_missing(sec.number("exponent", required=True)),
-                sec.number("cutoff", 1.0),
-            )
-        elif family is not None:
-            issues.append(f"{sec.path}.family: unknown kernel family {family!r}")
-    except ValueError as err:
-        issues.append(f"{sec.path}: {err}")
+    if isinstance(family, str) and family in KERNEL_SHAPE_FIELD:  # a JSON list is unhashable
+        shape = KERNEL_SHAPE_FIELD[family]
+        values = {shape: _nan_if_missing(sec.number(shape, required=True))}
+        if family == "power_tail":
+            values["cutoff"] = sec.number("cutoff", 1.0)
+        try:
+            spec = KernelSpec(family, **values)
+        except ValueError as err:
+            issues.append(f"{sec.path}: {err}")
+    elif family is not None:
+        issues.append(f"{sec.path}.family: unknown kernel family {family!r}")
     sec.flag_unknown()
     return spec
 

@@ -27,7 +27,8 @@ from scipy.special import erfc, erfcinv
 # Tail mass below which the kernel is treated as zero for quadrature.
 TAIL_CUTOFF_MASS = 1e-10
 
-_KERNEL_FAMILIES = ("uniform", "gaussian", "laplace", "power_tail")
+# Each kernel family and the KernelSpec field holding its shape parameter.
+KERNEL_SHAPE_FIELD = {"uniform": "radius", "gaussian": "std", "laplace": "scale", "power_tail": "exponent"}
 _WEIGHT_FAMILIES = ("kernel_tail", "constant_on", "table")
 
 
@@ -53,15 +54,9 @@ class KernelSpec:
     cutoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in _KERNEL_FAMILIES:
+        if not (isinstance(self.family, str) and self.family in KERNEL_SHAPE_FIELD):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        active = {
-            "uniform": self.radius,
-            "gaussian": self.std,
-            "laplace": self.scale,
-            "power_tail": self.exponent,
-        }[self.family]
-        if not active > 0.0:
+        if not getattr(self, KERNEL_SHAPE_FIELD[self.family]) > 0.0:
             raise ValueError(f"{self.family} kernel needs a positive shape parameter")
         if self.family == "power_tail":
             if self.exponent <= 1.0:

@@ -16,7 +16,9 @@ Implements:
     window's weighted densities (kernel values tabulated at node offsets
     once per kernel/grid pair; no FFT at this scale), and both front fluxes
     from one tail evaluation and one mat-vec. Every other node has zero rate.
-    The stage, the recorded front rates and the flux check share this code.
+    The stage and the recorded front rates share this code. Their fluxes are
+    nonnegative by construction: run checks (W) and the initial data at every
+    node, and the stepper keeps the densities nonnegative.
   - The equivalence check between the double-integral outward-flux form and
     the tail-weighted single integral the stepper uses.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
@@ -27,8 +29,8 @@ Implements:
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - The sign of the principal eigenvalue of the frozen linearization on the
-    occupied window (the eigen solver's operator on the simulator's nodes,
-    weights and stencils; one Cholesky attempt). Runs of the threshold
+    occupied window (the eigen solver's operator and kernel entries on the
+    simulator's nodes and weights; one Cholesky attempt). Runs of the threshold
     searches stop as `stopped_certified` once it is not positive, a
     certificate of spreading; simulate and sweep runs never do.
   - Resumable runs: run(resume=traj) continues every completed run from its
@@ -44,16 +46,15 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
 from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, validate_weight, weight_eval
 from .model import ModelParams, gprime0, infection_value
 from .ode import NEG_TOL, NumericalFailure, rk4_step
-from .spectral import coupled_operator, trapezoid_weights
+from .spectral import _kernel_matrix, coupled_operator, trapezoid_weights
 
 
 class SimulationUnstable(NumericalFailure):
-    """Densities left the admissible region, or a front flux came out negative."""
+    """Densities left the admissible region."""
 
 
 class DomainExhausted(NumericalFailure):
@@ -224,8 +225,6 @@ def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int
 def _front_rates(p: ModelParams, state: SimState, w: np.ndarray, lo: int, hi: int):
     """boundary_rates given the state's quad_weights(..., with_span=True)."""
     flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
-    if flux_h < 0.0 or flux_g < 0.0:
-        raise SimulationUnstable(state.t, "negative front flux from an invalid state")
     return p.mu * flux_h, -p.mu * flux_g
 
 
@@ -238,30 +237,20 @@ def boundary_rates(p: ModelParams, state: SimState):
     return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h, with_span=True))
 
 
-def _window_kernel(kernel: KernelSpec, grid: Grid, size: int) -> np.ndarray:
-    """Kernel values at the node pairs of `size` consecutive grid nodes, from the stencil."""
-    stencil = _stencil(kernel, grid.dx, grid.n - 1)
-    m = (stencil.size - 1) // 2
-    column = np.zeros(size)
-    reach = min(size, m + 1)
-    column[:reach] = stencil[m : m + reach]
-    return toeplitz(column)
-
-
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     """Whether the principal eigenvalue of the frozen linearization on the
     occupied window of `state` is positive.
 
     The operator K = DN - D + A (spectral.coupled_operator) is built on the
     nodes strictly inside (g, h) with their fractional-cell quad_weights and
-    the stepper's node-sampled kernels. Only the sign is needed: -K is
-    positive definite exactly when lambda_p > 0, so one Cholesky attempt
-    decides it, to rounding.
+    the eigen solver's kernel entries J(x_j - x_k) (spectral._kernel_matrix).
+    Only the sign is needed: -K is positive definite exactly when
+    lambda_p > 0, so one Cholesky attempt decides it, to rounding.
     """
-    grid = state.grid
-    w, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    w, lo, hi = quad_weights(state.grid, state.g, state.h, with_span=True)
+    x = state.grid.x[lo:hi]
     mat = coupled_operator(
-        w[lo:hi], lambda kernel: _window_kernel(kernel, grid, hi - lo), p.kernel1, p.kernel2,
+        w[lo:hi], lambda kernel: _kernel_matrix(kernel, x), p.kernel1, p.kernel2,
         p.d1, p.d2, p.a, p.b, p.e, gprime0(p),
     )
     try:
@@ -400,7 +389,10 @@ def run(
     Stops early when the fronts exceed `stop_width` (the outcome is already
     decided), when the densities and front speeds have decayed two orders
     below the vanishing tolerance, when the fronts exhaust the grid, or on
-    numerical failure; the status field records which.
+    numerical failure; the status field records which. A fresh run rejects
+    (ValueError) initial data that is negative or NaN at a grid node, which
+    the sampled check_initial_pair can miss, before any record or step: with
+    (W), checked here too, that keeps every front flux nonnegative.
 
     With `certify_spreading` a run also stops, as `stopped_certified`, at the
     first recorded row whose occupied window has a principal eigenvalue that
@@ -455,6 +447,8 @@ def run(
             v=sample_profile(v0_profile, grid, p.h0),
             grid=grid,
         )
+        if not (np.all(state.u >= 0.0) and np.all(state.v >= 0.0)):  # NaN fails too
+            raise ValueError("initial data must be nonnegative")
         record(state)
         done = 0
     status = "completed"

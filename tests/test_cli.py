@@ -587,6 +587,20 @@ def test_sweep_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch, sp
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_sweep_rejects_a_worker_env_cap_below_one(tmp_path, capsys, monkeypatch, cap):
+    # A cap below 1 is an error like a count below 1, not a silent serial run.
+    monkeypatch.setenv("EPIFRONT_WORKERS", cap)
+    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
+    spec["workers"] = 2  # the cap, not the spec, is what fails
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid sweep spec: workers must be >= 1, got {int(cap)} (EPIFRONT_WORKERS)\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def _sweep_error(tmp_path, capsys, spec):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))

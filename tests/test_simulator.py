@@ -28,6 +28,7 @@ from epifront.simulator import (
     _occupied_fluxes,
     _rates,
     _stencil,
+    check_initial_pair,
     fixed_boundary_rhs,
     quad_weights,
     sample_profile,
@@ -36,7 +37,7 @@ from epifront.simulator import (
 )
 from epifront.kernels import kernel_eval, kernel_tail, weight_eval
 from epifront.model import gprime0, infection_value
-from epifront.spectral import EigenProblem, coupled_operator, principal_eigenvalue
+from epifront.spectral import EigenProblem, _kernel_matrix, coupled_operator, principal_eigenvalue
 from helpers import bump_profile, make_params
 
 
@@ -846,3 +847,50 @@ def test_run_rejects_a_weight_violating_W_before_stepping():
     with pytest.raises(ValueError, match=r"weight violates \(W\) on \[0, 2\*domain_cap\]: negative weight"):
         run(p, cfg, bump_profile(1.0), bump_profile(1.0))
     assert validate_sim_config(p, cfg, check_weight=False) == []
+
+
+@pytest.mark.parametrize("spike", [-1e6, np.nan])
+@pytest.mark.parametrize("negative", ["u0", "v0"])
+def test_run_rejects_initial_data_negative_or_nan_at_a_node_the_samples_miss(monkeypatch, negative, spike):
+    # check_initial_pair samples 513 points, which miss the node x = 0.05; the
+    # node check keeps the front fluxes nonnegative from the first record on.
+    # (A NaN there used to leave NaN fronts, zero densities and a run that
+    # ended stopped_decayed.)
+    import epifront.simulator as sim
+
+    p = make_params(alpha=2.0, rho=1.0)
+    cfg = SimConfig(dx=0.05, dt=0.1, t_end=1.0, domain_cap=4.0)
+    node = Grid(cfg.dx, cfg.domain_cap).x[81]
+    bump = bump_profile(1.0)
+    spiked = lambda x: np.where(np.asarray(x) == node, spike, bump(x))
+    profiles = {"u0": bump, "v0": bump, negative: spiked}
+    assert node == 0.05 and check_initial_pair(profiles["u0"], profiles["v0"], p.h0) == []
+    steps = []
+    monkeypatch.setattr(sim, "step", lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(ValueError, match="initial data must be nonnegative"):
+        run(p, cfg, profiles["u0"], profiles["v0"])
+    assert steps == []
+
+
+def test_the_window_operator_takes_the_eigen_solvers_kernel_entries(monkeypatch):
+    # The window operator and assemble_operator share one kernel-matrix
+    # builder. A gaussian of std 0.1 is below 1e-10 tail mass past 0.64, yet
+    # its entries across this 2.1-wide window stay positive.
+    import epifront.simulator as sim
+
+    p = make_params(alpha=2.0, h0=0.4, kernel=KernelSpec.gaussian(0.1), kernel2=KernelSpec.laplace(0.2))
+    grid = Grid(0.04, 4.0)
+    state = flat_state(grid, -0.913, 1.237, 1.0, 0.5)
+    blocks = []
+
+    def capture(w, kernel_matrix, *args):
+        blocks.extend(kernel_matrix(kernel) for kernel in (p.kernel1, p.kernel2))
+        return coupled_operator(w, kernel_matrix, *args)
+
+    monkeypatch.setattr(sim, "coupled_operator", capture)
+    window_lambda_positive(p, state)
+    _, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    x = grid.x[lo:hi]
+    want = [_kernel_matrix(kernel, x) for kernel in (p.kernel1, p.kernel2)]
+    assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]
+    assert x[-1] - x[0] > 2.0 and (want[0] > 0.0).all()

@@ -1,11 +1,21 @@
 """step keeps its invariants for every kernel and boundary-weight family."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epifront import KernelSpec, SimConfig, WeightSpec, a_priori_bounds
-from epifront.simulator import DomainExhausted, Grid, SimState, sample_profile, stability_limit, step
+from epifront.kernels import validate_weight
+from epifront.simulator import (
+    DomainExhausted,
+    Grid,
+    SimState,
+    _occupied_fluxes,
+    quad_weights,
+    sample_profile,
+    stability_limit,
+    step,
+)
 from helpers import bump_profile, make_params
 
 KERNELS = st.one_of(
@@ -75,3 +85,39 @@ def test_step_invariants(case):
         assert np.abs(nxt.u - nxt.u[::-1]).max() < 1e-10
         assert np.abs(nxt.v - nxt.v[::-1]).max() < 1e-10
         state = nxt
+
+
+FLUX_GRID = Grid(0.05, 4.0)
+REACH = 2.0 * FLUX_GRID.cap  # the longest front-to-node distance on the grid
+
+
+@st.composite
+def flux_cases(draw):
+    k1 = draw(KERNELS)
+    # Besides the step's weights: a table that turns negative only beyond
+    # every distance the front law reads, which (W) on [0, REACH] admits.
+    beyond_reach = st.floats(0.1, 1.0).map(lambda y0: WeightSpec.table([(0.0, y0), (REACH, 0.0), (REACH + 1.0, -1.0)]))
+    p = make_params(
+        rho=draw(st.floats(0.0, 5.0)),
+        kernel=k1,
+        kernel2=draw(KERNELS),
+        weight=draw(st.one_of(weights(k1), beyond_reach)),
+    )
+    g = draw(st.floats(-FLUX_GRID.cap, FLUX_GRID.cap))
+    h = draw(st.floats(g, FLUX_GRID.cap))
+    return p, g, h, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(flux_cases())
+def test_front_fluxes_are_nonnegative_for_every_W_valid_weight(case):
+    # The guarantee that lets the front law go without a runtime sign check:
+    # nonnegative densities and a weight that satisfies (W) on [0, REACH]
+    # give nonnegative fluxes at both fronts, for every kernel and weight family.
+    p, g, h, seed = case
+    assume(validate_weight(p.weight, REACH).ok)
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 10.0, (2, FLUX_GRID.n)) * (rng.random((2, FLUX_GRID.n)) < 0.8)
+    w, lo, hi = quad_weights(FLUX_GRID, g, h, with_span=True)
+    flux_h, flux_g = _occupied_fluxes(p, FLUX_GRID, w, lo, hi, u, v, g, h)
+    assert flux_h >= 0.0 and flux_g >= 0.0
