@@ -9,10 +9,11 @@ Exit codes: 0 success, 2 configuration or assumption failure (an output
 path that cannot be written and a threshold asked for outside its regime
 included), 3 numerical failure (any ode.NumericalFailure: unstable run,
 exhausted grid, failed eigen solve) or failed threshold search. `main` maps
-every failure to its code and one stderr line. `validate` probes the weight
-W over [0, 2*domain_cap], every distance h - x the front law reads it at,
-table knots included; (J) and (G1)/(G2) hold by construction for every
-family the parser admits.
+every failure to its code and one stderr line; a `simulate` run that ends
+unstable or off the grid writes its files and prints that line itself.
+`validate` probes the weight W over [0, 2*domain_cap], every distance h - x
+the front law reads it at, table knots included; (J) and (G1)/(G2) hold by
+construction for every family the parser admits.
 """
 
 from __future__ import annotations
@@ -94,10 +95,7 @@ def _trajectory_rows(traj):
         )
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
+def _cmd_simulate(args, cfg) -> int:
     p, num = cfg.params, cfg.numerics
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
@@ -147,13 +145,13 @@ def _cmd_simulate(args) -> int:
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
     print(f"classification={outcome} status={traj.status} h_end={_fmt(traj.h[-1])}")
-    return 3 if traj.status in ("unstable", "domain_exhausted") else 0
+    if traj.status in ("unstable", "domain_exhausted"):
+        print(f"numerical failure: run ended {traj.status}; last recorded t={traj.t[-1]:.6g}", file=sys.stderr)
+        return 3
+    return 0
 
 
-def _cmd_ode(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
+def _cmd_ode(args, cfg) -> int:
     p = cfg.params
     states = integrate_ode(p, cfg.ode.u0, cfg.ode.v0, cfg.ode.t_end, cfg.ode.dt)
     outdir = cfg.output.directory
@@ -172,10 +170,7 @@ def _cmd_ode(args) -> int:
     return 0
 
 
-def _cmd_eigen(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
+def _cmd_eigen(args, cfg) -> int:
     if cfg.eigen is None:
         print("invalid config: eigen block required for the eigen subcommand", file=sys.stderr)
         return 2
@@ -194,10 +189,7 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _cmd_thresholds(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
+def _cmd_thresholds(args, cfg) -> int:
     p, thr = cfg.params, cfg.thresholds
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
@@ -392,6 +384,13 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; returns its exit code.
+
+    simulate, ode, eigen and thresholds get the config loaded and validated
+    here, once (a violation is exit 2); sweep reads a spec file and validate
+    reports (W) on its own line, so both read their input themselves. Every
+    failure maps to its exit code and one stderr line.
+    """
     parser = argparse.ArgumentParser(
         prog="epifront",
         description="Nonlocal epidemic system with moving fronts: simulation, spectra, thresholds.",
@@ -428,7 +427,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command in ("sweep", "validate"):  # each reads its input its own way
+            return args.func(args)
+        cfg = _load(args.config)
+        return 2 if cfg is None else args.func(args, cfg)
     except ThresholdRegimeError as err:  # the constant asked for does not exist here
         print(f"regime error: {err}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ domain_cap = 8*h0.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -147,16 +146,6 @@ class _Section:
             return default
         return float(val)
 
-    def integer(self, key: str, default=None, required: bool = False):
-        """An int; a wrong-typed value is reported and replaced by default."""
-        val = self.get(key, required=required)
-        if val is None:
-            return default
-        if isinstance(val, bool) or not isinstance(val, int):
-            self.issues.append(f"{self.path}.{key}: must be an integer")
-            return default
-        return val
-
     def subsection(self, key: str, required: bool = False) -> "_Section | None":
         val = self.get(key, required=required)
         if val is None:
@@ -167,21 +156,33 @@ class _Section:
         return _Section(val, f"{self.path}.{key}", self.issues)
 
 
+# The JSON type test of a block field annotated int, bool or str, and its noun.
+_TYPED_FIELDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _read(sec: _Section, cls, required=()) -> dict:
     """The keys of `sec` that are present and well typed, read as the fields of
-    dataclass `cls` (int-annotated fields as integers, the rest as numbers)."""
+    dataclass `cls` by their annotation: int, bool and str fields as those JSON
+    types (`must be an integer`, `a boolean`, `a string`), the rest as numbers;
+    then every unknown key is reported."""
     values = {}
     for f in fields(cls):
-        read = sec.integer if f.type in (int, "int") else sec.number
-        val = read(f.name, required=f.name in required)
+        if f.type in _TYPED_FIELDS:
+            is_kind, noun = _TYPED_FIELDS[f.type]
+            val = sec.get(f.name, required=f.name in required)
+            if val is not None and not is_kind(val):
+                sec.issues.append(f"{sec.path}.{f.name}: must be {noun}")
+                val = None
+        else:
+            val = sec.number(f.name, required=f.name in required)
         if val is not None:
             values[f.name] = val
     sec.flag_unknown()
     return values
-
-
-def _nan_if_missing(value):
-    return math.nan if value is None else value
 
 
 def _parse_kernel(sec: _Section | None, issues: list):
@@ -191,13 +192,14 @@ def _parse_kernel(sec: _Section | None, issues: list):
     spec = None
     if isinstance(family, str) and family in KERNEL_SHAPE_FIELD:  # a JSON list is unhashable
         shape = KERNEL_SHAPE_FIELD[family]
-        values = {shape: _nan_if_missing(sec.number(shape, required=True))}
+        values = {shape: sec.number(shape, required=True)}
         if family == "power_tail":
             values["cutoff"] = sec.number("cutoff", 1.0)
-        try:
-            spec = KernelSpec(family, **values)
-        except ValueError as err:
-            issues.append(f"{sec.path}: {err}")
+        if values[shape] is not None:  # a missing or wrong-typed shape is already reported
+            try:
+                spec = KernelSpec(family, **values)
+            except ValueError as err:
+                issues.append(f"{sec.path}: {err}")
     elif family is not None:
         issues.append(f"{sec.path}.family: unknown kernel family {family!r}")
     sec.flag_unknown()
@@ -215,10 +217,9 @@ def _parse_weight(sec: _Section | None, issues: list):
             if kernel is not None:
                 spec = WeightSpec.kernel_tail_of(kernel)
         elif family == "constant_on":
-            spec = WeightSpec.constant_on(
-                _nan_if_missing(sec.number("radius", required=True)),
-                _nan_if_missing(sec.number("height", required=True)),
-            )
+            radius, height = sec.number("radius", required=True), sec.number("height", required=True)
+            if radius is not None and height is not None:
+                spec = WeightSpec.constant_on(radius, height)
         elif family == "table":
             points = sec.get("points", required=True)
             if points is not None:
@@ -363,15 +364,7 @@ def parse_config_dict(data: dict, check_weight: bool = True):
     output = OutputConfig()
     out_sec = root.subsection("output")
     if out_sec is not None:
-        given = {}
-        for key, kind, noun in (("directory", str, "a string"), ("snapshots", bool, "a boolean")):
-            val = out_sec.get(key)
-            if isinstance(val, kind):
-                given[key] = val
-            elif val is not None:
-                issues.append(f"config.output.{key}: must be {noun}")
-        output = OutputConfig(**given)
-        out_sec.flag_unknown()
+        output = OutputConfig(**_read(out_sec, OutputConfig))
 
     eigen = None
     eig_sec = root.subsection("eigen")

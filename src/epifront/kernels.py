@@ -133,8 +133,8 @@ def kernel_tail(spec: KernelSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def support_radius(spec: KernelSpec, tail_mass: float = TAIL_CUTOFF_MASS) -> float:
-    """Radius beyond which the one-sided tail mass drops below `tail_mass`.
+def support_radius(spec: KernelSpec) -> float:
+    """Radius beyond which the one-sided tail mass drops below TAIL_CUTOFF_MASS.
 
     Quadrature treats J as zero outside [-radius, radius]; this bounds every
     convolution stencil. Closed form per family; inf beyond the float range.
@@ -142,13 +142,13 @@ def support_radius(spec: KernelSpec, tail_mass: float = TAIL_CUTOFF_MASS) -> flo
     if spec.family == "uniform":
         return spec.radius
     if spec.family == "gaussian":
-        return spec.std * math.sqrt(2.0) * float(erfcinv(2.0 * tail_mass))
+        return spec.std * math.sqrt(2.0) * float(erfcinv(2.0 * TAIL_CUTOFF_MASS))
     if spec.family == "laplace":
-        return spec.scale * math.log(0.5 / tail_mass)
+        return spec.scale * math.log(0.5 / TAIL_CUTOFF_MASS)
     g = spec.exponent
     c = _power_norm(spec)
     try:
-        return (c / (tail_mass * (g - 1.0))) ** (1.0 / (g - 1.0))
+        return (c / (TAIL_CUTOFF_MASS * (g - 1.0))) ** (1.0 / (g - 1.0))
     except OverflowError:
         return math.inf
 
@@ -264,8 +264,9 @@ class WeightReport:
     messages: tuple
 
 
-def validate_weight(spec: WeightSpec, probe_radius: float, samples: int = 2001) -> WeightReport:
-    """Probe W on [0, probe_radius]: nonnegativity, W(0) > 0, bound, Lipschitz.
+def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
+    """Probe W at 2001 evenly spaced points of [0, probe_radius]: nonnegativity,
+    W(0) > 0, bound, Lipschitz.
 
     Violations are reported, not raised; the Lipschitz constant is the largest
     sampled secant slope, a lower estimate that is exact for piecewise-linear
@@ -274,7 +275,7 @@ def validate_weight(spec: WeightSpec, probe_radius: float, samples: int = 2001) 
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
-    xs = np.linspace(0.0, probe_radius, samples)
+    xs = np.linspace(0.0, probe_radius, 2001)
     if spec.family == "table":
         xs = np.union1d(xs, [x for x in spec.xs if x <= probe_radius])
     vals = np.asarray(weight_eval(spec, xs), dtype=float)

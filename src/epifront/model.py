@@ -26,15 +26,13 @@ from .kernels import KernelSpec, WeightSpec
 
 @dataclass(frozen=True)
 class InfectionFn:
-    """Saturating infection response G(z) = alpha*z / (1 + z^lam)."""
+    """Saturating infection response G(z) = alpha*z / (1 + z^lam), the one
+    family (config accepts `"family": "saturating"` and rejects any other)."""
 
     alpha: float
     lam: float = 1.0
-    family: str = "saturating"
 
     def __post_init__(self) -> None:
-        if self.family != "saturating":
-            raise ValueError(f"unknown infection family {self.family!r}")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be > 0")
         if not 0.0 < self.lam <= 1.0:

@@ -100,15 +100,9 @@ def lyapunov_series(p: ModelParams, trajectory):
     return [(s.t, alpha * s.u + s.v) for s in trajectory]
 
 
-def classify_ode_limit(
-    p: ModelParams,
-    u0: float,
-    v0: float,
-    t_end: float,
-    dt: float | None = None,
-    tol: float = 1e-4,
-) -> OdeOutcome:
-    """Label the long-time limit of the trajectory from (u0, v0).
+def classify_ode_limit(p: ModelParams, u0: float, v0: float, t_end: float) -> OdeOutcome:
+    """Label the long-time limit of the trajectory from (u0, v0), integrated
+    with dt = min(0.02, 0.45/(a + b + e + G'(0))) and compared at tol = 1e-4.
 
     extinct   final state within tol of (0, 0); above the persistence
               threshold the origin repels positive data, so a tiny but
@@ -118,8 +112,8 @@ def classify_ode_limit(
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("classification needs positive initial values")
-    if dt is None:
-        dt = min(0.02, 0.45 / (p.a + p.b + p.e + gprime0(p)))
+    tol = 1e-4
+    dt = min(0.02, 0.45 / (p.a + p.b + p.e + gprime0(p)))
     final = integrate_ode(p, u0, v0, t_end, dt)[-1]
     eq = equilibrium(p)
     shrank = final.u <= u0 and final.v <= v0

@@ -273,8 +273,6 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
     Densities vanish outside the window, so the convolutions take only the
     window's weighted values and du, dv are zero elsewhere.
     """
-    if h > grid.cap or g < -grid.cap:
-        raise DomainExhausted(0.0, "front left the preallocated grid")
     w, lo, hi = quad_weights(grid, g, h, with_span=True)
     du, dv = np.zeros(grid.n), np.zeros(grid.n)
     if lo == hi:
@@ -303,19 +301,24 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
     Each stage runs on its own occupied window; nodes uncovered by the
     advancing fronts during the step start at exactly zero (they only enter
     the windows of later stages). The new densities are zeroed outside the
-    new window. Negative round-off down to -1e-14 is clamped; anything worse
-    aborts as instability.
+    new window. Negative round-off down to -1e-14 is clamped; anything worse,
+    and a front that is not finite, aborts as instability (SimulationUnstable).
+    A stage front beyond the grid's cap, or a new front within dx of it, ends
+    the step as DomainExhausted, stamped with the step's start or end time.
     """
     grid, dt = state.grid, cfg.dt
     st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
     st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
-    rhs = lambda u, v, g, h: _rates(p, grid, st1, st2, u, v, g, h, freeze_boundaries)
-    try:
-        u_new, v_new, g_new, h_new = rk4_step(rhs, (state.u, state.v, state.g, state.h), dt)
-    except DomainExhausted:
-        raise DomainExhausted(state.t, "front left the preallocated grid") from None
 
+    def rhs(u, v, g, h):
+        if h > grid.cap or g < -grid.cap:
+            raise DomainExhausted(state.t, "front left the preallocated grid")
+        return _rates(p, grid, st1, st2, u, v, g, h, freeze_boundaries)
+
+    u_new, v_new, g_new, h_new = rk4_step(rhs, (state.u, state.v, state.g, state.h), dt)
     t_new = state.t + dt
+    if not (math.isfinite(g_new) and math.isfinite(h_new)):
+        raise SimulationUnstable(t_new, "front became non-finite")
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
     _, lo, hi = quad_weights(grid, g_new, h_new, with_span=True)
@@ -357,10 +360,11 @@ def sample_profile(profile, grid: Grid, h0: float) -> np.ndarray:
     return out
 
 
-def check_initial_pair(u0_profile, v0_profile, h0: float, samples: int = 513) -> list:
-    """Admissibility of the initial pair: positive inside, zero at the fronts."""
+def check_initial_pair(u0_profile, v0_profile, h0: float) -> list:
+    """Admissibility of the initial pair, sampled at 513 evenly spaced points
+    of [-h0, h0]: positive inside, zero at the fronts."""
     issues = []
-    xs = np.linspace(-h0, h0, samples)
+    xs = np.linspace(-h0, h0, 513)
     for name, prof in (("u0", u0_profile), ("v0", v0_profile)):
         vals = np.asarray(prof(xs), dtype=float)
         scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -536,18 +540,18 @@ def fixed_boundary_run(
     u0,
     v0,
     t_end: float,
-    dx: float | None = None,
+    dx: float,
     dt: float | None = None,
 ):
-    """Frozen-interval run on [L1, L2]; returns (x, u, v) at t_end.
+    """Frozen-interval run on [L1, L2] with node spacing dx (rounded so the
+    nodes land on both ends); returns (x, u, v) at t_end.
 
     u0, v0 are callables sampled on the nodes (endpoints included; the
-    frozen problem carries no boundary condition) or plain arrays.
+    frozen problem carries no boundary condition) or plain arrays. dt
+    defaults to half the explicit stability limit.
     """
     if not L2 > L1:
         raise ValueError("need L1 < L2")
-    if dx is None:
-        dx = (L2 - L1) / 400.0
     n = int(round((L2 - L1) / dx)) + 1
     x = np.linspace(L1, L2, n)
     if dt is None:

@@ -416,6 +416,21 @@ def test_simulate_numerical_failure_exit(tmp_path):
     assert summary["status"] == "domain_exhausted"
 
 
+def test_a_simulate_run_that_fails_prints_one_line_exit_3(tmp_path, capsys):
+    # The shipped threshold-search config runs off its grid. The files are
+    # still written and stdout keeps its one summary line.
+    data = json.loads((CONFIG_DIR / "threshold_search.json").read_text())
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main(["simulate", write_config(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "domain_exhausted"
+    assert captured.out.startswith("classification=") and captured.out.count("\n") == 1
+    assert captured.err == (
+        f"numerical failure: run ended domain_exhausted; last recorded t={summary['final']['t']:.6g}\n"
+    )
+
+
 def test_spectral_failure_is_a_numerical_failure(tmp_path, capsys):
     # A kernel far narrower than the eigen grid spacing yields a principal
     # eigenvector with sign changes; that is exit 3, not a traceback.
@@ -461,6 +476,47 @@ def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, block, key, value
     assert cfg is None and issues == [f"config.{block}.{key}: must be {kind}"]
     assert main(["simulate", write_config(tmp_path, data)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_typed_fields_keep_their_messages_and_order():
+    data = deep(BASE_CONFIG)
+    data["numerics"]["record_every"] = 2.5
+    data["thresholds"] = {"n": True}
+    data["eigen"] = {"L1": -1.0, "L2": 1.0, "n": "400"}
+    data["output"] = {"directory": 5, "snapshots": "yes", "format": "csv"}
+    cfg, issues = parse_config_dict(data)
+    assert cfg is None and issues == [
+        "config.numerics.record_every: must be an integer",
+        "config.output.directory: must be a string",
+        "config.output.snapshots: must be a boolean",
+        "config.output: unknown key 'format'",
+        "config.eigen.n: must be an integer",
+        "config.thresholds.n: must be an integer",
+    ]
+
+
+def test_the_infection_family_is_saturating_only():
+    data = deep(BASE_CONFIG)
+    assert parse_config_dict(data)[1] == []
+    data["model"]["infection"]["family"] = "hill"
+    cfg, issues = parse_config_dict(data)
+    assert cfg is None and issues[0] == "config.model.infection.family: unknown infection family 'hill'"
+
+
+@pytest.mark.parametrize(
+    "key, block, missing",
+    [
+        ("kernel1", {"family": "gaussian"}, "kernel1.std"),
+        ("kernel2", {"family": "power_tail", "cutoff": 0.5}, "kernel2.exponent"),
+        ("weight", {"family": "constant_on", "height": 1.0}, "weight.radius"),
+        ("weight", {"family": "constant_on", "radius": 1.0}, "weight.height"),
+    ],
+    ids=["gaussian_std", "power_tail_exponent", "constant_on_radius", "constant_on_height"],
+)
+def test_a_missing_required_number_is_reported_once(key, block, missing):
+    data = deep(BASE_CONFIG)
+    data["model"][key] = block
+    assert parse_config_dict(data) == (None, [f"config.model.{missing}: missing"])
 
 
 def test_null_value_means_default():

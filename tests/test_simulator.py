@@ -1,5 +1,6 @@
 """Moving-front integration: quadrature, front law, comparisons, steady states."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from epifront.simulator import (
     DomainExhausted,
     Grid,
     SimState,
+    SimulationUnstable,
     Trajectory,
     _conv,
     _density_rates,
@@ -216,6 +218,29 @@ def test_step_domain_exhaustion():
     with pytest.raises(DomainExhausted):
         for _ in range(50):
             state = step(p, cfg, state)
+
+
+@pytest.mark.parametrize("front", ["g", "h"])
+def test_a_non_finite_front_ends_the_step_as_unstable(front):
+    # A NaN front fails every grid comparison and gives an empty window, so
+    # without a check the step would "succeed" with NaN fronts and zeroed
+    # densities.
+    p = make_params(alpha=2.0, mu=0.5)
+    cfg = SimConfig(dx=0.05, dt=0.1, t_end=1.0, domain_cap=5.0)
+    state = replace(flat_state(Grid(cfg.dx, cfg.domain_cap), -1.0, 1.0, 0.5, 0.5), **{front: math.nan})
+    with pytest.raises(SimulationUnstable, match=r"^t=0\.1: front became non-finite$"):
+        step(p, cfg, state)
+
+
+def test_a_run_resumed_from_a_non_finite_front_ends_unstable():
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=12.0, domain_cap=4.0, record_every=10)
+    prefix = run(p, cfg, bump, bump, stop_width=50.0)
+    assert prefix.status == "completed"
+    prefix.final_state.h = math.nan
+    resumed = run(p, replace(cfg, t_end=24.0), bump, bump, stop_width=50.0, resume=prefix)
+    assert resumed.status == "unstable" and resumed.steps == prefix.steps
 
 
 def test_config_guards():
