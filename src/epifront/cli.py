@@ -32,7 +32,7 @@ from . import config as cfgmod
 from .kernels import validate_weight
 from .model import r0, validate_params
 from .ode import NumericalFailure, integrate_ode, lyapunov_series
-from .simulator import check_initial_pair, classify, run, spreading_stop_width
+from .simulator import check_initial_pair, classify, run, spreading_stop_width, validate_sim_config
 from .spectral import EigenProblem, principal_eigenvalue, rayleigh_check
 from .thresholds import (
     ThresholdRegimeError,
@@ -247,7 +247,7 @@ def _sweep_one(payload):
         v0 = cfgmod.ProfileSpec("scaled", sigma=value, base=v0)
     else:
         p = replace(p, **{parameter: value})
-        bad = validate_params(p)
+        bad = validate_params(p) or validate_sim_config(p, num)  # before any L* solve
         if bad:
             return value, "error", math.nan, math.nan, math.nan, "; ".join(bad)
     u0 = cfgmod.build_profile(u0, p.h0)

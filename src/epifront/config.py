@@ -200,8 +200,9 @@ def _parse_kernel(sec: _Section | None, issues: list):
                 spec = KernelSpec(family, **values)
             except ValueError as err:
                 issues.append(f"{sec.path}: {err}")
-    elif family is not None:
+    elif family is not None:  # the other keys belong to an unknown family: not reported
         issues.append(f"{sec.path}.family: unknown kernel family {family!r}")
+        return None
     sec.flag_unknown()
     return spec
 
@@ -226,6 +227,7 @@ def _parse_weight(sec: _Section | None, issues: list):
                 spec = WeightSpec.table(points)
         elif family is not None:
             issues.append(f"{sec.path}.family: unknown weight family {family!r}")
+            return None
     except (ValueError, TypeError) as err:
         issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
@@ -238,7 +240,6 @@ def _parse_infection(sec: _Section | None, issues: list):
     family = sec.get("family", "saturating")
     if family != "saturating":
         issues.append(f"{sec.path}.family: unknown infection family {family!r}")
-        sec.flag_unknown()
         return None
     alpha = sec.number("alpha", required=True)
     lam = sec.number("lambda", 1.0)
@@ -278,6 +279,7 @@ def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
                     issues.append(f"{sec.path}.sigma: must be > 0")
     elif family is not None:
         issues.append(f"{sec.path}.family: unknown profile family {family!r}")
+        return None
     sec.flag_unknown()
     return spec
 

@@ -23,7 +23,8 @@ Implements:
     the tail-weighted single integral the stepper uses.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
     whose long-time profiles approach the unique positive steady state when
-    the interval's principal eigenvalue is negative. It shares the density
+    the interval's principal eigenvalue is negative. fixed_boundary_run is
+    its one integrator (step always moves the fronts). It shares the density
     rates, the 4-stage step and the density check (finite, round-off clamp
     at -1e-14) with the moving-front stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
@@ -165,15 +166,14 @@ def _conv(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     return np.convolve(values, stencil)[m : m + values.size]
 
 
-def quad_weights(grid: Grid, g: float, h: float, with_span: bool = False):
-    """Trapezoid weights for int_g^h with fractional end cells.
+def quad_weights(grid: Grid, g: float, h: float):
+    """Trapezoid weights for int_g^h with fractional end cells, as (w, lo, hi).
 
     The integrand is taken linear between nodes and zero at the fronts, so
     the first and last interior nodes carry (dx + gap)/2 where gap is the
-    distance from the front to that node. Nodes outside (g, h) get weight 0;
-    the weight vector doubles as the strict-interior mask. With `with_span`
-    the occupied node range [lo, hi) is returned too, as (w, lo, hi); it is
-    empty (lo == hi) when no node lies strictly inside.
+    distance from the front to that node. Nodes outside (g, h) get weight 0,
+    so w doubles as the strict-interior mask of the occupied node range
+    [lo, hi), which is empty (lo == hi) when no node lies strictly inside.
     """
     x, dx = grid.x, grid.dx
     w = np.zeros(grid.n)
@@ -187,7 +187,7 @@ def quad_weights(grid: Grid, g: float, h: float, with_span: bool = False):
         w[k + 1 : m] = dx
         w[k] = 0.5 * (dx + (x[k] - g))
         w[m] = 0.5 * (dx + (h - x[m]))
-    return (w, k, m + 1) if with_span else w
+    return w, k, m + 1
 
 
 def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: np.ndarray, x: float) -> float:
@@ -198,7 +198,7 @@ def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: n
     """
     if not g <= x <= h:
         raise ValueError("evaluation point must lie in [g, h]")
-    w = quad_weights(grid, g, h)
+    w, _, _ = quad_weights(grid, g, h)
     return float(np.sum(w * kernel_eval(kernel, x - grid.x) * density))
 
 
@@ -223,7 +223,7 @@ def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int
 
 
 def _front_rates(p: ModelParams, state: SimState, w: np.ndarray, lo: int, hi: int):
-    """boundary_rates given the state's quad_weights(..., with_span=True)."""
+    """boundary_rates given the state's quad_weights."""
     flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
     return p.mu * flux_h, -p.mu * flux_g
 
@@ -234,7 +234,7 @@ def boundary_rates(p: ModelParams, state: SimState):
     Evaluated by the stage's own window code, so the rates equal the front
     rates of the first stage of a step from `state` bit for bit.
     """
-    return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h, with_span=True))
+    return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h))
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
@@ -247,7 +247,7 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     Only the sign is needed: -K is positive definite exactly when
     lambda_p > 0, so one Cholesky attempt decides it, to rounding.
     """
-    w, lo, hi = quad_weights(state.grid, state.g, state.h, with_span=True)
+    w, lo, hi = quad_weights(state.grid, state.g, state.h)
     x = state.grid.x[lo:hi]
     mat = coupled_operator(
         w[lo:hi], lambda kernel: _kernel_matrix(kernel, x), p.kernel1, p.kernel2,
@@ -267,19 +267,17 @@ def _density_rates(p: ModelParams, w: np.ndarray, u: np.ndarray, v: np.ndarray, 
     return du, dv
 
 
-def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h, frozen: bool):
+def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h):
     """Stage rates (du, dv, g', h') evaluated on the occupied window [lo, hi).
 
     Densities vanish outside the window, so the convolutions take only the
     window's weighted values and du, dv are zero elsewhere.
     """
-    w, lo, hi = quad_weights(grid, g, h, with_span=True)
+    w, lo, hi = quad_weights(grid, g, h)
     du, dv = np.zeros(grid.n), np.zeros(grid.n)
     if lo == hi:
         return du, dv, 0.0, 0.0
     du[lo:hi], dv[lo:hi] = _density_rates(p, w[lo:hi], u[lo:hi], v[lo:hi], st1, st2)
-    if frozen:
-        return du, dv, 0.0, 0.0
     flux_h, flux_g = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
     return du, dv, -p.mu * flux_g, p.mu * flux_h
 
@@ -295,7 +293,7 @@ def _check_densities(t: float, u: np.ndarray, v: np.ndarray) -> None:
     np.maximum(v, 0.0, out=v)
 
 
-def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: bool = False) -> SimState:
+def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
     """One explicit 4-stage update of (u, v, g, h).
 
     Each stage runs on its own occupied window; nodes uncovered by the
@@ -313,7 +311,7 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
     def rhs(u, v, g, h):
         if h > grid.cap or g < -grid.cap:
             raise DomainExhausted(state.t, "front left the preallocated grid")
-        return _rates(p, grid, st1, st2, u, v, g, h, freeze_boundaries)
+        return _rates(p, grid, st1, st2, u, v, g, h)
 
     u_new, v_new, g_new, h_new = rk4_step(rhs, (state.u, state.v, state.g, state.h), dt)
     t_new = state.t + dt
@@ -321,7 +319,7 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState, freeze_boundaries: boo
         raise SimulationUnstable(t_new, "front became non-finite")
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
-    _, lo, hi = quad_weights(grid, g_new, h_new, with_span=True)
+    _, lo, hi = quad_weights(grid, g_new, h_new)
     u_new[:lo] = v_new[:lo] = 0.0
     u_new[hi:] = v_new[hi:] = 0.0
     _check_densities(t_new, u_new, v_new)
@@ -337,7 +335,7 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     closed-form tail.
     """
     grid = state.grid
-    w, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    w, lo, hi = quad_weights(grid, state.g, state.h)
     tail_form = _front_rates(replace(p, rho=0.0), state, w, lo, hi)[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
@@ -420,7 +418,7 @@ def run(
     snapshots = []
 
     def record(s: SimState):
-        w, lo, hi = quad_weights(grid, s.g, s.h, with_span=True)
+        w, lo, hi = quad_weights(grid, s.g, s.h)
         hr, gr = _front_rates(p, s, w, lo, hi)
         rows.append((
             s.t, s.g, s.h,

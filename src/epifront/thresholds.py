@@ -4,10 +4,9 @@ Implements:
   - L_star: the half-length at which the interval eigenvalue crosses zero
     (eigenvalue strictly decreasing in the length), defined only in the
     intermediate regime 1 < r0 < (1 + d1/a)(1 + d2/b).
-  - d_star: the diffusion scale s at which the eigenvalue of the problem
-    with (d1, d2) = s*(d1_0, d2_0) on [-h0, h0] crosses zero (eigenvalue
-    strictly increasing in s), defined for r0 > 1, together with its
-    closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
+  - d_star: the scale s of the model's own (d1, d2) at which the eigenvalue
+    on [-h0, h0] crosses zero (strictly increasing in s), defined for r0 > 1,
+    with its closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
     Both roots share one search: widen a sign-changing bracket, then close
     it until |lambda_p| < tol (scipy's brentq for d_star, its bisect for
     L_star). The monotonicity holds for the continuous problem; at coarse n
@@ -20,8 +19,8 @@ Implements:
     completed, undecided probe run continues from its final state at twice
     the horizon, up to a cap. A run that stopped is final. At its last
     chance (the last horizon, or a stopped_decayed run) a decayed, stalled
-    probe whose window eigenvalue is positive is vanishing; any other
-    undecided probe fails the search with its status and evidence.
+    probe is vanishing (its run found its final window eigenvalue positive);
+    any other undecided probe fails the search with its status and evidence.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval.
 
@@ -38,7 +37,7 @@ from scipy.optimize import bisect, brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
-from .simulator import SimConfig, classify, run, spreading_stop_width, window_lambda_positive
+from .simulator import SimConfig, classify, run, spreading_stop_width
 from .spectral import EigenProblem, principal_eigenvalue, trapezoid_weights
 
 _HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
@@ -157,15 +156,9 @@ def find_L_star(
 
 
 def find_d_star(
-    p: ModelParams,
-    d1_0: float | None = None,
-    d2_0: float | None = None,
-    h0: float | None = None,
-    n: int = ThresholdConfig.n,
-    tol: float = ThresholdConfig.tol,
-    trace: list | None = None,
+    p: ModelParams, n: int = ThresholdConfig.n, tol: float = ThresholdConfig.tol, trace: list | None = None
 ) -> float:
-    """Diffusion scale where the eigenvalue on [-h0, h0] crosses zero, by Brent's method.
+    """Scale of the model's own (d1, d2) where the eigenvalue on [-h0, h0] crosses zero, by Brent's method.
 
     The eigenvalue is strictly increasing in the scale, negative in the
     zero-diffusion limit whenever r0 > 1, and grows without bound. The grid
@@ -174,12 +167,9 @@ def find_d_star(
     """
     if r0(p) <= 1.0:
         raise ThresholdRegimeError("r0 must exceed 1 for a diffusion threshold")
-    d1_0 = p.d1 if d1_0 is None else d1_0
-    d2_0 = p.d2 if d2_0 is None else d2_0
-    if not (d1_0 > 0.0 and d2_0 > 0.0):
+    if not (p.d1 > 0.0 and p.d2 > 0.0):  # ModelParams built in code are not validated
         raise ValueError("reference diffusion rates must be positive")
-    half = p.h0 if h0 is None else h0
-    lam = lambda s: _lambda_on_interval(p, half, n, d1=s * d1_0, d2=s * d2_0)
+    lam = lambda s: _lambda_on_interval(p, p.h0, n, d1=s * p.d1, d2=s * p.d2)
     return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brentq, trace=trace)
 
 
@@ -263,7 +253,8 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
 
     A run still undecided at its last chance (the last horizon, or a
     `stopped_decayed` run) is vanishing when it is decayed and stalled below
-    tol_vanish and its window eigenvalue is positive; otherwise the search fails.
+    tol_vanish; otherwise the search fails. Its window eigenvalue is positive:
+    the run checked it at every recorded row, its final step included.
     """
     stop = spreading_stop_width(L_star, cfg)
     horizon = cfg.t_end
@@ -280,7 +271,7 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
     decayed = traj.sup_u[-1] + traj.sup_v[-1] < cfg.tol_vanish
     stalled = traj.h_rate[-1] - traj.g_rate[-1] < cfg.tol_vanish
     last_chance = traj.status in ("completed", "stopped_decayed")
-    if last_chance and decayed and stalled and window_lambda_positive(p, traj.final_state):
+    if last_chance and decayed and stalled:
         return "vanishing"
     raise ThresholdSearchError(
         f"probe run ended {traj.status} at t={traj.t[-1]:.6g}, undecided: width {traj.h[-1] - traj.g[-1]:.6g} "

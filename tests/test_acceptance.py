@@ -123,7 +123,7 @@ def test_criterion_05_diffusion_threshold_floor():
         d1, d2 = rng.uniform(0.3, 1.5, 2)
         h0 = rng.uniform(0.5, 1.5)
         p = make_params(alpha=alpha, a=a, b=b, e=e, d1=d1, d2=d2, h0=h0)
-        ok &= find_d_star(p, d1, d2, n=161) >= d_star_lower_bound(p) - 1e-6
+        ok &= find_d_star(p, n=161) >= d_star_lower_bound(p) - 1e-6
     report(5, "diffusion threshold dominates its closed-form floor", {"floor holds on 10 draws": ok})
 
 

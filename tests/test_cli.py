@@ -519,6 +519,26 @@ def test_a_missing_required_number_is_reported_once(key, block, missing):
     assert parse_config_dict(data) == (None, [f"config.model.{missing}: missing"])
 
 
+@pytest.mark.parametrize(
+    "path, block, noun",
+    [
+        (("model", "kernel1"), {"family": "gausian", "std": 0.5}, "kernel"),
+        (("model", "weight"), {"family": "constant", "radius": 1.0, "height": 1.0}, "weight"),
+        (("model", "infection"), {"family": "hill", "alpha": 0.5, "lambda": 1.0}, "infection"),
+        (("initial", "u0"), {"family": "gauss", "amplitude": 1.0}, "profile"),
+    ],
+    ids=["kernel", "weight", "infection", "profile"],
+)
+def test_an_unknown_family_is_reported_once(path, block, noun):
+    # The other keys of the block belong to the unknown family, so they are
+    # not reported as unknown keys too.
+    data = deep(BASE_CONFIG)
+    data[path[0]][path[1]] = block
+    where = ".".join(path)
+    family = block["family"]
+    assert parse_config_dict(data) == (None, [f"config.{where}.family: unknown {noun} family {family!r}"])
+
+
 def test_null_value_means_default():
     data = deep(BASE_CONFIG)
     data["numerics"]["t_end"] = None
@@ -722,6 +742,34 @@ def test_sweep_solves_l_star_once_when_the_parameter_leaves_it_fixed(
         counts.append(len(solves))
     assert counts == [base_solves or len(values), len(values)]
     assert outputs[0] == outputs[1]
+
+
+def test_a_sweep_point_with_bad_numerics_solves_no_l_star(tmp_path, monkeypatch):
+    # dx = 0.04 exceeds h0/10 at h0 = 0.1 and 0.2: those rows record the
+    # numerics error without an L* solve; only h0 = 0.4 solves and runs.
+    import epifront.cli as cli
+
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["model"]["h0"] = 0.4
+    data["numerics"] = {"dx": 0.04, "dt": 0.12, "t_end": 6.0, "domain_cap": 4.0, "record_every": 10}
+    solved = []
+    real = cli.effective_L_star
+
+    def counted(p, **kwargs):
+        solved.append(p.h0)
+        return real(p, **kwargs)
+
+    monkeypatch.setattr(cli, "effective_L_star", counted)
+    out = tmp_path / "h0.csv"
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps({"parameter": "h0", "values": [0.1, 0.2, 0.4], "config": data, "output": str(out)}))
+    assert main(["sweep", str(path)]) == 0
+    assert solved == [0.4]
+    rows = out.read_text().splitlines()[1:]
+    assert rows[0] == "0.10000000000000001,error,nan,nan,nan,dx must not exceed h0/10"
+    assert rows[1] == "0.20000000000000001,error,nan,nan,nan,dx must not exceed h0/10"
+    assert rows[2].split(",")[1] != "error"
 
 
 def test_sweep_records_a_failed_l_star_in_every_row(tmp_path):

@@ -61,20 +61,20 @@ def test_quad_weights_integrate_linear_ramp_exactly():
         g, h = np.sort(rng.uniform(-3.5, 3.5, 2))
         if h - g < 0.2:
             continue
-        w = quad_weights(grid, g, h)
+        w, _, _ = quad_weights(grid, g, h)
         k = int(np.searchsorted(x, g, side="right"))
         m = int(np.searchsorted(x, h, side="left")) - 1
         gap = (x[k] - g) + (h - x[m])
         assert w.sum() == pytest.approx((h - g) - 0.5 * gap, abs=1e-12)
         assert np.all(w >= 0.0)
-    w = quad_weights(grid, -1.0, 1.0)
+    w, _, _ = quad_weights(grid, -1.0, 1.0)
     tent = np.clip(1.0 - np.abs(x), 0.0, None)
     assert float(w @ tent) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quad_weights_empty_slit():
     grid = Grid(0.05, 4.0)
-    w = quad_weights(grid, 0.011, 0.039)  # no node strictly inside
+    w, _, _ = quad_weights(grid, 0.011, 0.039)  # no node strictly inside
     assert w.sum() == 0.0
 
 
@@ -182,11 +182,10 @@ def test_step_frozen_equilibrium():
     cfg = SimConfig(dx=0.1, dt=0.1, t_end=1.0, domain_cap=30.0)
     grid = Grid(cfg.dx, cfg.domain_cap)
     state = flat_state(grid, -25.0, 25.0, 1.0, 1.0)
-    nxt = step(p, cfg, state, freeze_boundaries=True)
+    nxt = step(p, cfg, state)
     core = np.abs(grid.x) <= 25.0 - 4.0 * 1.0 - cfg.dx
     assert np.abs(nxt.u[core] - 1.0).max() < 1e-8
     assert np.abs(nxt.v[core] - 1.0).max() < 1e-8
-    assert nxt.g == state.g and nxt.h == state.h
 
 
 def test_step_symmetry_preserved():
@@ -286,7 +285,7 @@ def test_nonlocal_term_matches_stencil_convolution():
     grid = Grid(0.05, 4.0)
     rng = np.random.default_rng(12)
     g, h = -1.37, 1.81
-    w = quad_weights(grid, g, h)
+    w, _, _ = quad_weights(grid, g, h)
     dens = np.where(w > 0.0, rng.uniform(0.0, 1.0, grid.n), 0.0)
     conv = _conv(w * dens, _stencil(kern, grid.dx, grid.n - 1))
     for idx in np.nonzero(w)[0][::17]:
@@ -623,8 +622,7 @@ def test_occupied_fluxes_match_full_grid(weight):
         "empty": (0.011, 0.039),
     }
     for name, (g, h) in fronts.items():
-        w, lo, hi = quad_weights(grid, g, h, with_span=True)
-        assert w.tobytes() == quad_weights(grid, g, h).tobytes()
+        w, lo, hi = quad_weights(grid, g, h)
         assert np.array_equal(np.nonzero(w)[0], np.arange(lo, hi)), name
         inside = w > 0.0
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
@@ -649,10 +647,10 @@ def _front_fluxes(p, grid, w, u, v, g, h):
     return flux_h, flux_g
 
 
-def _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen):
+def _full_grid_rates(p, grid, st1, st2, u, v, g, h):
     """The stage as it was before it moved to the occupied window: every grid
     node is convolved and combined, then masked to the interior."""
-    w = quad_weights(grid, g, h)
+    w, _, _ = quad_weights(grid, g, h)
     inside = w > 0.0
     conv_u = _conv(w * u, st1)
     conv_v = _conv(w * v, st2)
@@ -662,8 +660,6 @@ def _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen):
         p.d2 * conv_v - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0)),
         0.0,
     )
-    if frozen:
-        return du, dv, 0.0, 0.0
     flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
     return du, dv, -p.mu * flux_g, p.mu * flux_h
 
@@ -694,23 +690,21 @@ def test_window_stage_matches_full_grid(kernel, weight):
         "empty": (0.011, 0.039),
     }
     for name, (g, h) in fronts.items():
-        _, lo, hi = quad_weights(grid, g, h, with_span=True)
+        _, lo, hi = quad_weights(grid, g, h)
         inside = (x > g) & (x < h)
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
-        for frozen in (False, True):
-            ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h, frozen)
-            got = _rates(p, grid, st1, st2, u, v, g, h, frozen)
-            case = f"{name}, frozen={frozen}"
-            for ref_d, got_d in zip(ref[:2], got[:2]):
-                assert got_d.shape == ref_d.shape
-                assert not got_d[:lo].any() and not got_d[hi:].any(), case
-                assert np.abs(got_d - ref_d).max() <= 1e-12 * np.abs(ref_d).max(), case
-            assert got[2:] == pytest.approx(ref[2:], rel=1e-12, abs=0.0), case
-            if name == "empty" or frozen:
-                assert got[2:] == (0.0, 0.0), case
-            else:
-                assert got[2] < 0.0 < got[3], case
+        ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h)
+        got = _rates(p, grid, st1, st2, u, v, g, h)
+        for ref_d, got_d in zip(ref[:2], got[:2]):
+            assert got_d.shape == ref_d.shape
+            assert not got_d[:lo].any() and not got_d[hi:].any(), name
+            assert np.abs(got_d - ref_d).max() <= 1e-12 * np.abs(ref_d).max(), name
+        assert got[2:] == pytest.approx(ref[2:], rel=1e-12, abs=0.0), name
+        if name == "empty":
+            assert got[2:] == (0.0, 0.0), name
+        else:
+            assert got[2] < 0.0 < got[3], name
 
 
 @pytest.mark.parametrize("weight", ["tail_of_J1", "constant_on", "table"], ids=str)
@@ -734,7 +728,7 @@ def test_recorded_rates_are_the_stage_rates(kernel, weight):
     st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
     for k in range(30):
         state = step(p, cfg, state)
-        _, _, g_rate, h_rate = _rates(p, grid, st1, st2, state.u, state.v, state.g, state.h, False)
+        _, _, g_rate, h_rate = _rates(p, grid, st1, st2, state.u, state.v, state.g, state.h)
         assert boundary_rates(p, state) == (h_rate, g_rate), f"step {k + 1}"
     assert state.h > 1.0 + cfg.dx and state.g < -1.0 - cfg.dx
 
@@ -752,7 +746,7 @@ def test_boundary_rates_match_full_grid_front_law(weight):
         "empty": (0.011, 0.039),
     }
     for name, (g, h) in fronts.items():
-        w = quad_weights(grid, g, h)
+        w, _, _ = quad_weights(grid, g, h)
         u = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
         flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
@@ -812,7 +806,7 @@ def test_frozen_interval_rates_integrate_with_the_endpoint_trapezoid_rule():
 def window_lambda(p, grid: Grid, g: float, h: float) -> float:
     """lambda_p of the frozen linearization on the occupied window, by a full
     eigvalsh of the window operator with exactly evaluated kernel entries."""
-    w, lo, hi = quad_weights(grid, g, h, with_span=True)
+    w, lo, hi = quad_weights(grid, g, h)
     x = grid.x[lo:hi]
     exact = lambda kernel: kernel_eval(kernel, x[:, None] - x[None, :])
     mat = coupled_operator(w[lo:hi], exact, p.kernel1, p.kernel2, p.d1, p.d2, p.a, p.b, p.e, gprime0(p))
@@ -914,7 +908,7 @@ def test_the_window_operator_takes_the_eigen_solvers_kernel_entries(monkeypatch)
 
     monkeypatch.setattr(sim, "coupled_operator", capture)
     window_lambda_positive(p, state)
-    _, lo, hi = quad_weights(grid, state.g, state.h, with_span=True)
+    _, lo, hi = quad_weights(grid, state.g, state.h)
     x = grid.x[lo:hi]
     want = [_kernel_matrix(kernel, x) for kernel in (p.kernel1, p.kernel2)]
     assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "epifront"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -93,3 +94,23 @@ def test_every_public_exception_is_handled_by_main():
             if issubclass(cls, BaseException) and not issubclass(cls, handled):
                 unhandled.append(f"{module}:{node.name}")
     assert not unhandled, f"exceptions that cli.main does not map to an exit code: {unhandled}"
+
+
+def _tracer_hooks() -> list:
+    """(module, attribute) of every HOOKS entry of the benchmark's tracer, read
+    from its source (parsed, not imported: nothing is compiled or cached)."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    hooks = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    )
+    return [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in hooks.elts]
+
+
+def test_every_benchmark_hook_resolves():
+    # The benchmark traces the program by replacing these module attributes;
+    # a name removed from src/ would leave its hook silently missing.
+    hooks = _tracer_hooks()
+    assert hooks
+    missing = [f"{module}.{attr}" for module, attr in hooks if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"benchmark tracer hooks with no program attribute: {missing}"

@@ -118,6 +118,6 @@ def test_front_fluxes_are_nonnegative_for_every_W_valid_weight(case):
     assume(validate_weight(p.weight, REACH).ok)
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(0.0, 10.0, (2, FLUX_GRID.n)) * (rng.random((2, FLUX_GRID.n)) < 0.8)
-    w, lo, hi = quad_weights(FLUX_GRID, g, h, with_span=True)
+    w, lo, hi = quad_weights(FLUX_GRID, g, h)
     flux_h, flux_g = _occupied_fluxes(p, FLUX_GRID, w, lo, hi, u, v, g, h)
     assert flux_h >= 0.0 and flux_g >= 0.0

@@ -21,7 +21,7 @@ from epifront import (
     vanishing_mu_bound,
 )
 from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
-from epifront.simulator import Grid, SimState, stability_limit, window_lambda_positive
+from epifront.simulator import Grid, SimState, spreading_stop_width, stability_limit, window_lambda_positive
 from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lambda_on_interval
 from helpers import bump_profile, make_params, random_intermediate_params
 
@@ -70,11 +70,11 @@ def test_d_star_needs_supercritical():
 
 def test_d_star_crossing_and_agreement():
     p = make_params(alpha=2.0)
-    ds = find_d_star(p, 1.0, 1.0, h0=1.0)
+    ds = find_d_star(p)
     assert lam_half(p, 1.0, d1=ds, d2=ds) == pytest.approx(0.0, abs=1e-6)
     assert lam_half(p, 1.0, d1=0.9 * ds, d2=0.9 * ds) < 0.0
     assert lam_half(p, 1.0, d1=1.1 * ds, d2=1.1 * ds) > 0.0
-    ds2 = find_d_star(p, 1.0, 1.0, h0=1.0, n=482)
+    ds2 = find_d_star(p, n=482)
     assert abs(ds - ds2) < 1e-3
 
 
@@ -133,7 +133,7 @@ def test_d_star_dominates_lower_bound_random():
     rng = np.random.default_rng(31)
     for _ in range(6):
         p = random_intermediate_params(rng)
-        ds = find_d_star(p, p.d1, p.d2, n=161)
+        ds = find_d_star(p, n=161)
         assert ds >= d_star_lower_bound(p) - 1e-6
 
 
@@ -425,23 +425,19 @@ def _decayed_run(p, bump):
 
 
 @pytest.mark.parametrize(
-    "status, positive, outcome, runs",
+    "status, outcome, runs",
     [
-        ("completed", True, "vanishing", 4),
-        ("stopped_decayed", True, "vanishing", 1),
-        ("completed", False, None, 4),
-        ("stopped_decayed", False, None, 1),
-        ("unstable", True, None, 1),
-        ("domain_exhausted", True, None, 1),
+        ("completed", "vanishing", 4),
+        ("stopped_decayed", "vanishing", 1),
+        ("unstable", None, 1),
+        ("domain_exhausted", None, 1),
     ],
 )
-def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(
-    monkeypatch, status, positive, outcome, runs
-):
+def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(monkeypatch, status, outcome, runs):
     # Only where the search used to fail: at the last horizon of a completed
-    # run and for a stopped_decayed run. There a decayed, stalled run whose
-    # window eigenvalue is positive is vanishing; unstable and exhausted runs
-    # still fail the search.
+    # run and for a stopped_decayed run. There a decayed, stalled run is
+    # vanishing (its own certificate found the window eigenvalue positive at
+    # its final row); unstable and exhausted runs still fail the search.
     import epifront.thresholds as thr
 
     p = make_params(alpha=2.0, h0=0.4, mu=0.01)
@@ -455,10 +451,27 @@ def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(
 
     monkeypatch.setattr(thr, "run", fake_run)
     monkeypatch.setattr(thr, "classify", lambda *args: "undecided")
-    monkeypatch.setattr(thr, "window_lambda_positive", lambda q, state: positive)
     if outcome is None:
         with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
             thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6)
     else:
         assert thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6) == outcome
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize("t_end, status", [(7.0, "completed"), (60.0, "stopped_decayed")])
+def test_a_certified_run_that_reaches_its_last_chance_has_a_positive_window(t_end, status):
+    # A certified run checks its window at every recorded row before its
+    # decay check, and records its final step (here off the record cadence
+    # at t_end=7), so the last-chance rule never needs a second window solve.
+    p = make_params(alpha=2.0, h0=0.4, mu=0.01)
+    bump = bump_profile(0.4)
+    Ls = find_L_star(p)
+    cfg = replace(MU_CFG, t_end=t_end)
+    traj = run(p, cfg, bump, bump, stop_width=spreading_stop_width(Ls, cfg), certify_spreading=True)
+    assert traj.status == status
+    assert window_lambda_positive(p, traj.final_state)
+    if status == "stopped_decayed":
+        import epifront.thresholds as thr
+
+        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, Ls) == "vanishing"
