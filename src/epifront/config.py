@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import KERNEL_SHAPE_FIELD, KernelSpec, WeightSpec
+from .kernels import KERNEL_SHAPE_FIELD, WEIGHT_FAMILIES, KernelSpec, WeightSpec
 from .model import InfectionFn, ModelParams, validate_constants, validate_params
 from .simulator import SimConfig, stability_limit, validate_sim_config
 from .spectral import EIGEN_NODES, MIN_EIGEN_NODES
@@ -185,32 +185,37 @@ def _read(sec: _Section, cls, required=()) -> dict:
     return values
 
 
+def _family(sec: _Section, noun: str, families, default=None):
+    """The block's family when it is one of `families`, else None after one
+    line (`missing`, or an unknown family); the block's other keys belong to
+    that family, so the caller then reads none of them."""
+    family = sec.get("family", default, required=default is None)
+    if family is not None and not (isinstance(family, str) and family in families):
+        sec.issues.append(f"{sec.path}.family: unknown {noun} family {family!r}")
+        return None
+    return family
+
+
 def _parse_kernel(sec: _Section | None, issues: list):
-    if sec is None:
+    if sec is None or (family := _family(sec, "kernel", KERNEL_SHAPE_FIELD)) is None:
         return None
-    family = sec.get("family", required=True)
     spec = None
-    if isinstance(family, str) and family in KERNEL_SHAPE_FIELD:  # a JSON list is unhashable
-        shape = KERNEL_SHAPE_FIELD[family]
-        values = {shape: sec.number(shape, required=True)}
-        if family == "power_tail":
-            values["cutoff"] = sec.number("cutoff", 1.0)
-        if values[shape] is not None:  # a missing or wrong-typed shape is already reported
-            try:
-                spec = KernelSpec(family, **values)
-            except ValueError as err:
-                issues.append(f"{sec.path}: {err}")
-    elif family is not None:  # the other keys belong to an unknown family: not reported
-        issues.append(f"{sec.path}.family: unknown kernel family {family!r}")
-        return None
+    shape = KERNEL_SHAPE_FIELD[family]
+    values = {shape: sec.number(shape, required=True)}
+    if family == "power_tail":
+        values["cutoff"] = sec.number("cutoff", 1.0)
+    if values[shape] is not None:  # a missing or wrong-typed shape is already reported
+        try:
+            spec = KernelSpec(family, **values)
+        except ValueError as err:
+            issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
     return spec
 
 
 def _parse_weight(sec: _Section | None, issues: list):
-    if sec is None:
+    if sec is None or (family := _family(sec, "weight", WEIGHT_FAMILIES)) is None:
         return None
-    family = sec.get("family", required=True)
     spec = None
     try:
         if family == "kernel_tail":
@@ -221,13 +226,10 @@ def _parse_weight(sec: _Section | None, issues: list):
             radius, height = sec.number("radius", required=True), sec.number("height", required=True)
             if radius is not None and height is not None:
                 spec = WeightSpec.constant_on(radius, height)
-        elif family == "table":
+        else:
             points = sec.get("points", required=True)
             if points is not None:
                 spec = WeightSpec.table(points)
-        elif family is not None:
-            issues.append(f"{sec.path}.family: unknown weight family {family!r}")
-            return None
     except (ValueError, TypeError) as err:
         issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
@@ -235,11 +237,7 @@ def _parse_weight(sec: _Section | None, issues: list):
 
 
 def _parse_infection(sec: _Section | None, issues: list):
-    if sec is None:
-        return None
-    family = sec.get("family", "saturating")
-    if family != "saturating":
-        issues.append(f"{sec.path}.family: unknown infection family {family!r}")
+    if sec is None or _family(sec, "infection", ("saturating",), "saturating") is None:
         return None
     alpha = sec.number("alpha", required=True)
     lam = sec.number("lambda", 1.0)
@@ -256,9 +254,8 @@ def _parse_infection(sec: _Section | None, issues: list):
 
 
 def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
-    if sec is None:
+    if sec is None or (family := _family(sec, "profile", ("bump", "cosine", "scaled"))) is None:
         return None
-    family = sec.get("family", required=True)
     spec = None
     if family in ("bump", "cosine"):
         amp = sec.number("amplitude", 1.0)
@@ -266,20 +263,16 @@ def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
             spec = ProfileSpec(family, amplitude=amp)
         elif amp is not None:
             issues.append(f"{sec.path}.amplitude: must be > 0")
-    elif family == "scaled":
-        if depth >= 4:
-            issues.append(f"{sec.path}: scaled profiles nested too deep")
-        else:
-            sig = sec.number("sigma", required=True)
-            base = _parse_profile(sec.subsection("base", required=True), issues, depth + 1)
-            if sig is not None and base is not None:
-                if sig > 0.0:
-                    spec = ProfileSpec("scaled", sigma=sig, base=base)
-                else:
-                    issues.append(f"{sec.path}.sigma: must be > 0")
-    elif family is not None:
-        issues.append(f"{sec.path}.family: unknown profile family {family!r}")
-        return None
+    elif depth >= 4:
+        issues.append(f"{sec.path}: scaled profiles nested too deep")
+    else:
+        sig = sec.number("sigma", required=True)
+        base = _parse_profile(sec.subsection("base", required=True), issues, depth + 1)
+        if sig is not None and base is not None:
+            if sig > 0.0:
+                spec = ProfileSpec("scaled", sigma=sig, base=base)
+            else:
+                issues.append(f"{sec.path}.sigma: must be > 0")
     sec.flag_unknown()
     return spec
 

@@ -29,7 +29,7 @@ TAIL_CUTOFF_MASS = 1e-10
 
 # Each kernel family and the KernelSpec field holding its shape parameter.
 KERNEL_SHAPE_FIELD = {"uniform": "radius", "gaussian": "std", "laplace": "scale", "power_tail": "exponent"}
-_WEIGHT_FAMILIES = ("kernel_tail", "constant_on", "table")
+WEIGHT_FAMILIES = ("kernel_tail", "constant_on", "table")
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,29 @@ class KernelSpec:
         return cls("power_tail", exponent=float(exponent), cutoff=float(cutoff))
 
 
-def _power_norm(spec: KernelSpec) -> float:
-    # Unit mass: 2*c*x0^(1-g)*(1 + 1/(g-1)) = 1  with x0 = cutoff, g = exponent.
-    g, x0 = spec.exponent, spec.cutoff
-    return (g - 1.0) / (2.0 * g) * x0 ** (g - 1.0)
+def _split(a):
+    """Veltkamp split of a into a 26-bit head and the exact remainder."""
+    t = 134217729.0 * a  # 2**27 + 1
+    head = t - (t - a)
+    return head, a - head
+
+
+def _cutoff_ratio_power(x0: float, ax, g: float):
+    """(x0 / max(|x|, x0))**g, with the quotient's rounding put back.
+
+    Raising the rounded quotient q alone would multiply its rounding by g.
+    The remainder r = x0 - q*m is exact (Dekker's two-product, with m scaled
+    into [0.5, 1) so the split cannot overflow), and x0/m = q (1 + r/x0) to
+    first order, so the power is q**g * exp(g r / x0).
+    """
+    mant, ex = np.frexp(np.maximum(ax, x0))
+    num = np.ldexp(x0, -ex)
+    q = num / mant
+    with np.errstate(invalid="ignore"):  # |x| = inf: q = 0 and r is NaN
+        prod = q * mant
+        (qh, ql), (mh, ml) = _split(q), _split(mant)
+        r = (num - prod) - (((qh * mh - prod) + qh * ml + ql * mh) + ql * ml)
+    return q**g * np.exp(g * np.nan_to_num(r) / num)
 
 
 def kernel_eval(spec: KernelSpec, x):
@@ -104,8 +123,10 @@ def kernel_eval(spec: KernelSpec, x):
     elif spec.family == "laplace":
         out = np.exp(-ax / spec.scale) / (2.0 * spec.scale)
     else:
-        c = _power_norm(spec)
-        out = c * np.maximum(ax, spec.cutoff) ** (-spec.exponent)
+        # Scale-free, so no power of x0 alone overflows: the plateau height
+        # (g-1)/(2 g x0) times (x0/|x|)^g beyond x0, which gives unit mass.
+        g, x0 = spec.exponent, spec.cutoff
+        out = (g - 1.0) / (2.0 * g * x0) * _cutoff_ratio_power(x0, ax, g)
     return float(out) if out.ndim == 0 else out
 
 
@@ -126,10 +147,8 @@ def kernel_tail(spec: KernelSpec, x):
         out = 0.5 * np.exp(-ax / spec.scale)
     else:
         g, x0 = spec.exponent, spec.cutoff
-        c = _power_norm(spec)
-        plateau = c * np.maximum(x0 - ax, 0.0) * x0 ** (-g)
-        decay = c * np.maximum(ax, x0) ** (1.0 - g) / (g - 1.0)
-        out = plateau + decay
+        plateau = (g - 1.0) / (2.0 * g * x0) * np.maximum(x0 - ax, 0.0)
+        out = plateau + _cutoff_ratio_power(x0, ax, g - 1.0) / (2.0 * g)
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,9 +165,8 @@ def support_radius(spec: KernelSpec) -> float:
     if spec.family == "laplace":
         return spec.scale * math.log(0.5 / TAIL_CUTOFF_MASS)
     g = spec.exponent
-    c = _power_norm(spec)
     try:
-        return (c / (TAIL_CUTOFF_MASS * (g - 1.0))) ** (1.0 / (g - 1.0))
+        return spec.cutoff * (2.0 * g * TAIL_CUTOFF_MASS) ** (-1.0 / (g - 1.0))
     except OverflowError:
         return math.inf
 
@@ -177,7 +195,7 @@ class WeightSpec:
     ys: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.family not in _WEIGHT_FAMILIES:
+        if self.family not in WEIGHT_FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
         if self.family == "kernel_tail" and self.kernel is None:
             raise ValueError("kernel_tail weight needs a kernel")
@@ -258,8 +276,6 @@ class WeightReport:
 
     ok: bool
     value_at_zero: float
-    min_value: float
-    sup_value: float
     lipschitz: float
     messages: tuple
 
@@ -291,8 +307,6 @@ def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
     return WeightReport(
         ok=not messages,
         value_at_zero=w0,
-        min_value=float(vals.min()),
-        sup_value=float(vals.max()),
         lipschitz=float(slopes.max()),
         messages=tuple(messages),
     )

@@ -249,10 +249,7 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     """
     w, lo, hi = quad_weights(state.grid, state.g, state.h)
     x = state.grid.x[lo:hi]
-    mat = coupled_operator(
-        w[lo:hi], lambda kernel: _kernel_matrix(kernel, x), p.kernel1, p.kernel2,
-        p.d1, p.d2, p.a, p.b, p.e, gprime0(p),
-    )
+    mat = coupled_operator(w[lo:hi], lambda kernel: _kernel_matrix(kernel, x), p)
     try:
         np.linalg.cholesky(-mat)
     except np.linalg.LinAlgError:

@@ -1,11 +1,15 @@
 """Principal eigenvalue of the coupled nonlocal dispersal-reaction operator.
 
 Implements:
+  - The eigen problem as the model on an interval: EigenProblem holds the
+    ModelParams, [L1, L2] and the node count, and nothing else.
   - Collocation of the block operator
         K = D N - D + A,
     on a uniform grid over [L1, L2], where N applies the two kernel
     convolutions restricted to the interval, D = diag(d1/e, d2/g0), and
         A = [[-a/e, 1], [1, -b/g0]],   g0 = G'(0).
+    These four ratios are formed in one place (_scaling), which the
+    operator, the variational check and both bounds read.
     The convolution rows carry composite-trapezoid weights (trapezoid_weights,
     shared with the frozen-interval run and the vanishing bound); the matrix
     is conjugated by sqrt(weights) so the discrete operator is exactly
@@ -14,8 +18,8 @@ Implements:
     round-off.
   - The principal eigenvalue lambda_p = -(largest eigenvalue) with its
     positive eigenfunction pair and a Rayleigh-quotient residual. Only the
-    top eigenpair is computed (LAPACK dsyevr); the other 2n - 1 eigenvectors
-    are never formed.
+    top eigenpair is computed (LAPACK dsyevr); the other 2n - 1
+    eigenvectors are never formed.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
   - Closed-form bounds: the zero-diffusion limit (also the global lower
@@ -25,7 +29,7 @@ Implements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh, toeplitz
@@ -44,18 +48,11 @@ class SpectralError(NumericalFailure):
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """Interval eigenvalue problem for the coupled dispersal operator."""
+    """The model's linearized operator on [L1, L2], collocated on n nodes."""
 
+    params: ModelParams
     L1: float
     L2: float
-    d1: float
-    d2: float
-    a: float
-    b: float
-    e: float
-    g0: float  # G'(0)
-    kernel1: KernelSpec
-    kernel2: KernelSpec
     n: int = EIGEN_NODES
 
     def __post_init__(self) -> None:
@@ -63,10 +60,10 @@ class EigenProblem:
             raise ValueError("interval must have positive length")
         if self.n < MIN_EIGEN_NODES:
             raise ValueError(f"need at least {MIN_EIGEN_NODES} nodes")
-        for name in ("a", "b", "e", "g0"):
-            if not getattr(self, name) > 0.0:
+        for name in ("a", "b", "e"):
+            if not getattr(self.params, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.d1 < 0.0 or self.d2 < 0.0:
+        if self.params.d1 < 0.0 or self.params.d2 < 0.0:
             raise ValueError("diffusion rates must be >= 0")
 
     @classmethod
@@ -79,19 +76,10 @@ class EigenProblem:
         d1: float | None = None,
         d2: float | None = None,
     ) -> "EigenProblem":
-        return cls(
-            L1=L1,
-            L2=L2,
-            d1=params.d1 if d1 is None else d1,
-            d2=params.d2 if d2 is None else d2,
-            a=params.a,
-            b=params.b,
-            e=params.e,
-            g0=gprime0(params),
-            kernel1=params.kernel1,
-            kernel2=params.kernel2,
-            n=n,
-        )
+        """The problem of `params` on [L1, L2], with d1 and/or d2 overridden when given."""
+        d1 = params.d1 if d1 is None else d1
+        d2 = params.d2 if d2 is None else d2
+        return cls(replace(params, d1=d1, d2=d2), L1, L2, n)
 
 
 @dataclass(frozen=True)
@@ -121,8 +109,14 @@ def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     return toeplitz(kernel_eval(kernel, x - x[0]))
 
 
-def coupled_operator(w: np.ndarray, kernel_matrix, kernel1, kernel2, d1, d2, a, b, e, g0) -> np.ndarray:
-    """The symmetric 2n x 2n matrix of K = DN - D + A on n nodes.
+def _scaling(p: ModelParams):
+    """(d1/e, d2/g0, a/e, b/g0), g0 = G'(0): the diagonal of D and of A."""
+    g0 = gprime0(p)
+    return p.d1 / p.e, p.d2 / g0, p.a / p.e, p.b / g0
+
+
+def coupled_operator(w: np.ndarray, kernel_matrix, p: ModelParams) -> np.ndarray:
+    """The symmetric 2n x 2n matrix of K = DN - D + A of model p on n nodes.
 
     kernel_matrix(kernel) gives the kernel values J(x_j - x_k) at the node
     pairs, formed only while its block is filled; w holds the quadrature
@@ -136,8 +130,8 @@ def coupled_operator(w: np.ndarray, kernel_matrix, kernel1, kernel2, d1, d2, a, 
     diag = np.arange(n)
     mat = np.zeros((2 * n, 2 * n))
     mat[diag, diag + n] = mat[diag + n, diag] = 1.0
-    blocks = ((kernel1, d1 / e, a / e), (kernel2, d2 / g0, b / g0))
-    for i, (kernel, c, react) in enumerate(blocks):
+    c1, c2, a_e, b_g = _scaling(p)
+    for i, (kernel, c, react) in enumerate(((p.kernel1, c1, a_e), (p.kernel2, c2, b_g))):
         blk = c * (sw[:, None] * kernel_matrix(kernel) * sw[None, :])
         blk[diag, diag] -= c + react
         block = slice(i * n, (i + 1) * n)
@@ -149,10 +143,7 @@ def assemble_operator(problem: EigenProblem) -> np.ndarray:
     """Assemble the collocation matrix of K = DN - D + A (coupled_operator)
     on the problem's grid with its trapezoid weights."""
     x, _, w = _grid(problem)
-    return coupled_operator(
-        w, lambda kernel: _kernel_matrix(kernel, x), problem.kernel1, problem.kernel2,
-        problem.d1, problem.d2, problem.a, problem.b, problem.e, problem.g0,
-    )
+    return coupled_operator(w, lambda kernel: _kernel_matrix(kernel, x), problem.params)
 
 
 def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
@@ -163,16 +154,21 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     subset_by_index, LAPACK's MRRR driver dsyevr); the eigenfunctions are
     recovered in density coordinates (divide out the sqrt-weight
     conjugation) and normalized to unit discrete L2 norm.
-    Raises SpectralError when the computed eigenvector is not positive, the
-    signature of a grid too coarse for the kernel support.
+    Raises SpectralError when the computed eigenvector is not positive, or
+    dsyevr returns none, the signatures of a grid too coarse for the kernel
+    support.
     """
     mat = assemble_operator(problem)
     x, _, w = _grid(problem)
     top_index = mat.shape[0] - 1
     vals, vecs = eigh(mat, subset_by_index=[top_index, top_index], driver="evr")
+    n = problem.n
+    if vals.size == 0:  # MRRR can return no pair for a tight cluster at the top
+        raise SpectralError(
+            None, f"no principal eigenpair found; refine the grid (n={n}, kernel support vs spacing mismatch)"
+        )
     top = vecs[:, 0]
     lam_p = -float(vals[0])
-    n = problem.n
     sw = np.sqrt(w)
     phi1 = top[:n] / sw
     phi2 = top[n:] / sw
@@ -197,11 +193,11 @@ def variational_value(problem: EigenProblem, phi1: np.ndarray, phi2: np.ndarray)
     lambda_p at the eigenpair and is >= lambda_p for every other pair.
     """
     x, _, w = _grid(problem)
-    t1 = _kernel_matrix(problem.kernel1, x)
-    t2 = _kernel_matrix(problem.kernel2, x)
+    t1 = _kernel_matrix(problem.params.kernel1, x)
+    t2 = _kernel_matrix(problem.params.kernel2, x)
     q1 = t1 @ w  # interval-restricted kernel mass at each node
     q2 = t2 @ w
-    c1, c2 = problem.d1 / problem.e, problem.d2 / problem.g0
+    c1, c2, a_e, b_g = _scaling(problem.params)
     wp1, wp2 = w * phi1, w * phi2
 
     def pair_energy(t, q, phi, wp):
@@ -210,8 +206,6 @@ def variational_value(problem: EigenProblem, phi1: np.ndarray, phi2: np.ndarray)
 
     energy = 0.5 * c1 * pair_energy(t1, q1, phi1, wp1)
     energy += 0.5 * c2 * pair_energy(t2, q2, phi2, wp2)
-    a_e = problem.a / problem.e
-    b_g = problem.b / problem.g0
     react = (-a_e - c1 + c1 * q1) * phi1**2 + 2.0 * phi1 * phi2
     react += (-b_g - c2 + c2 * q2) * phi2**2
     energy -= np.sum(w * react)
@@ -224,22 +218,23 @@ def rayleigh_check(problem: EigenProblem, result: EigenResult) -> float:
     return abs(variational_value(problem, result.phi1, result.phi2) - result.lambda_p)
 
 
+def _pair_bound(c1: float, c2: float, a_e: float, b_g: float) -> float:
+    """Smallest eigenvalue of the 2 x 2 matrix [[c1 + a_e, -1], [-1, c2 + b_g]]."""
+    return 0.5 * (a_e + b_g + c1 + c2 - math.sqrt((a_e - b_g + c1 - c2) ** 2 + 4.0))
+
+
 def zero_diffusion_limit(a: float, b: float, e: float, g0: float) -> float:
-    """Limit of lambda_p as both dispersal rates vanish; also the global
-    lower bound, minus the top eigenvalue of the reaction block A."""
-    a_e, b_g = a / e, b / g0
-    return 0.5 * (a_e + b_g - math.sqrt((a_e - b_g) ** 2 + 4.0))
+    """Limit of lambda_p as both dispersal rates vanish, minus the top
+    eigenvalue of the reaction block A: lower_bound for callers holding the
+    four constants as plain numbers rather than a model."""
+    return _pair_bound(0.0, 0.0, a / e, b / g0)
 
 
 def upper_bound_d2(problem: EigenProblem) -> float:
     """Constant-test-pair upper bound on lambda_p."""
-    a_e = problem.a / problem.e
-    b_g = problem.b / problem.g0
-    c1 = problem.d1 / problem.e
-    c2 = problem.d2 / problem.g0
-    return 0.5 * (a_e + b_g + c1 + c2 - math.sqrt((a_e - b_g + c1 - c2) ** 2 + 4.0))
+    return _pair_bound(*_scaling(problem.params))
 
 
 def lower_bound(problem: EigenProblem) -> float:
     """Global lower bound on lambda_p from the reaction block alone."""
-    return zero_diffusion_limit(problem.a, problem.b, problem.e, problem.g0)
+    return _pair_bound(0.0, 0.0, *_scaling(problem.params)[2:])

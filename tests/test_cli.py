@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from epifront.cli import main
@@ -539,6 +539,31 @@ def test_an_unknown_family_is_reported_once(path, block, noun):
     assert parse_config_dict(data) == (None, [f"config.{where}.family: unknown {noun} family {family!r}"])
 
 
+@pytest.mark.parametrize(
+    "path, block, where",
+    [
+        (("model", "kernel1"), {"std": 0.5}, "model.kernel1"),
+        (("model", "weight"), {"radius": 1.0, "height": 1.0}, "model.weight"),
+        (("model", "weight"), {"family": "kernel_tail", "kernel": {"radius": 1.0}}, "model.weight.kernel"),
+        (("initial", "u0"), {"amplitude": 2.0}, "initial.u0"),
+        (("initial", "u0"), {"family": "scaled", "sigma": 2.0, "base": {"amplitude": 2.0}}, "initial.u0.base"),
+    ],
+    ids=["kernel", "weight", "weight-kernel", "profile", "scaled-base"],
+)
+def test_a_missing_family_is_reported_once(path, block, where):
+    # Without a family the block's other keys have no meaning to check.
+    data = deep(BASE_CONFIG)
+    data[path[0]][path[1]] = block
+    assert parse_config_dict(data) == (None, [f"config.{where}.family: missing"])
+
+
+def test_an_infection_without_a_family_is_saturating():
+    data = deep(BASE_CONFIG)
+    del data["model"]["infection"]["family"]
+    cfg, issues = parse_config_dict(data)
+    assert issues == [] and cfg.params.infection.alpha == 0.5
+
+
 def test_null_value_means_default():
     data = deep(BASE_CONFIG)
     data["numerics"]["t_end"] = None
@@ -957,6 +982,38 @@ def test_every_admitted_kernel_has_a_radius_and_validates(tmp_path, capsys, kern
     assert main(["validate", write_config(tmp_path, data)]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+SHAPES = st.floats(-3.0, math.log10(30.0)).map(lambda k: 10.0**k)
+EIGEN_KERNELS = st.one_of(
+    st.builds(lambda r: {"family": "uniform", "radius": r}, SHAPES),
+    st.builds(lambda s: {"family": "gaussian", "std": s}, SHAPES),
+    st.builds(lambda s: {"family": "laplace", "scale": s}, SHAPES),
+    st.builds(
+        lambda g, c: {"family": "power_tail", "exponent": g, "cutoff": c},
+        st.floats(1.0, 500.0, exclude_min=True) | st.just(500.0),
+        SHAPES,
+    ),
+)
+
+
+@settings(
+    derandomize=True, database=None, max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(EIGEN_KERNELS, EIGEN_KERNELS, st.integers(16, 64))
+@example({"family": "power_tail", "exponent": 500.0, "cutoff": 0.1}, {"family": "uniform", "radius": 1.0}, 48)
+def test_the_eigen_layer_exits_0_2_or_3_with_at_most_one_stderr_line(tmp_path, capsys, kern1, kern2, n):
+    # The CLI contract for every kernel the parser admits: a result, or a
+    # classified failure on one line, never a traceback.
+    data = json.loads((CONFIG_DIR / "threshold_search.json").read_text())
+    data["model"].update(kernel1=kern1, kernel2=kern2)
+    data["eigen"] = {"L1": -1.0, "L2": 1.0, "n": n}
+    data["thresholds"] = {"n": n}
+    path = write_config(tmp_path, data)
+    for argv in (["eigen", path], ["thresholds", path, "--target", "Lstar"], ["thresholds", path, "--target", "dstar"]):
+        assert main(argv) in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
 
 
 def test_simulate_runs_a_heavy_tailed_model(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Kernel and weight behavior: point values, tails, moments, validity reports."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -144,6 +145,44 @@ def test_normalization_power_tail_quadrature(spec):
     body, _ = quad(lambda s: kernel_eval(spec, s), 0.0, spec.cutoff)
     tail, _ = quad(lambda s: kernel_eval(spec, s), spec.cutoff, np.inf)
     assert 2.0 * (body + tail) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("cutoff", [0.1, 10.0])
+def test_a_steep_power_tail_keeps_unit_mass_and_finite_values(cutoff):
+    # cutoff**(exponent - 1) alone under- or overflows at exponent 500; the
+    # kernel, its tail mass and its support radius must not.
+    spec = KernelSpec.power_tail(500.0, cutoff)
+    xs = np.linspace(0.0, 3.0 * cutoff, 3001)
+    vals, tails = kernel_eval(spec, xs), kernel_tail(spec, xs)
+    assert np.isfinite(vals).all() and np.isfinite(tails).all() and tails.min() >= 0.0
+    assert vals[0] == pytest.approx(499.0 / (1000.0 * cutoff), rel=1e-15)
+    body, _ = quad(lambda s: kernel_eval(spec, s), 0.0, cutoff)
+    tail, _ = quad(lambda s: kernel_eval(spec, s), cutoff, np.inf)
+    assert 2.0 * (body + tail) == pytest.approx(1.0, abs=1e-8)
+    assert kernel_tail(spec, 0.0) == 0.5 and kernel_tail(spec, cutoff) == pytest.approx(1.0 / 1000.0, rel=1e-15)
+    radius = support_radius(spec)
+    assert cutoff < radius < 2.0 * cutoff
+    assert kernel_tail(spec, radius) == pytest.approx(1e-10, rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 3.0, 50.0, 500.0])
+def test_power_tail_values_are_within_5e_16_of_the_exact_ones(exponent):
+    # (x0/|x|)^g from a rounded quotient alone would be off by about g/2 ulp.
+    g = Decimal(exponent)
+    for cutoff in (0.1, 0.7, 3.0):
+        x0 = Decimal(cutoff)
+        xs = cutoff * np.concatenate([np.linspace(0.0, 2.0, 161), 1.0 + np.linspace(1e-9, 1e-2, 40)])
+        spec = KernelSpec.power_tail(exponent, cutoff)
+        vals, tails = kernel_eval(spec, xs), kernel_tail(spec, xs)
+        assert kernel_eval(spec, math.inf) == 0.0 and kernel_tail(spec, math.inf) == 0.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for x, val, tail in zip(xs, vals, tails):
+                ratio = x0 / max(Decimal(x), x0)
+                exact = (g - 1) / (2 * g * x0) * ratio**g
+                exact_tail = (g - 1) / (2 * g * x0) * max(x0 - Decimal(x), 0) + ratio ** (g - 1) / (2 * g)
+                assert abs(Decimal(val) / exact - 1) <= Decimal("5e-16"), (cutoff, x)
+                assert abs(Decimal(tail) / exact_tail - 1) <= Decimal("5e-16"), (cutoff, x)
 
 
 @pytest.mark.parametrize("spec", ALL_KERNELS)

@@ -38,7 +38,7 @@ from epifront.simulator import (
     window_lambda_positive,
 )
 from epifront.kernels import kernel_eval, kernel_tail, weight_eval
-from epifront.model import gprime0, infection_value
+from epifront.model import infection_value
 from epifront.spectral import EigenProblem, _kernel_matrix, coupled_operator, principal_eigenvalue
 from helpers import bump_profile, make_params
 
@@ -809,7 +809,7 @@ def window_lambda(p, grid: Grid, g: float, h: float) -> float:
     w, lo, hi = quad_weights(grid, g, h)
     x = grid.x[lo:hi]
     exact = lambda kernel: kernel_eval(kernel, x[:, None] - x[None, :])
-    mat = coupled_operator(w[lo:hi], exact, p.kernel1, p.kernel2, p.d1, p.d2, p.a, p.b, p.e, gprime0(p))
+    mat = coupled_operator(w[lo:hi], exact, p)
     return -float(np.linalg.eigvalsh(mat)[-1])
 
 
@@ -902,9 +902,9 @@ def test_the_window_operator_takes_the_eigen_solvers_kernel_entries(monkeypatch)
     state = flat_state(grid, -0.913, 1.237, 1.0, 0.5)
     blocks = []
 
-    def capture(w, kernel_matrix, *args):
-        blocks.extend(kernel_matrix(kernel) for kernel in (p.kernel1, p.kernel2))
-        return coupled_operator(w, kernel_matrix, *args)
+    def capture(w, kernel_matrix, model):
+        blocks.extend(kernel_matrix(kernel) for kernel in (model.kernel1, model.kernel2))
+        return coupled_operator(w, kernel_matrix, model)
 
     monkeypatch.setattr(sim, "coupled_operator", capture)
     window_lambda_positive(p, state)

@@ -1,5 +1,7 @@
 """Interval eigenvalue: structure, closed forms, monotonicity, convergence."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -221,13 +223,14 @@ def test_eigenpair_satisfies_collocated_system_pointwise():
     from epifront.kernels import kernel_eval
     from scipy.linalg import toeplitz
 
-    t1 = toeplitz(kernel_eval(prob.kernel1, x - x[0]))
-    t2 = toeplitz(kernel_eval(prob.kernel2, x - x[0]))
+    t1 = toeplitz(kernel_eval(prob.params.kernel1, x - x[0]))
+    t2 = toeplitz(kernel_eval(prob.params.kernel2, x - x[0]))
     conv1 = t1 @ (w * res.phi1)
     conv2 = t2 @ (w * res.phi2)
-    c1, c2 = prob.d1 / prob.e, prob.d2 / prob.g0
-    r1 = c1 * (conv1 - res.phi1) - (prob.a / prob.e) * res.phi1 + res.phi2 + res.lambda_p * res.phi1
-    r2 = c2 * (conv2 - res.phi2) + res.phi1 - (prob.b / prob.g0) * res.phi2 + res.lambda_p * res.phi2
+    q, g0 = prob.params, prob.params.infection.alpha
+    c1, c2 = q.d1 / q.e, q.d2 / g0
+    r1 = c1 * (conv1 - res.phi1) - (q.a / q.e) * res.phi1 + res.phi2 + res.lambda_p * res.phi1
+    r2 = c2 * (conv2 - res.phi2) + res.phi1 - (q.b / g0) * res.phi2 + res.lambda_p * res.phi2
     assert np.abs(r1).max() < 1e-12
     assert np.abs(r2).max() < 1e-12
 
@@ -259,17 +262,46 @@ def test_problem_validation():
         EigenProblem.from_params(p, -1.0, 1.0, n=8)
 
 
+@pytest.mark.parametrize(
+    "constants, overrides",
+    [({"a": 0.0}, {}), ({"b": -1.0}, {}), ({"e": 0.0}, {}), ({"d1": -0.5}, {}), ({}, {"d1": -0.5}), ({}, {"d2": -1e-3})],
+)
+def test_problem_rejects_model_constants_out_of_range(constants, overrides):
+    p = replace(make_params(), **constants)  # ModelParams itself takes any value
+    with pytest.raises(ValueError):
+        EigenProblem.from_params(p, -1.0, 1.0, n=32, **overrides)
+
+
+def test_a_diffusion_override_is_the_model_with_those_rates():
+    p = make_params(alpha=2.0, kernel=KernelSpec.gaussian(0.4), kernel2=KernelSpec.laplace(0.3))
+    overridden = EigenProblem.from_params(p, -1.0, 1.5, 64, d1=0.3, d2=2.0)
+    model = EigenProblem.from_params(replace(p, d1=0.3, d2=2.0), -1.0, 1.5, 64)
+    assert overridden == model and [f.name for f in fields(EigenProblem)] == ["params", "L1", "L2", "n"]
+    assert principal_eigenvalue(overridden).lambda_p == principal_eigenvalue(model).lambda_p
+
+
+def test_a_kernel_far_narrower_than_the_grid_is_a_spectral_error():
+    # The v block is then nearly a multiple of the identity, a tight cluster
+    # at the top of the spectrum for which dsyevr has returned no pair.
+    p = make_params(
+        alpha=2.0, d1=2.0**20, d2=2.0**20, kernel=KernelSpec.laplace(10**0.5), kernel2=KernelSpec.gaussian(1e-3)
+    )
+    with pytest.raises(SpectralError):
+        principal_eigenvalue(problem(p, -0.4, 0.4, n=33))
+
+
 def block_assembly_reference(prob):
     """The assembly as it was before it filled the blocks in place: np.block
     of the four blocks, then the whole matrix symmetrized."""
     x, _, w = _grid(prob)
     sw = np.sqrt(w)
-    b1 = sw[:, None] * _kernel_matrix(prob.kernel1, x) * sw[None, :]
-    b2 = sw[:, None] * _kernel_matrix(prob.kernel2, x) * sw[None, :]
+    b1 = sw[:, None] * _kernel_matrix(prob.params.kernel1, x) * sw[None, :]
+    b2 = sw[:, None] * _kernel_matrix(prob.params.kernel2, x) * sw[None, :]
     eye = np.eye(prob.n)
-    c1, c2 = prob.d1 / prob.e, prob.d2 / prob.g0
-    top = c1 * b1 - (c1 + prob.a / prob.e) * eye
-    bot = c2 * b2 - (c2 + prob.b / prob.g0) * eye
+    q, g0 = prob.params, prob.params.infection.alpha
+    c1, c2 = q.d1 / q.e, q.d2 / g0
+    top = c1 * b1 - (c1 + q.a / q.e) * eye
+    bot = c2 * b2 - (c2 + q.b / g0) * eye
     mat = np.block([[top, eye], [eye, bot]])
     return 0.5 * (mat + mat.T)
 
