@@ -43,10 +43,10 @@ from .spectral import (
     EigenProblem,
     EigenResult,
     assemble_operator,
+    lower_bound,
     principal_eigenvalue,
     rayleigh_check,
     upper_bound_d2,
-    zero_diffusion_limit,
 )
 from .thresholds import (
     BisectionResult,

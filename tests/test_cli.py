@@ -902,6 +902,65 @@ def test_missing_output_directory_is_reported_before_any_solve(tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["eigen", "thresholds", "sweep"])
+def test_an_output_path_that_is_a_directory_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("epifront.cli.find_L_star", _no_solve)
+    monkeypatch.setattr("epifront.cli.principal_eigenvalue", _no_solve)
+    monkeypatch.setattr("epifront.cli._sweep_one", _no_solve)
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["eigen"] = {"L1": -2.0, "L2": 2.0, "n": 48}
+    path = write_config(tmp_path, data)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    if command == "eigen":
+        argv = ["eigen", path, "--dump", str(taken)]
+    elif command == "thresholds":
+        argv = ["thresholds", path, "--target", "Lstar", "--out", str(taken)]
+    else:
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"parameter": "mu", "values": [0.1, 0.2], "config": data, "output": str(taken)}))
+        argv = ["sweep", str(spec)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    prefix = "invalid sweep spec" if command == "sweep" else "file error"
+    assert captured.err == f"{prefix}: output path is a directory: {taken}\n"
+    assert captured.out == ""
+    leftover = {p.name for p in tmp_path.iterdir()} - {"config.json", "sweep.json"}
+    assert leftover == {"taken"} and not any(taken.iterdir())
+
+
+def test_a_sweep_spec_with_unknown_keys_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("epifront.cli._sweep_one", _no_solve)
+    out = tmp_path / "s.csv"
+    spec = {"parameter": "mu", "values": [0.1], "config": deep(BASE_CONFIG), "output": str(out)}
+    spec.update(worker=2, valuez=[1])
+    err = _sweep_error(tmp_path, capsys, spec)
+    assert err == "invalid sweep spec: unknown key 'worker'\ninvalid sweep spec: unknown key 'valuez'\n"
+    assert not out.exists()
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    (outdir / "trajectory.csv").mkdir(parents=True)  # the rename onto it fails
+    data = deep(BASE_CONFIG)
+    data["output"]["directory"] = str(outdir)
+    assert main(["simulate", write_config(tmp_path, data)]) == 2
+    _assert_file_error(capsys)
+    assert sorted(p.name for p in outdir.iterdir()) == ["trajectory.csv"]
+
+    from epifront.cli import _write
+
+    def failing_rows():
+        yield "t,x\n"
+        raise OSError("disk full")
+
+    target = tmp_path / "rows.csv"
+    with pytest.raises(OSError, match="disk full"):
+        _write(str(target), failing_rows())
+    assert not target.exists() and not (tmp_path / "rows.csv.tmp").exists()
+
+
 def test_a_search_failure_in_simulate_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
     from epifront.thresholds import ThresholdSearchError
 

@@ -27,7 +27,7 @@ from epifront.simulator import (
     Trajectory,
     _conv,
     _density_rates,
-    _occupied_fluxes,
+    _front_rates,
     _rates,
     _stencil,
     check_initial_pair,
@@ -439,7 +439,7 @@ def test_front_refinement_deltas_shrink():
 
 def test_fixed_boundary_decay_when_eigenvalue_positive():
     p = make_params(alpha=2.0)
-    lam = principal_eigenvalue(EigenProblem.from_params(p, -0.4, 0.4, n=200)).lambda_p
+    lam = principal_eigenvalue(EigenProblem(p, -0.4, 0.4, 200)).lambda_p
     assert lam > 0.0
     x, u, v = fixed_boundary_run(
         p, -0.4, 0.4, lambda s: 0.5 * np.ones_like(s), lambda s: 0.5 * np.ones_like(s),
@@ -627,8 +627,9 @@ def test_occupied_fluxes_match_full_grid(weight):
         inside = w > 0.0
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
-        ref = _front_fluxes(p, grid, w, u, v, g, h)
-        got = _occupied_fluxes(p, grid, w, lo, hi, u, v, g, h)
+        flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
+        ref = (p.mu * flux_h, -p.mu * flux_g)
+        got = _front_rates(p, grid, w, lo, hi, u, v, g, h)
         if name == "empty":
             assert lo == hi and ref == got == (0.0, 0.0)
         else:

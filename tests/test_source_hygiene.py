@@ -1,9 +1,11 @@
 """Source guards over the package: no unused import, no orphaned private
-name, no public exception that the CLI would let escape as a traceback."""
+name, no public exception that the CLI would let escape as a traceback, and
+no README reference to an attribute that does not exist."""
 
 import ast
 import builtins
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,47 @@ def test_every_benchmark_hook_resolves():
     assert hooks
     missing = [f"{module}.{attr}" for module, attr in hooks if not hasattr(importlib.import_module(module), attr)]
     assert not missing, f"benchmark tracer hooks with no program attribute: {missing}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# A backticked dotted name, optionally called: `spectral._scaling`, `simulator.run(...)`.
+_DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+_FILE_SUFFIXES = {"csv", "json", "md", "py", "toml", "txt", "tmp"}
+
+
+def _resolve_head(name: str):
+    """The object a reference's first name denotes: a module (epifront's own
+    first), or a name defined in any epifront module; None when unknown."""
+    for module in (f"epifront.{name}", name):
+        try:
+            return importlib.import_module(module)
+        except ImportError:
+            pass
+    for module in MODULES:
+        loaded = importlib.import_module(f"epifront.{module[:-3]}" if module != "__init__.py" else "epifront")
+        if hasattr(loaded, name):
+            return getattr(loaded, name)
+    return None
+
+
+def _resolves(ref: str) -> bool:
+    head, *rest = ref.split(".")
+    obj = _resolve_head(head)
+    for i, name in enumerate(rest):
+        if obj is None:
+            return False
+        if not hasattr(obj, name):
+            # A dataclass field without a default is no class attribute.
+            return i == len(rest) - 1 and name in getattr(obj, "__dataclass_fields__", {})
+        obj = getattr(obj, name)
+    return obj is not None
+
+
+def test_every_readme_reference_resolves():
+    # `module.attr` and `Class.attr` in the README name attributes that exist,
+    # so the docs cannot keep naming an API after it is deleted.
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    refs = sorted({ref for ref in _DOTTED.findall(text) if ref.rsplit(".", 1)[1] not in _FILE_SUFFIXES})
+    assert refs
+    broken = [ref for ref in refs if not _resolves(ref)]
+    assert not broken, f"README names attributes that do not exist: {broken}"

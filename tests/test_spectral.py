@@ -11,10 +11,10 @@ from epifront import (
     assemble_operator,
     principal_eigenvalue,
     rayleigh_check,
+    lower_bound,
     upper_bound_d2,
-    zero_diffusion_limit,
 )
-from epifront.spectral import SpectralError, _grid, _kernel_matrix, lower_bound, variational_value
+from epifront.spectral import SpectralError, _grid, _kernel_matrix, variational_value
 from helpers import make_params
 
 # Frozen two-level Richardson oracle for the uniform-kernel benchmark below
@@ -23,7 +23,7 @@ UNIFORM_BENCH_LAMBDA = -0.2286593544716568
 
 
 def problem(p, L1=-2.0, L2=2.0, n=400, **kw):
-    return EigenProblem.from_params(p, L1, L2, n=n, **kw)
+    return EigenProblem(replace(p, **kw), L1, L2, n)
 
 
 # kernel1 of each case paired with a kernel2 of another family.
@@ -38,7 +38,7 @@ KERNEL_PAIRS = {
 def pair_problem(family, n, d1=1.0, d2=1.0):
     k1, k2 = KERNEL_PAIRS[family]
     p = make_params(alpha=2.0, kernel=k1, kernel2=k2)
-    return EigenProblem.from_params(p, -1.0, 1.0, n=n, d1=d1, d2=d2)
+    return EigenProblem(replace(p, d1=d1, d2=d2), -1.0, 1.0, n)
 
 
 def power_method_top(mat: np.ndarray, iters: int = 4000) -> float:
@@ -83,7 +83,7 @@ def test_zero_diffusion_limit_value():
     p = make_params(alpha=2.0)
     res = principal_eigenvalue(problem(p, d1=1e-8, d2=1e-8))
     assert res.lambda_p == pytest.approx(-0.280776, abs=1e-6)
-    assert res.lambda_p == pytest.approx(zero_diffusion_limit(1, 1, 1, 2), abs=1e-7)
+    assert res.lambda_p == pytest.approx(lower_bound(problem(p)), abs=1e-7)
 
 
 def test_zero_diffusion_symmetric_case():
@@ -257,9 +257,9 @@ def test_power_iteration_cross_check():
 def test_problem_validation():
     p = make_params()
     with pytest.raises(ValueError):
-        EigenProblem.from_params(p, 1.0, 1.0)
+        EigenProblem(p, 1.0, 1.0)
     with pytest.raises(ValueError):
-        EigenProblem.from_params(p, -1.0, 1.0, n=8)
+        EigenProblem(p, -1.0, 1.0, 8)
 
 
 @pytest.mark.parametrize(
@@ -269,15 +269,11 @@ def test_problem_validation():
 def test_problem_rejects_model_constants_out_of_range(constants, overrides):
     p = replace(make_params(), **constants)  # ModelParams itself takes any value
     with pytest.raises(ValueError):
-        EigenProblem.from_params(p, -1.0, 1.0, n=32, **overrides)
+        EigenProblem(replace(p, **overrides), -1.0, 1.0, 32)
 
 
 def test_a_diffusion_override_is_the_model_with_those_rates():
-    p = make_params(alpha=2.0, kernel=KernelSpec.gaussian(0.4), kernel2=KernelSpec.laplace(0.3))
-    overridden = EigenProblem.from_params(p, -1.0, 1.5, 64, d1=0.3, d2=2.0)
-    model = EigenProblem.from_params(replace(p, d1=0.3, d2=2.0), -1.0, 1.5, 64)
-    assert overridden == model and [f.name for f in fields(EigenProblem)] == ["params", "L1", "L2", "n"]
-    assert principal_eigenvalue(overridden).lambda_p == principal_eigenvalue(model).lambda_p
+    assert [f.name for f in fields(EigenProblem)] == ["params", "L1", "L2", "n"]
 
 
 def test_a_kernel_far_narrower_than_the_grid_is_a_spectral_error():

@@ -26,9 +26,8 @@ from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lam
 from helpers import bump_profile, make_params, random_intermediate_params
 
 
-def lam_half(p, L, n=241, d1=None, d2=None):
-    prob = EigenProblem.from_params(p, -L, L, n=n, d1=d1, d2=d2)
-    return principal_eigenvalue(prob).lambda_p
+def lam_half(p, L, n=241, **rates):
+    return principal_eigenvalue(EigenProblem(replace(p, **rates), -L, L, n)).lambda_p
 
 
 def test_L_star_regime_errors():
