@@ -73,12 +73,24 @@ def _write(path: str, chunks) -> None:
 
 
 def _output_path_issue(path: str) -> str | None:
-    """Why path cannot take an output file (a missing directory, or a
-    directory at path itself), else None."""
+    """Why path cannot take an output file written by _write (a missing
+    directory, or a directory at path or at its temporary path.tmp), else
+    None."""
     folder = os.path.dirname(path)
     if not os.path.isdir(folder or "."):
         return f"output directory does not exist: {folder}"
-    return f"output path is a directory: {path}" if os.path.isdir(path) else None
+    if os.path.isdir(path):
+        return f"output path is a directory: {path}"
+    tmp = path + ".tmp"
+    return f"temporary output path is a directory: {tmp}" if os.path.isdir(tmp) else None
+
+
+def _check_outputs(*paths: str) -> None:
+    """Raise OSError for the first path that cannot take an output file;
+    called before any solve or run, not after it."""
+    for path in paths:
+        if issue := _output_path_issue(path):
+            raise OSError(issue)
 
 
 def _load(path: str):
@@ -108,6 +120,10 @@ def _cmd_simulate(args, cfg) -> int:
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
     outdir = cfg.output.directory
     os.makedirs(outdir, exist_ok=True)
+    trajectory, snapshots, summary_path = (
+        os.path.join(outdir, name) for name in ("trajectory.csv", "snapshots.csv", "summary.json")
+    )
+    _check_outputs(trajectory, summary_path, *([snapshots] if cfg.output.snapshots else []))
 
     l_star = effective_L_star(p, n=cfg.thresholds.n)
     traj = run(p, num, u0, v0, record_snapshots=cfg.output.snapshots)
@@ -124,7 +140,7 @@ def _cmd_simulate(args, cfg) -> int:
         refinement_note = f"coarse companion run at dx={2.0 * num.dx:g} is infeasible: {err}"
 
     _write(
-        os.path.join(outdir, "trajectory.csv"),
+        trajectory,
         _csv(("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v"), _trajectory_rows(traj)),
     )
     if cfg.output.snapshots:
@@ -132,7 +148,7 @@ def _cmd_simulate(args, cfg) -> int:
         for t, x, u, v in traj.snapshots:
             for j in range(x.size):
                 rows.append((float(t), float(x[j]), float(u[j]), float(v[j])))
-        _write(os.path.join(outdir, "snapshots.csv"), _csv(("t", "x", "u", "v"), rows))
+        _write(snapshots, _csv(("t", "x", "u", "v"), rows))
     summary = {
         "classification": outcome,
         "status": traj.status,
@@ -149,7 +165,7 @@ def _cmd_simulate(args, cfg) -> int:
         "refinement_note": refinement_note,
         "config": cfg.raw,
     }
-    _write(os.path.join(outdir, "summary.json"), (json.dumps(summary, indent=2), "\n"))
+    _write(summary_path, (json.dumps(summary, indent=2), "\n"))
     print(f"classification={outcome} status={traj.status} h_end={_fmt(traj.h[-1])}")
     if traj.status in ("unstable", "domain_exhausted"):
         print(f"numerical failure: run ended {traj.status}; last recorded t={traj.t[-1]:.6g}", file=sys.stderr)
@@ -159,9 +175,11 @@ def _cmd_simulate(args, cfg) -> int:
 
 def _cmd_ode(args, cfg) -> int:
     p = cfg.params
-    states = integrate_ode(p, cfg.ode.u0, cfg.ode.v0, cfg.ode.t_end, cfg.ode.dt)
     outdir = cfg.output.directory
     os.makedirs(outdir, exist_ok=True)
+    out = os.path.join(outdir, "ode.csv")
+    _check_outputs(out)
+    states = integrate_ode(p, cfg.ode.u0, cfg.ode.v0, cfg.ode.t_end, cfg.ode.dt)
     balanced = abs(r0(p) - 1.0) <= 1e-12
     if balanced:
         series = lyapunov_series(p, states)
@@ -170,7 +188,7 @@ def _cmd_ode(args, cfg) -> int:
     else:
         header = ("t", "u", "v")
         rows = [(s.t, s.u, s.v) for s in states]
-    _write(os.path.join(outdir, "ode.csv"), _csv(header, rows))
+    _write(out, _csv(header, rows))
     last = states[-1]
     print(f"t={_fmt(last.t)} u={_fmt(last.u)} v={_fmt(last.v)}")
     return 0
@@ -180,8 +198,8 @@ def _cmd_eigen(args, cfg) -> int:
     if cfg.eigen is None:
         print("invalid config: eigen block required for the eigen subcommand", file=sys.stderr)
         return 2
-    if args.dump and (issue := _output_path_issue(args.dump)):
-        raise OSError(issue)  # before the solve, not after it
+    if args.dump:
+        _check_outputs(args.dump)
     problem = EigenProblem(cfg.params, cfg.eigen.L1, cfg.eigen.L2, cfg.eigen.n)
     result = principal_eigenvalue(problem)
     residual = rayleigh_check(problem, result)
@@ -196,8 +214,8 @@ def _cmd_thresholds(args, cfg) -> int:
     p, thr = cfg.params, cfg.thresholds
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
-    if args.out and (issue := _output_path_issue(args.out)):
-        raise OSError(issue)  # before the search, not after it
+    if args.out:
+        _check_outputs(args.out)
     bracket = None if thr.bracket_lo is None else (thr.bracket_lo, thr.bracket_hi)  # parsed as a pair
     if args.target in ("Lstar", "dstar"):
         trace: list = []

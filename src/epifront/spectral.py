@@ -11,15 +11,18 @@ Implements:
     These four ratios are formed in one place (_scaling), which the
     operator, the variational check and both bounds read.
     The convolution rows carry composite-trapezoid weights (trapezoid_weights,
-    shared with the frozen-interval run and the vanishing bound); the matrix
-    is conjugated by sqrt(weights) so the discrete operator is exactly
-    symmetric with respect to the plain inner product (self-adjointness that
-    raw endpoint weights would break), then symmetrized once more to scrub
-    round-off.
+    shared with the frozen-interval run and the vanishing bound); the
+    operator is conjugated by sqrt(weights) so the discrete operator is
+    exactly symmetric with respect to the plain inner product
+    (self-adjointness that raw endpoint weights would break).
   - The principal eigenvalue lambda_p = -(largest eigenvalue) with its
-    positive eigenfunction pair and a Rayleigh-quotient residual. Only the
-    top eigenpair is computed (LAPACK dsyevr); the other 2n - 1
-    eigenvectors are never formed.
+    positive eigenfunction pair and a Rayleigh-quotient residual, by
+    implicitly restarted Lanczos (ARPACK, scipy.sparse.linalg.eigsh) on K
+    applied matrix-free: each kernel block is symmetric Toeplitz, J(x_j -
+    x_k), and is applied by FFT of its circulant embedding, so no n x n
+    array is formed. The start vector is fixed, so a solve is
+    bit-reproducible. The dense matrix (assemble_operator, coupled_operator)
+    is still built for the simulator's window certificate and for tests.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
   - Closed-form bounds: lower_bound, the zero-diffusion limit from the
@@ -32,7 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import toeplitz
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .kernels import KernelSpec, kernel_eval
 from .model import ModelParams, gprime0
@@ -40,10 +45,18 @@ from .ode import NumericalFailure
 
 EIGEN_NODES = 400  # default grid size of an eigen solve
 MIN_EIGEN_NODES = 16  # coarsest admissible grid
+# The top eigenvalue must lead the next by more than this many eps * ||K||_inf.
+# Within a tighter cluster Lanczos returns a vector that depends on its start
+# vector. Measured gap / (eps * bound): 0.6 and 2.9 on the two unresolved grids
+# the tests use, at least 3.8e6 on resolved ones, nearly degenerate d = 1e-8
+# included.
+MIN_GAP_EPS = 1e3
 
 
 class SpectralError(NumericalFailure):
-    """Discretization failure (non-positive principal eigenvector)."""
+    """Discretization failure: Lanczos found no converged principal
+    eigenpair, or one whose vector changes sign or whose eigenvalue is not
+    separated from the next."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +107,25 @@ def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     return toeplitz(kernel_eval(kernel, x - x[0]))
 
 
+def _toeplitz_product(kernels, x: np.ndarray):
+    """y -> T_i y_i for the kernel blocks T_i = J_i(x_j - x_k), i along axis
+    -2 of y, without forming T_i: each is symmetric Toeplitz and is applied by
+    FFT of its circulant embedding, whose spectrum is computed here once."""
+    n = x.size
+    m = next_fast_len(2 * n - 1, real=True)
+    col = np.zeros((len(kernels), m))
+    for i, kernel in enumerate(kernels):
+        t = kernel_eval(kernel, x - x[0])
+        col[i, :n] = t
+        col[i, m - n + 1:] = t[:0:-1]
+    spectrum = rfft(col).real  # the embedding is even, so its spectrum is real
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        return irfft(spectrum * rfft(y, m), m)[..., :n]
+
+    return apply
+
+
 def _scaling(p: ModelParams):
     """(d1/e, d2/g0, a/e, b/g0), g0 = G'(0): the diagonal of D and of A."""
     g0 = gprime0(p)
@@ -131,42 +163,64 @@ def assemble_operator(problem: EigenProblem) -> np.ndarray:
     return coupled_operator(w, lambda kernel: _kernel_matrix(kernel, x), problem.params)
 
 
+def _operator(problem: EigenProblem, x: np.ndarray, sw: np.ndarray):
+    """K = DN - D + A as a matrix-free LinearOperator, and a Gershgorin bound
+    on ||K||_inf. Each kernel block applies c sw T(sw y) - (c + react) y with
+    sw = sqrt(w); the identity coupling adds v to the u rows and u to the v
+    rows."""
+    p = problem.params
+    c1, c2, a_e, b_g = _scaling(p)
+    c = np.array([[c1], [c2]])
+    diag = c + np.array([[a_e], [b_g]])
+    conv = _toeplitz_product((p.kernel1, p.kernel2), x)
+    n = problem.n
+
+    def matvec(y: np.ndarray) -> np.ndarray:
+        y = y.reshape(2, n)
+        return (c * sw * conv(sw * y) - diag * y + y[::-1]).ravel()
+
+    row_sums = (sw * conv(np.stack([sw, sw]))).max(axis=1)
+    bound = 1.0 + float(np.max(c[:, 0] * row_sums + diag[:, 0]))
+    return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float), bound
+
+
 def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     """Principal eigenvalue with sign-normalized positive eigenfunction pair.
 
-    lambda_p is minus the largest eigenvalue of the assembled matrix, which
-    is solved for that one eigenpair only (scipy.linalg.eigh with
-    subset_by_index, LAPACK's MRRR driver dsyevr); the eigenfunctions are
-    recovered in density coordinates (divide out the sqrt-weight
-    conjugation) and normalized to unit discrete L2 norm.
-    Raises SpectralError when the computed eigenvector is not positive, or
-    dsyevr returns none, the signatures of a grid too coarse for the kernel
-    support.
+    lambda_p is minus the largest eigenvalue of K, found with the next one
+    by implicitly restarted Lanczos (eigsh, k=2, which="LA", tol=0) on the
+    matrix-free operator, from a fixed pseudorandom start vector that is not
+    mirror-even (an even start keeps the Krylov space even on a symmetric
+    interval). The eigenfunctions are recovered in density coordinates
+    (divide out the sqrt-weight conjugation) and normalized to unit discrete
+    L2 norm.
+    Raises SpectralError when Lanczos does not converge, when the computed
+    eigenvector is not positive, or when the top eigenvalue leads the next
+    by no more than MIN_GAP_EPS * eps * ||K||_inf (a cluster in which the
+    eigenvector is not determined): the signatures of a grid too coarse for
+    the kernel support.
     """
-    mat = assemble_operator(problem)
     x, _, w = _grid(problem)
-    top_index = mat.shape[0] - 1
-    vals, vecs = eigh(mat, subset_by_index=[top_index, top_index], driver="evr")
-    n = problem.n
-    if vals.size == 0:  # MRRR can return no pair for a tight cluster at the top
-        raise SpectralError(
-            None, f"no principal eigenpair found; refine the grid (n={n}, kernel support vs spacing mismatch)"
-        )
-    top = vecs[:, 0]
-    lam_p = -float(vals[0])
     sw = np.sqrt(w)
+    op, bound = _operator(problem, x, sw)
+    n = problem.n
+    grid_hint = f"refine the grid (n={n}, kernel support vs spacing mismatch)"
+    try:
+        vals, vecs = eigsh(op, k=2, which="LA", tol=0, rng=0)
+    except ArpackNoConvergence:
+        raise SpectralError(None, f"Lanczos found no principal eigenpair; {grid_hint}") from None
+    top = vecs[:, -1]
+    lam_p = -float(vals[-1])
     phi1 = top[:n] / sw
     phi2 = top[n:] / sw
     if phi1[n // 2] < 0.0:
         phi1, phi2, top = -phi1, -phi2, -top
     floor = -1e-10 * max(phi1.max(), phi2.max())
     if phi1.min() < floor or phi2.min() < floor:
-        raise SpectralError(
-            None,
-            "principal eigenvector has sign changes; refine the grid "
-            f"(n={n}, kernel support vs spacing mismatch)"
-        )
-    residual = abs(lam_p + float(top @ (mat @ top)))
+        raise SpectralError(None, f"principal eigenvector has sign changes; {grid_hint}")
+    if vals[-1] - vals[-2] <= MIN_GAP_EPS * np.finfo(float).eps * bound:
+        raise SpectralError(None, f"principal eigenvalue is not separated from the next; {grid_hint}")
+    residual = abs(lam_p + float(top @ op.matvec(top)))
     return EigenResult(lambda_p=lam_p, x=x, phi1=phi1, phi2=phi2, rayleigh_residual=residual)
 
 
@@ -178,19 +232,18 @@ def variational_value(problem: EigenProblem, phi1: np.ndarray, phi2: np.ndarray)
     lambda_p at the eigenpair and is >= lambda_p for every other pair.
     """
     x, _, w = _grid(problem)
-    t1 = _kernel_matrix(problem.params.kernel1, x)
-    t2 = _kernel_matrix(problem.params.kernel2, x)
-    q1 = t1 @ w  # interval-restricted kernel mass at each node
-    q2 = t2 @ w
-    c1, c2, a_e, b_g = _scaling(problem.params)
+    p = problem.params
     wp1, wp2 = w * phi1, w * phi2
+    # q_i = T_i w, the interval-restricted kernel mass at each node, and T_i (w phi_i)
+    (q1, q2), (twp1, twp2) = _toeplitz_product((p.kernel1, p.kernel2), x)(np.array([[w, w], [wp1, wp2]]))
+    c1, c2, a_e, b_g = _scaling(p)
 
-    def pair_energy(t, q, phi, wp):
+    def pair_energy(q, phi, wp, twp):
         # sum_jk w_j w_k J_jk (phi_j - phi_k)^2, expanded to avoid the n^2 loop
-        return 2.0 * (np.sum(w * q * phi**2) - wp @ (t @ wp))
+        return 2.0 * (np.sum(w * q * phi**2) - wp @ twp)
 
-    energy = 0.5 * c1 * pair_energy(t1, q1, phi1, wp1)
-    energy += 0.5 * c2 * pair_energy(t2, q2, phi2, wp2)
+    energy = 0.5 * c1 * pair_energy(q1, phi1, wp1, twp1)
+    energy += 0.5 * c2 * pair_energy(q2, phi2, wp2, twp2)
     react = (-a_e - c1 + c1 * q1) * phi1**2 + 2.0 * phi1 * phi2
     react += (-b_g - c2 + c2 * q2) * phi2**2
     energy -= np.sum(w * react)

@@ -961,6 +961,65 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     assert not target.exists() and not (tmp_path / "rows.csv.tmp").exists()
 
 
+@pytest.mark.parametrize("command", ["eigen", "thresholds", "sweep"])
+def test_a_temporary_output_path_that_is_a_directory_is_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Every output is written to <path>.tmp and renamed; a directory there
+    # made the write fail only after the whole solve, search or sweep.
+    monkeypatch.setattr("epifront.cli.find_L_star", _no_solve)
+    monkeypatch.setattr("epifront.cli.principal_eigenvalue", _no_solve)
+    monkeypatch.setattr("epifront.cli._sweep_one", _no_solve)
+    data = deep(BASE_CONFIG)
+    data["model"]["infection"]["alpha"] = 2.0
+    data["eigen"] = {"L1": -2.0, "L2": 2.0, "n": 48}
+    path = write_config(tmp_path, data)
+    out = tmp_path / "x.out"
+    taken = tmp_path / "x.out.tmp"
+    taken.mkdir()
+    if command == "eigen":
+        argv = ["eigen", path, "--dump", str(out)]
+    elif command == "thresholds":
+        argv = ["thresholds", path, "--target", "Lstar", "--out", str(out)]
+    else:
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"parameter": "mu", "values": [0.1, 0.2], "config": data, "output": str(out)}))
+        argv = ["sweep", str(spec)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    prefix = "invalid sweep spec" if command == "sweep" else "file error"
+    assert captured.err == f"{prefix}: temporary output path is a directory: {taken}\n"
+    assert captured.out == "" and not out.exists() and not any(taken.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        ("simulate", "trajectory.csv"),
+        ("simulate", "snapshots.csv"),
+        ("simulate", "summary.json"),
+        ("simulate", "summary.json.tmp"),
+        ("ode", "ode.csv"),
+    ],
+)
+def test_simulate_and_ode_check_every_output_file_before_any_run(tmp_path, capsys, monkeypatch, command, taken):
+    # A directory at any output file (or its temporary path) is exit 2 before
+    # L*, the run, its coarse companion or the ode integration.
+    monkeypatch.setattr("epifront.cli.effective_L_star", _no_solve)
+    monkeypatch.setattr("epifront.cli.run", _no_solve)
+    monkeypatch.setattr("epifront.cli.integrate_ode", _no_solve)
+    outdir = tmp_path / "out"
+    (outdir / taken).mkdir(parents=True)
+    data = deep(BASE_CONFIG)
+    data["output"] = {"directory": str(outdir), "snapshots": True}
+    assert main([command, write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    kind = "temporary output path" if taken.endswith(".tmp") else "output path"
+    assert captured.err == f"file error: {kind} is a directory: {outdir / taken}\n"
+    assert captured.out == ""
+    assert [p.name for p in outdir.iterdir()] == [taken]
+
+
 def test_a_search_failure_in_simulate_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
     from epifront.thresholds import ThresholdSearchError
 
@@ -1223,6 +1282,7 @@ def test_a_weight_violating_W_is_one_line_exit_2_before_any_solve(tmp_path, caps
 
     solves = []
     monkeypatch.setattr(spectral, "assemble_operator", lambda *a: solves.append(a))
+    monkeypatch.setattr(spectral, "eigsh", lambda *a, **k: solves.append(a))
     monkeypatch.setattr(sim, "step", lambda *a, **k: solves.append(a))
     path = _vanishing_with(tmp_path, NEGATIVE_WEIGHT)
     assert main([argv[0], path, *argv[1:]]) == 2

@@ -1,9 +1,14 @@
 """Interval eigenvalue: structure, closed forms, monotonicity, convergence."""
 
+import hashlib
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from epifront import (
     EigenProblem,
@@ -14,6 +19,7 @@ from epifront import (
     lower_bound,
     upper_bound_d2,
 )
+from epifront import spectral
 from epifront.spectral import SpectralError, _grid, _kernel_matrix, variational_value
 from helpers import make_params
 
@@ -278,7 +284,9 @@ def test_a_diffusion_override_is_the_model_with_those_rates():
 
 def test_a_kernel_far_narrower_than_the_grid_is_a_spectral_error():
     # The v block is then nearly a multiple of the identity, a tight cluster
-    # at the top of the spectrum for which dsyevr has returned no pair.
+    # at the top of the spectrum: dsyevr returned no pair for it, and its top
+    # two eigenvalues tie within 1e3 * eps * ||K||_inf, so the vector that
+    # Lanczos returns depends on its start vector.
     p = make_params(
         alpha=2.0, d1=2.0**20, d2=2.0**20, kernel=KernelSpec.laplace(10**0.5), kernel2=KernelSpec.gaussian(1e-3)
     )
@@ -353,3 +361,98 @@ def test_eigen_grid_weights_are_the_endpoint_trapezoid_rule():
     x, grid_dx, w = _grid(prob)
     assert grid_dx == dx and x.size == prob.n
     assert w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_PAIRS))
+@pytest.mark.parametrize("n", [400, 800])
+def test_lanczos_matches_the_dense_spectrum_on_fine_grids(family, n):
+    prob = pair_problem(family, n)
+    top = np.linalg.eigvalsh(assemble_operator(prob))[-1]
+    res = principal_eigenvalue(prob)
+    assert abs(res.lambda_p + top) <= 1e-12 * abs(top)
+    assert res.rayleigh_residual < 1e-12
+
+
+def _solve_digest(n):
+    res = principal_eigenvalue(pair_problem("gaussian", n))
+    parts = (np.float64(res.lambda_p), res.x, res.phi1, res.phi2, np.float64(res.rayleigh_residual))
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in parts)).hexdigest()
+
+
+def test_a_solve_is_bit_identical_across_calls_and_processes():
+    # The Lanczos start vector is fixed, not drawn from OS entropy.
+    first, second = (principal_eigenvalue(pair_problem("laplace", 241)) for _ in range(2))
+    for name in ("x", "phi1", "phi2"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+    assert (first.lambda_p, first.rayleigh_residual) == (second.lambda_p, second.rayleigh_residual)
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import test_spectral; print(test_spectral._solve_digest(97))"
+    here = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(here.parent / "src"), str(here)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == _solve_digest(97)
+
+
+def _tied_pair(op, **kwargs):
+    vec = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
+    return np.array([0.5, 0.5]), np.column_stack([vec, vec])
+
+
+def _no_convergence(op, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.zeros((op.shape[0], 0)))
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    [(_tied_pair, "principal eigenvalue is not separated from the next"),
+     (_no_convergence, "Lanczos found no principal eigenpair")],
+)
+def test_each_lanczos_failure_is_one_spectral_error(monkeypatch, fake, message):
+    # A tied top pair passes the sign check with a positive vector, but its
+    # eigenvector depends on the start vector; it must not be reported.
+    monkeypatch.setattr(spectral, "eigsh", fake)
+    with pytest.raises(SpectralError, match=message) as err:
+        principal_eigenvalue(problem(make_params(alpha=2.0), n=32))
+    assert "\n" not in str(err.value)
+
+
+def dense_variational_reference(prob, phi1, phi2):
+    """variational_value as it was with the two dense kernel matrices."""
+    x, _, w = _grid(prob)
+    t1 = _kernel_matrix(prob.params.kernel1, x)
+    t2 = _kernel_matrix(prob.params.kernel2, x)
+    q1, q2 = t1 @ w, t2 @ w
+    q, g0 = prob.params, prob.params.infection.alpha
+    c1, c2, a_e, b_g = q.d1 / q.e, q.d2 / g0, q.a / q.e, q.b / g0
+    wp1, wp2 = w * phi1, w * phi2
+
+    def pair_energy(t, qq, phi, wp):
+        return 2.0 * (np.sum(w * qq * phi**2) - wp @ (t @ wp))
+
+    energy = 0.5 * c1 * pair_energy(t1, q1, phi1, wp1) + 0.5 * c2 * pair_energy(t2, q2, phi2, wp2)
+    react = (-a_e - c1 + c1 * q1) * phi1**2 + 2.0 * phi1 * phi2 + (-b_g - c2 + c2 * q2) * phi2**2
+    energy -= np.sum(w * react)
+    return float(energy / np.sum(w * (phi1**2 + phi2**2)))
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_PAIRS))
+@pytest.mark.parametrize("n", [16, 241])
+def test_variational_value_matches_the_dense_kernel_formula(family, n):
+    prob = pair_problem(family, n)
+    rng = np.random.default_rng(n)
+    res = principal_eigenvalue(prob)
+    pairs = [(res.phi1, res.phi2), (np.ones(n), np.ones(n)), tuple(rng.uniform(0.05, 1.0, (2, n)))]
+    for phi1, phi2 in pairs:
+        want = dense_variational_reference(prob, phi1, phi2)
+        assert abs(variational_value(prob, phi1, phi2) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_no_n_by_n_matrix_is_formed_by_a_solve_or_its_check(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an n x n matrix was formed")
+
+    for name in ("assemble_operator", "coupled_operator", "_kernel_matrix", "toeplitz"):
+        monkeypatch.setattr(spectral, name, forbidden)
+    prob = pair_problem("uniform", 400)
+    res = principal_eigenvalue(prob)
+    assert rayleigh_check(prob, res) < 1e-12
