@@ -41,7 +41,11 @@ class InfectionFn:
 
 def infection_value(fn: InfectionFn, z):
     """G(z) for z >= 0. The denominator uses |z|^lam so that stray negative
-    round-off from explicit stages stays finite instead of producing NaN."""
+    round-off from explicit stages stays finite instead of producing NaN.
+    A Python float is evaluated in Python floats, the same operations in
+    the same order as the array path."""
+    if type(z) is float:
+        return fn.alpha * z / (1.0 + abs(z) ** fn.lam)
     za = np.asarray(z, dtype=float)
     out = fn.alpha * za / (1.0 + np.abs(za) ** fn.lam)
     return float(out) if out.ndim == 0 else out

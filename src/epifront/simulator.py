@@ -5,17 +5,20 @@ Implements:
     g(t) <= h(t) move continuously (never snapped to nodes) and quadrature
     uses fractional end cells, with densities pinned to zero at and beyond
     the fronts.
-  - Explicit classical 4-stage stepping (ode.rk4_step) of the density pair
-    together with the front ODEs
+  - Explicit classical 4-stage stepping (ode.rk4_step) of the density pair,
+    held as one (2, n) array y = (u, v), together with the front ODEs
         h' = mu * int_g^h [ u(x) W_J1(h-x) + rho v(x) W(h-x) ] dx
         g' = -mu * int_g^h [ u(x) W_J1(x-g) + rho v(x) W(x-g) ] dx,
     re-evaluated per stage. The dispersal operator is bounded, so the
     explicit scheme is stable under dt <= 0.9 / (d1+d2+a+b+e+G'(0)).
   - Stages evaluated on the occupied window [lo, hi), the nodes strictly
-    inside (g, h): convolutions by direct O(n_win*m) stencil products of the
-    window's weighted densities (kernel values tabulated at node offsets
-    once per kernel/grid pair; no FFT at this scale), and both front fluxes
-    from one tail evaluation and one mat-vec. Every other node has zero rate.
+    inside (g, h), found by bisecting the grid's node list: only the
+    window's quadrature weights are built, and the one product w * y[:, lo:hi]
+    feeds convolutions by direct O(n_win*m) stencil products (kernel values
+    tabulated at node offsets once per kernel/grid pair; no FFT at this
+    scale) and both front fluxes, from one tail evaluation and one mat-vec.
+    Every other node has zero rate. The density check (finite, round-off
+    clamp at -1e-14) runs once per step on y.
     The front rates (mu F_h, -mu F_g) are formed in one place, _front_rates,
     for the stage, the recorded rows, boundary_rates and the flux check. The
     fluxes are nonnegative by construction: run checks (W) and the initial
@@ -26,15 +29,17 @@ Implements:
     whose long-time profiles approach the unique positive steady state when
     the interval's principal eigenvalue is negative. fixed_boundary_run is
     its one integrator (step always moves the fronts). It shares the density
-    rates, the 4-stage step and the density check (finite, round-off clamp
-    at -1e-14) with the moving-front stepper.
+    rates, the 4-stage step and the density check with the moving-front
+    stepper.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - The sign of the principal eigenvalue of the frozen linearization on the
     occupied window (the eigen solver's operator and kernel entries on the
     simulator's nodes and weights; one Cholesky attempt). Runs of the threshold
     searches stop as `stopped_certified` once it is not positive, a
-    certificate of spreading; simulate and sweep runs never do.
+    certificate of spreading, and as `stopped_vanishing` once mu is at most
+    the search's vanishing level at the recorded state, a certificate of
+    vanishing (run's `certify`); simulate and sweep runs never do.
   - Resumable runs: run(resume=traj) continues every completed run from its
     final state, bit for bit like a fresh run at the longer horizon; a run
     that stopped early or failed is final.
@@ -43,6 +48,7 @@ Implements:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -74,6 +80,7 @@ class Grid:
         self.cap = half * self.dx
         self.x = np.arange(-half, half + 1) * self.dx
         self.n = self.x.size
+        self.nodes = self.x.tolist()  # the window lookups bisect this list
 
 
 @dataclass(frozen=True)
@@ -167,28 +174,32 @@ def _conv(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     return np.convolve(values, stencil)[m : m + values.size]
 
 
+def _window(grid: Grid, g: float, h: float):
+    """The occupied node range [lo, hi): the nodes strictly inside (g, h),
+    empty (lo == hi) when no node is. Bisects the grid's node list, which
+    gives np.searchsorted's indices without its per-call overhead."""
+    lo = bisect_right(grid.nodes, g)
+    return lo, max(lo, bisect_left(grid.nodes, h))
+
+
 def quad_weights(grid: Grid, g: float, h: float):
     """Trapezoid weights for int_g^h with fractional end cells, as (w, lo, hi).
 
     The integrand is taken linear between nodes and zero at the fronts, so
     the first and last interior nodes carry (dx + gap)/2 where gap is the
-    distance from the front to that node. Nodes outside (g, h) get weight 0,
-    so w doubles as the strict-interior mask of the occupied node range
-    [lo, hi), which is empty (lo == hi) when no node lies strictly inside.
+    distance from the front to that node. w holds the weights of the
+    occupied window [lo, hi) only (w[j - lo] for node j); every other node
+    has weight 0, and the window is empty (lo == hi) when no node lies
+    strictly inside (g, h).
     """
-    x, dx = grid.x, grid.dx
-    w = np.zeros(grid.n)
-    k = int(np.searchsorted(x, g, side="right"))
-    m = int(np.searchsorted(x, h, side="left")) - 1
-    if m < k:
-        m = k - 1
-    elif k == m:
-        w[k] = 0.5 * (h - g)
-    else:
-        w[k + 1 : m] = dx
-        w[k] = 0.5 * (dx + (x[k] - g))
-        w[m] = 0.5 * (dx + (h - x[m]))
-    return w, k, m + 1
+    lo, hi = _window(grid, g, h)
+    w = np.full(hi - lo, grid.dx)
+    if hi - lo == 1:
+        w[0] = 0.5 * (h - g)
+    elif hi > lo:
+        w[0] = 0.5 * (grid.dx + (grid.nodes[lo] - g))
+        w[-1] = 0.5 * (grid.dx + (h - grid.nodes[hi - 1]))
+    return w, lo, hi
 
 
 def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: np.ndarray, x: float) -> float:
@@ -199,28 +210,40 @@ def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: n
     """
     if not g <= x <= h:
         raise ValueError("evaluation point must lie in [g, h]")
-    w, _, _ = quad_weights(grid, g, h)
-    return float(np.sum(w * kernel_eval(kernel, x - grid.x) * density))
+    w, lo, hi = quad_weights(grid, g, h)
+    return float(np.sum(w * kernel_eval(kernel, x - grid.x[lo:hi]) * density[lo:hi]))
 
 
-def _front_rates(p: ModelParams, grid: Grid, w: np.ndarray, lo: int, hi: int, u, v, g: float, h: float):
+def _folds(p: ModelParams) -> bool:
+    """Whether the front weight is the J1 tail, so both fronts' fluxes share it."""
+    return p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1
+
+
+def _front_rates(p: ModelParams, x: np.ndarray, wy: np.ndarray, g: float, h: float, fold: bool):
     """Front rates (mu F_h, -mu F_g), F the sum of w (u T1 + rho v W) of the
-    distance to that front over the occupied nodes [lo, hi), T1 the J1 tail.
+    distance to that front over the occupied nodes x, T1 the J1 tail, with
+    wy = w * (u, v) on those nodes.
 
     Both fronts' J1 tails come from one kernel_tail call and both fluxes from
-    one mat-vec; a kernel_tail weight of kernel1 reuses the tails, with
-    u + rho v folded first.
+    one mat-vec; with `fold` (_folds: a kernel_tail weight of kernel1) the
+    tails serve as the weight too, with u + rho v folded first.
     """
-    x = grid.x[lo:hi]
     to_front = np.array((h - x, x - g))  # positive: occupied nodes lie strictly inside (g, h)
     tails = kernel_tail(p.kernel1, to_front)
-    wu, rwv = w[lo:hi] * u[lo:hi], p.rho * (w[lo:hi] * v[lo:hi])
-    if p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1:
-        flux_h, flux_g = tails @ (wu + rwv)
+    if fold:
+        flux_h, flux_g = tails @ (wy[0] + p.rho * wy[1])
     else:
         weights = weight_eval(p.weight, to_front)
-        flux_h, flux_g = np.hstack((tails, weights)) @ np.concatenate((wu, rwv))
+        flux_h, flux_g = np.hstack((tails, weights)) @ np.concatenate((wy[0], p.rho * wy[1]))
     return p.mu * float(flux_h), -p.mu * float(flux_g)
+
+
+def _occupied(state: SimState):
+    """(x, wy, lo, hi) of the occupied window of `state`: its nodes, the
+    densities times their quadrature weights, and its node range."""
+    w, lo, hi = quad_weights(state.grid, state.g, state.h)
+    wy = w * np.array((state.u[lo:hi], state.v[lo:hi]))
+    return state.grid.x[lo:hi], wy, lo, hi
 
 
 def boundary_rates(p: ModelParams, state: SimState):
@@ -229,8 +252,8 @@ def boundary_rates(p: ModelParams, state: SimState):
     Evaluated by the stage's own window code, so the rates equal the front
     rates of the first stage of a step from `state` bit for bit.
     """
-    w, lo, hi = quad_weights(state.grid, state.g, state.h)
-    return _front_rates(p, state.grid, w, lo, hi, state.u, state.v, state.g, state.h)
+    x, wy, _, _ = _occupied(state)
+    return _front_rates(p, x, wy, state.g, state.h, _folds(p))
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
@@ -245,7 +268,7 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     """
     w, lo, hi = quad_weights(state.grid, state.g, state.h)
     x = state.grid.x[lo:hi]
-    mat = coupled_operator(w[lo:hi], lambda kernel: _kernel_matrix(kernel, x), p)
+    mat = coupled_operator(w, lambda kernel: _kernel_matrix(kernel, x), p)
     try:
         np.linalg.cholesky(-mat)
     except np.linalg.LinAlgError:
@@ -253,41 +276,46 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     return True
 
 
-def _density_rates(p: ModelParams, w: np.ndarray, u: np.ndarray, v: np.ndarray, st1, st2):
-    """Dispersal-reaction rates (du, dv) of densities u, v with quadrature weights w."""
-    du = p.d1 * _conv(w * u, st1) - (p.d1 + p.a) * u + p.e * v
-    dv = p.d2 * _conv(w * v, st2) - (p.d2 + p.b) * v + infection_value(p.infection, np.maximum(u, 0.0))
-    return du, dv
+def _density_rates(p: ModelParams, wy: np.ndarray, y: np.ndarray, st1, st2, out: np.ndarray) -> np.ndarray:
+    """Dispersal-reaction rates of the density pair y = (u, v), written into
+    out; wy = w * y carries the quadrature weights w."""
+    out[0] = p.d1 * _conv(wy[0], st1) - (p.d1 + p.a) * y[0] + p.e * y[1]
+    out[1] = p.d2 * _conv(wy[1], st2) - (p.d2 + p.b) * y[1] + infection_value(p.infection, np.maximum(y[0], 0.0))
+    return out
 
 
-def _rates(p: ModelParams, grid: Grid, st1, st2, u, v, g, h):
-    """Stage rates (du, dv, g', h') evaluated on the occupied window [lo, hi).
+def _stage_rates(p: ModelParams, grid: Grid, st1, st2, fold: bool, y: np.ndarray, g: float, h: float):
+    """Stage rates (dy, g', h') of the density pair y = (u, v), evaluated on
+    the occupied window [lo, hi).
 
     Densities vanish outside the window, so the convolutions take only the
-    window's weighted values and du, dv are zero elsewhere.
+    window's weighted values, dy is zero elsewhere, and the one product
+    w * y[:, lo:hi] serves both the density and the front rates.
     """
     w, lo, hi = quad_weights(grid, g, h)
-    du, dv = np.zeros(grid.n), np.zeros(grid.n)
+    dy = np.zeros(y.shape)
     if lo == hi:
-        return du, dv, 0.0, 0.0
-    du[lo:hi], dv[lo:hi] = _density_rates(p, w[lo:hi], u[lo:hi], v[lo:hi], st1, st2)
-    h_rate, g_rate = _front_rates(p, grid, w, lo, hi, u, v, g, h)
-    return du, dv, g_rate, h_rate
+        return dy, 0.0, 0.0
+    win = y[:, lo:hi]
+    wy = w * win
+    _density_rates(p, wy, win, st1, st2, dy[:, lo:hi])
+    h_rate, g_rate = _front_rates(p, grid.x[lo:hi], wy, g, h, fold)
+    return dy, g_rate, h_rate
 
 
-def _check_densities(t: float, u: np.ndarray, v: np.ndarray) -> None:
-    """Abort on non-finite or clearly negative densities; clamp round-off in place."""
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+def _check_densities(t: float, y: np.ndarray) -> None:
+    """Abort on non-finite or clearly negative densities y = (u, v); clamp round-off in place."""
+    if not np.isfinite(y).all():
         raise SimulationUnstable(t, "density became non-finite; reduce dt")
-    worst = min(u.min(), v.min())
+    worst = y.min()
     if worst < NEG_TOL:
         raise SimulationUnstable(t, f"density went negative ({worst:.3e})")
-    np.maximum(u, 0.0, out=u)
-    np.maximum(v, 0.0, out=v)
+    np.maximum(y, 0.0, out=y)
 
 
 def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
-    """One explicit 4-stage update of (u, v, g, h).
+    """One explicit 4-stage update of (u, v, g, h), the densities stepped as
+    one (2, n) array y = (u, v); the new state's u and v are its rows.
 
     Each stage runs on its own occupied window; nodes uncovered by the
     advancing fronts during the step start at exactly zero (they only enter
@@ -300,23 +328,24 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
     grid, dt = state.grid, cfg.dt
     st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
     st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
+    fold = _folds(p)
 
-    def rhs(u, v, g, h):
+    def rhs(y, g, h):
         if h > grid.cap or g < -grid.cap:
             raise DomainExhausted(state.t, "front left the preallocated grid")
-        return _rates(p, grid, st1, st2, u, v, g, h)
+        return _stage_rates(p, grid, st1, st2, fold, y, g, h)
 
-    u_new, v_new, g_new, h_new = rk4_step(rhs, (state.u, state.v, state.g, state.h), dt)
+    y, g_new, h_new = rk4_step(rhs, (np.array((state.u, state.v)), state.g, state.h), dt)
     t_new = state.t + dt
     if not (math.isfinite(g_new) and math.isfinite(h_new)):
         raise SimulationUnstable(t_new, "front became non-finite")
     if h_new > grid.cap - grid.dx or g_new < -grid.cap + grid.dx:
         raise DomainExhausted(t_new, "front left the preallocated grid")
-    _, lo, hi = quad_weights(grid, g_new, h_new)
-    u_new[:lo] = v_new[:lo] = 0.0
-    u_new[hi:] = v_new[hi:] = 0.0
-    _check_densities(t_new, u_new, v_new)
-    return SimState(t=t_new, g=g_new, h=h_new, u=u_new, v=v_new, grid=grid)
+    lo, hi = _window(grid, g_new, h_new)
+    y[:, :lo] = 0.0
+    y[:, hi:] = 0.0
+    _check_densities(t_new, y)
+    return SimState(t=t_new, g=g_new, h=h_new, u=y[0], v=y[1], grid=grid)
 
 
 def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
@@ -328,8 +357,8 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     closed-form tail.
     """
     grid = state.grid
-    w, lo, hi = quad_weights(grid, state.g, state.h)
-    tail_form = _front_rates(replace(p, rho=0.0), grid, w, lo, hi, state.u, state.v, state.g, state.h)[0]
+    x, wy, lo, hi = _occupied(state)
+    tail_form = _front_rates(replace(p, rho=0.0), x, wy, state.g, state.h, _folds(p))[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
     for j in range(lo, hi):
@@ -338,7 +367,7 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
             continue
         pts = [p.kernel1.radius] if p.kernel1.family == "uniform" else None
         inner, _ = quad(lambda s: kernel_eval(p.kernel1, s), gap, reach, points=pts, limit=200)
-        double_form += w[j] * state.u[j] * inner
+        double_form += wy[0, j - lo] * inner
     double_form *= p.mu
     return abs(double_form - tail_form)
 
@@ -377,7 +406,7 @@ def run(
     stop_width: float | None = None,
     record_snapshots: bool = False,
     resume: Trajectory | None = None,
-    certify_spreading: bool = False,
+    certify=None,
 ) -> Trajectory:
     """Advance the moving-front system to t_end, recording on a fixed cadence.
 
@@ -389,12 +418,25 @@ def run(
     the sampled check_initial_pair can miss, before any record or step: with
     (W), checked here too, that keeps every front flux nonnegative.
 
-    With `certify_spreading` a run also stops, as `stopped_certified`, at the
-    first recorded row whose occupied window has a principal eigenvalue that
-    is not positive (window_lambda_positive). Fronts never retreat and the
-    eigenvalue falls as the window grows, so such a run can never stall with
-    lambda_p >= 0, which vanishing requires: it spreads. The threshold
-    searches pass it; simulate and sweep do not.
+    `certify`, which only the threshold searches pass, turns on two
+    certificates that end a probe run once its label is proven. It is a
+    vanishing level: certify(H, data_norm) is a mu level for a state of
+    half-width H = (h - g)/2 and data norm sup u + sup v (the search's
+    eigenpair ladder, thresholds._vanishing_ladder).
+      - stopped_vanishing: at the first recorded row, the initial one
+        included, where mu <= certify(H, sup u + sup v). The system is
+        autonomous and translation invariant, so the paper's small-mu level
+        holds from any state: its fronts stay within the midpoint +- h1 for
+        an h1 < L_star, and the run vanishes.
+      - stopped_certified: at the first recorded row after the initial one
+        whose occupied window has a principal eigenvalue that is not
+        positive (window_lambda_positive). Fronts never retreat and the
+        eigenvalue falls as the window grows, so such a run can never stall
+        with lambda_p >= 0, which vanishing requires: it spreads.
+    Both rest on discrete eigenpairs (the window's on the simulator's nodes,
+    the level's on the eigen grid), so they are the continuous problem's
+    certificates up to discretization error. simulate and sweep never pass
+    `certify`.
 
     `resume` continues an earlier completed run from its final state, keeping
     its rows (less an off-cadence horizon row), snapshots and step count. The
@@ -409,19 +451,25 @@ def run(
     n_steps = max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-12)))
     rows = []
     snapshots = []
+    status = "completed"
+    fold = _folds(p)
 
     def record(s: SimState):
-        w, lo, hi = quad_weights(grid, s.g, s.h)
-        hr, gr = _front_rates(p, grid, w, lo, hi, s.u, s.v, s.g, s.h)
-        rows.append((
-            s.t, s.g, s.h,
-            float(s.u.max()), float(s.v.max()),
-            float(np.sum(w * s.u)), float(np.sum(w * s.v)),
-            hr, gr,
-        ))
+        x, wy, lo, hi = _occupied(s)
+        hr, gr = _front_rates(p, x, wy, s.g, s.h, fold)
+        # Sums over the whole grid: numpy sums pairwise, so the grouping, and
+        # with it the rounding, would move with the window's start.
+        weighted = np.zeros((2, grid.n))
+        weighted[:, lo:hi] = wy
+        mass_u, mass_v = np.sum(weighted, axis=1).tolist()
+        row = (s.t, s.g, s.h, float(s.u.max()), float(s.v.max()), mass_u, mass_v, hr, gr)
+        rows.append(row)
         if record_snapshots:
             snapshots.append((s.t, grid.x.copy(), s.u.copy(), s.v.copy()))
-        return hr, gr
+        return row
+
+    def vanishes(row) -> bool:
+        return certify is not None and p.mu <= certify(0.5 * (row[2] - row[1]), row[3] + row[4])
 
     # An off-cadence last row is the prefix's horizon row, which a longer run
     # does not record; at the prefix's own horizon the final record restores it.
@@ -444,11 +492,11 @@ def run(
         )
         if not (np.all(state.u >= 0.0) and np.all(state.v >= 0.0)):  # NaN fails too
             raise ValueError("initial data must be nonnegative")
-        record(state)
         done = 0
-    status = "completed"
+        if vanishes(record(state)):
+            status = "stopped_vanishing"
     decay_floor = 0.01 * cfg.tol_vanish
-    for k in range(done, n_steps):
+    while status == "completed" and done < n_steps:
         try:
             state = step(p, cfg, state)
         except DomainExhausted:
@@ -457,16 +505,19 @@ def run(
         except SimulationUnstable:
             status = "unstable"
             break
-        done = k + 1
+        done += 1
         if stop_width is not None and state.h - state.g > stop_width:
             status = "stopped_width"
             break
         if done % cfg.record_every == 0 or done == n_steps:
-            hr, gr = record(state)
-            if certify_spreading and not window_lambda_positive(p, state):
+            row = record(state)
+            if vanishes(row):
+                status = "stopped_vanishing"
+                break
+            if certify is not None and not window_lambda_positive(p, state):
                 status = "stopped_certified"
                 break
-            if state.u.max() + state.v.max() < decay_floor and hr - gr < decay_floor:
+            if row[3] + row[4] < decay_floor and row[7] - row[8] < decay_floor:
                 status = "stopped_decayed"
                 break
     if rows[-1][0] != state.t:
@@ -493,13 +544,16 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
     spreading: the run stopped on a window eigenvalue certificate
     (`stopped_certified`), or the occupied width exceeded 2*L_star +
     tol_spread at some recorded time (beyond that width the interval
-    eigenvalue is negative, so the range can never stall). vanishing: at the
+    eigenvalue is negative, so the range can never stall). vanishing: the
+    run stopped on the vanishing level (`stopped_vanishing`), or at the
     final time the densities and the front speeds sit below tol_vanish and
     the width is still at most 2*L_star. Everything else is undecided.
     """
     width = trajectory.h - trajectory.g
     if trajectory.status == "stopped_certified" or np.any(width > 2.0 * L_star + cfg.tol_spread):
         return "spreading"
+    if trajectory.status == "stopped_vanishing":
+        return "vanishing"
     if trajectory.status == "domain_exhausted":
         # The fronts left the grid: the escaping side passed cap - dx (the grid's
         # cap, domain_cap rounded to a multiple of dx) and the other never retreats
@@ -516,12 +570,13 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
     return "undecided"
 
 
-def fixed_boundary_rhs(p: ModelParams, x: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Right-hand side of the frozen-interval system on nodes spanning [L1, L2]."""
+def fixed_boundary_rhs(p: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the frozen-interval system for the density pair
+    y = (u, v) on nodes spanning [L1, L2]."""
     dx = x[1] - x[0]
     st1 = _stencil(p.kernel1, dx, x.size - 1)
     st2 = _stencil(p.kernel2, dx, x.size - 1)
-    return _density_rates(p, trapezoid_weights(x.size, dx), u, v, st1, st2)
+    return _density_rates(p, trapezoid_weights(x.size, dx) * y, y, st1, st2, np.empty_like(y))
 
 
 def fixed_boundary_run(
@@ -552,8 +607,9 @@ def fixed_boundary_run(
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise ValueError("initial data must be nonnegative")
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    rhs = lambda u, v: fixed_boundary_rhs(p, x, u, v)
+    y = np.array((u, v))
+    rhs = lambda y: (fixed_boundary_rhs(p, x, y),)
     for k in range(n_steps):
-        u, v = rk4_step(rhs, (u, v), dt)
-        _check_densities((k + 1) * dt, u, v)
-    return x, u, v
+        (y,) = rk4_step(rhs, (y,), dt)
+        _check_densities((k + 1) * dt, y)
+    return x, y[0], y[1]

@@ -198,8 +198,15 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     eigenvector is not positive, or when the top eigenvalue leads the next
     by no more than MIN_GAP_EPS * eps * ||K||_inf (a cluster in which the
     eigenvector is not determined): the signatures of a grid too coarse for
-    the kernel support.
+    the kernel support. Raises ValueError for d1 = d2 = 0, where K is the
+    reaction block at every node: its top eigenvalue (lower_bound) is
+    n-fold degenerate and has no principal eigenfunction on any grid.
     """
+    if problem.params.d1 == 0.0 and problem.params.d2 == 0.0:
+        raise ValueError(
+            "d1 = d2 = 0: without dispersal the top eigenvalue is n-fold degenerate "
+            "and has no principal eigenfunction (its value is spectral.lower_bound)"
+        )
     x, _, w = _grid(problem)
     sw = np.sqrt(w)
     op, bound = _operator(problem, x, sw)

@@ -15,14 +15,20 @@ Implements:
     response mu and on the initial-data scale sigma. Monotonicity of the
     dichotomy in both parameters makes plain bisection valid, and brackets
     whose ends agree are expanded up to a cap. Probe runs stop as spreading
-    once their window eigenvalue is not positive (stopped_certified). A
+    once their window eigenvalue is not positive (stopped_certified), and as
+    vanishing once mu is at most the search's vanishing level at a recorded
+    state (stopped_vanishing; _vanishing_ladder, built once per search). A
     completed, undecided probe run continues from its final state at twice
     the horizon, up to a cap. A run that stopped is final. At its last
     chance (the last horizon, or a stopped_decayed run) a decayed, stalled
     probe is vanishing (its run found its final window eigenvalue positive);
     any other undecided probe fails the search with its status and evidence.
   - The explicit sufficient vanishing level for mu built from the eigenpair
-    of a slightly enlarged interval.
+    of a slightly enlarged interval (vanishing_mu_bound, the mu search's low
+    bracket end), and the same level at any state of a run from a ladder of
+    eigenpairs below L_star (_vanishing_ladder). Both rest on discrete
+    eigenpairs, so they certify the continuous problem up to discretization
+    error, as the window eigenvalue does.
 
 The keyword defaults read from ThresholdConfig, the parsed thresholds block.
 """
@@ -30,6 +36,7 @@ The keyword defaults read from ThresholdConfig, the parsed thresholds block.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +49,7 @@ from .spectral import EigenProblem, principal_eigenvalue, trapezoid_weights
 
 _HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
 _BRACKET_EXPANSIONS = 5  # a bracket end with the wrong label moves out at most 5 times
+_LADDER_RUNGS = 16  # eigenpairs of a search's vanishing certificate
 
 
 class ThresholdRegimeError(ValueError):
@@ -208,6 +216,24 @@ def _profile_sup(profile, h0: float) -> float:
     return float(np.max(np.abs(np.asarray(profile(xs), dtype=float))))
 
 
+def _level_terms(p: ModelParams, res, h1: float):
+    """(decay, front mass) of the paper's small-mu vanishing level from the
+    eigenpair `res` on [-h1, h1]: decay = lambda_p min(e, G'(0)) / 2, and the
+    front mass int phi1 + rho sup_[0, 2 h1] W int phi2 (trapezoid rule)."""
+    decay = 0.5 * res.lambda_p * min(p.e, gprime0(p))
+    w = trapezoid_weights(res.x.size, res.x[1] - res.x[0])
+    mass1 = float(np.sum(w * res.phi1))
+    mass2 = float(np.sum(w * res.phi2))
+    return decay, mass1 + p.rho * weight_sup(p.weight, 2.0 * h1) * mass2
+
+
+def _mu_level(h1: float, H: float, decay: float, front_mass: float, phi_floor: float, data_norm: float) -> float:
+    """The explicit mu level below which fronts starting at [-H, H] never leave
+    [-h1, h1]: (h1 - H) decay / front_mass, times the eigenfunction floor
+    over [-H, H] per unit of data norm sup u + sup v."""
+    return (h1 - H) * decay / front_mass * phi_floor / data_norm
+
+
 def vanishing_mu_bound(
     p: ModelParams,
     u0_profile,
@@ -234,21 +260,55 @@ def vanishing_mu_bound(
         frac /= 2.0
     else:
         raise ThresholdSearchError("no enlarged interval with positive eigenvalue found")
-    decay = 0.5 * res.lambda_p * min(p.e, gprime0(p))
-    margin = h1 - p.h0
-    w = trapezoid_weights(res.x.size, res.x[1] - res.x[0])
-    mass1 = float(np.sum(w * res.phi1))
-    mass2 = float(np.sum(w * res.phi2))
-    level = margin * decay / (mass1 + p.rho * weight_sup(p.weight, 2.0 * h1) * mass2)
     core = np.abs(res.x) <= p.h0
     phi_floor = min(float(res.phi1[core].min()), float(res.phi2[core].min()))
     data_norm = _profile_sup(u0_profile, p.h0) + _profile_sup(v0_profile, p.h0)
-    return level * phi_floor / data_norm
+    return _mu_level(h1, p.h0, *_level_terms(p, res, h1), phi_floor, data_norm)
 
 
-def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float) -> str:
+def _vanishing_ladder(p: ModelParams, L_star: float, n: int):
+    """The vanishing level of a state, (H, data_norm) -> mu level, from a
+    ladder of eigenpairs on [-h1, h1], h1 = L_star - (L_star - h0) 2^(-j/2)
+    for j = 1.._LADDER_RUNGS, rungs with lambda_p <= 0 dropped.
+
+    The level at half-width H is the largest _mu_level over the rungs with
+    h1 > H, each with the floor of min(phi1, phi2) over the eigen nodes that
+    cover [-H, H], the first node beyond each end included (the interpolated
+    eigenfunction on [-H, H] is no smaller); 0 when no rung has h1 > H, and
+    inf for zero data. The system is autonomous and translation invariant,
+    so a level of a recorded state holds from that state on: a run with mu
+    at most it vanishes (simulator.run's `certify`).
+    """
+    rungs = []
+    for j in range(1, _LADDER_RUNGS + 1):
+        h1 = L_star - (L_star - p.h0) * 2.0 ** (-j / 2)
+        res = principal_eigenvalue(EigenProblem(p, -h1, h1, n))
+        if res.lambda_p <= 0.0:
+            continue
+        phi = np.minimum(res.phi1, res.phi2)
+        outer = np.minimum(phi, phi[::-1])[: (n + 1) // 2]  # node j and its mirror n-1-j
+        floor = np.minimum.accumulate(outer[::-1])[::-1]  # floor[j]: min over nodes j .. n-1-j
+        rungs.append((h1, *_level_terms(p, res, h1), res.x.tolist(), floor.tolist()))
+
+    def level(H: float, data_norm: float) -> float:
+        best = 0.0
+        for h1, decay, front_mass, nodes, floor in rungs:
+            if not h1 > H:
+                continue
+            if data_norm == 0.0:
+                return math.inf
+            # nodes[lo] <= -H and nodes[hi] >= H: the covering nodes lie in the mirror pair range
+            lo, hi = bisect_right(nodes, -H) - 1, bisect_left(nodes, H)
+            best = max(best, _mu_level(h1, H, decay, front_mass, floor[min(lo, n - 1 - hi)], data_norm))
+        return best
+
+    return level
+
+
+def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float, level) -> str:
     """A probe's label: classify its run, doubling a completed undecided run's
-    horizon; runs stop early on the window eigenvalue certificate.
+    horizon; runs stop early on the window eigenvalue certificate and on the
+    search's vanishing level `level` (_vanishing_ladder), run's `certify`.
 
     A run still undecided at its last chance (the last horizon, or a
     `stopped_decayed` run) is vanishing when it is decayed and stalled below
@@ -260,7 +320,7 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
     traj = None
     for _ in range(_HORIZON_DOUBLINGS + 1):
         local = replace(cfg, t_end=horizon)
-        traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj, certify_spreading=True)
+        traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj, certify=level)
         outcome = classify(traj, L_star, local)
         if outcome != "undecided":
             return outcome
@@ -342,9 +402,10 @@ def find_mu_star(
     if bracket is None:
         base = vanishing_mu_bound(p, u0_profile, v0_profile, n=n, L_star=Ls)
         bracket = (base, 1e3 * base)
+    level = _vanishing_ladder(p, Ls, n)
 
     def classify_at(mu: float) -> str:
-        return _classify_with_horizon(replace(p, mu=mu), cfg, u0_profile, v0_profile, Ls)
+        return _classify_with_horizon(replace(p, mu=mu), cfg, u0_profile, v0_profile, Ls, level)
 
     return _dichotomy_bisect(classify_at, *bracket, rel_tol)
 
@@ -372,9 +433,11 @@ def find_sigma_star(
             "weight positive on [0, 2*L_star]"
         )
 
+    level = _vanishing_ladder(p, Ls, n)
+
     def classify_at(sigma: float) -> str:
         u0 = lambda x: sigma * psi1(x)
         v0 = lambda x: sigma * psi2(x)
-        return _classify_with_horizon(p, cfg, u0, v0, Ls)
+        return _classify_with_horizon(p, cfg, u0, v0, Ls, level)
 
     return _dichotomy_bisect(classify_at, *(bracket or (1e-3, 1e3)), rel_tol)

@@ -392,7 +392,7 @@ def test_simulate_and_sweep_never_certify(tmp_path, capsys):
     path = write_config(tmp_path, data)
     cfg, _ = parse_config(path)
     u0, v0 = build_profile(cfg.u0, 0.4), build_profile(cfg.v0, 0.4)
-    certified = run(cfg.params, cfg.numerics, u0, v0, certify_spreading=True)
+    certified = run(cfg.params, cfg.numerics, u0, v0, certify=lambda H, norm: 0.0)
     assert certified.status == "stopped_certified" and certified.t[-1] < 60.0
     assert main(["simulate", path]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -27,8 +27,9 @@ from epifront.simulator import (
     Trajectory,
     _conv,
     _density_rates,
+    _folds,
     _front_rates,
-    _rates,
+    _stage_rates,
     _stencil,
     check_initial_pair,
     fixed_boundary_rhs,
@@ -41,6 +42,14 @@ from epifront.kernels import kernel_eval, kernel_tail, weight_eval
 from epifront.model import infection_value
 from epifront.spectral import EigenProblem, _kernel_matrix, coupled_operator, principal_eigenvalue
 from helpers import bump_profile, make_params
+
+
+def full_weights(grid: Grid, g: float, h: float):
+    """quad_weights as one weight per grid node, zero off the occupied window."""
+    win, lo, hi = quad_weights(grid, g, h)
+    w = np.zeros(grid.n)
+    w[lo:hi] = win
+    return w, lo, hi
 
 
 def flat_state(grid: Grid, g: float, h: float, value_u=1.0, value_v=0.0) -> SimState:
@@ -67,9 +76,9 @@ def test_quad_weights_integrate_linear_ramp_exactly():
         gap = (x[k] - g) + (h - x[m])
         assert w.sum() == pytest.approx((h - g) - 0.5 * gap, abs=1e-12)
         assert np.all(w >= 0.0)
-    w, _, _ = quad_weights(grid, -1.0, 1.0)
+    w, lo, hi = quad_weights(grid, -1.0, 1.0)
     tent = np.clip(1.0 - np.abs(x), 0.0, None)
-    assert float(w @ tent) == pytest.approx(1.0, abs=1e-13)
+    assert float(w @ tent[lo:hi]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quad_weights_empty_slit():
@@ -285,7 +294,7 @@ def test_nonlocal_term_matches_stencil_convolution():
     grid = Grid(0.05, 4.0)
     rng = np.random.default_rng(12)
     g, h = -1.37, 1.81
-    w, _, _ = quad_weights(grid, g, h)
+    w, _, _ = full_weights(grid, g, h)
     dens = np.where(w > 0.0, rng.uniform(0.0, 1.0, grid.n), 0.0)
     conv = _conv(w * dens, _stencil(kern, grid.dx, grid.n - 1))
     for idx in np.nonzero(w)[0][::17]:
@@ -456,7 +465,7 @@ def test_fixed_boundary_steady_state_wide_interval():
     assert abs(u[mid] - 1.0) < 5e-2
     assert abs(v[mid] - 1.0) < 5e-2
     assert np.all(u <= 1.0 + 1e-9) and np.all(v <= 1.0 + 1e-9)
-    du, dv = fixed_boundary_rhs(p, x, u, v)
+    du, dv = fixed_boundary_rhs(p, x, np.array((u, v)))
     assert max(np.abs(du).max(), np.abs(dv).max()) < 1e-5
 
 
@@ -622,14 +631,14 @@ def test_occupied_fluxes_match_full_grid(weight):
         "empty": (0.011, 0.039),
     }
     for name, (g, h) in fronts.items():
-        w, lo, hi = quad_weights(grid, g, h)
+        w, lo, hi = full_weights(grid, g, h)
         assert np.array_equal(np.nonzero(w)[0], np.arange(lo, hi)), name
         inside = w > 0.0
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
         ref = (p.mu * flux_h, -p.mu * flux_g)
-        got = _front_rates(p, grid, w, lo, hi, u, v, g, h)
+        got = _front_rates(p, x[lo:hi], w[lo:hi] * np.array((u[lo:hi], v[lo:hi])), g, h, _folds(p))
         if name == "empty":
             assert lo == hi and ref == got == (0.0, 0.0)
         else:
@@ -651,7 +660,7 @@ def _front_fluxes(p, grid, w, u, v, g, h):
 def _full_grid_rates(p, grid, st1, st2, u, v, g, h):
     """The stage as it was before it moved to the occupied window: every grid
     node is convolved and combined, then masked to the interior."""
-    w, _, _ = quad_weights(grid, g, h)
+    w, _, _ = full_weights(grid, g, h)
     inside = w > 0.0
     conv_u = _conv(w * u, st1)
     conv_v = _conv(w * v, st2)
@@ -696,7 +705,8 @@ def test_window_stage_matches_full_grid(kernel, weight):
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h)
-        got = _rates(p, grid, st1, st2, u, v, g, h)
+        dy, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((u, v)), g, h)
+        got = (dy[0], dy[1], g_rate, h_rate)
         for ref_d, got_d in zip(ref[:2], got[:2]):
             assert got_d.shape == ref_d.shape
             assert not got_d[:lo].any() and not got_d[hi:].any(), name
@@ -729,7 +739,7 @@ def test_recorded_rates_are_the_stage_rates(kernel, weight):
     st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
     for k in range(30):
         state = step(p, cfg, state)
-        _, _, g_rate, h_rate = _rates(p, grid, st1, st2, state.u, state.v, state.g, state.h)
+        _, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((state.u, state.v)), state.g, state.h)
         assert boundary_rates(p, state) == (h_rate, g_rate), f"step {k + 1}"
     assert state.h > 1.0 + cfg.dx and state.g < -1.0 - cfg.dx
 
@@ -747,7 +757,7 @@ def test_boundary_rates_match_full_grid_front_law(weight):
         "empty": (0.011, 0.039),
     }
     for name, (g, h) in fronts.items():
-        w, _, _ = quad_weights(grid, g, h)
+        w, _, _ = full_weights(grid, g, h)
         u = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(w > 0.0, rng.uniform(0.1, 2.0, grid.n), 0.0)
         flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
@@ -799,8 +809,9 @@ def test_frozen_interval_rates_integrate_with_the_endpoint_trapezoid_rule():
     w[0] = w[-1] = 0.5 * dx
     st1 = _stencil(p.kernel1, dx, x.size - 1)
     st2 = _stencil(p.kernel2, dx, x.size - 1)
-    want = _density_rates(p, w, u, v, st1, st2)
-    got = fixed_boundary_rhs(p, x, u, v)
+    y = np.array((u, v))
+    want = _density_rates(p, w * y, y, st1, st2, np.empty_like(y))
+    got = fixed_boundary_rhs(p, x, y)
     assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
@@ -810,7 +821,7 @@ def window_lambda(p, grid: Grid, g: float, h: float) -> float:
     w, lo, hi = quad_weights(grid, g, h)
     x = grid.x[lo:hi]
     exact = lambda kernel: kernel_eval(kernel, x[:, None] - x[None, :])
-    mat = coupled_operator(w[lo:hi], exact, p)
+    mat = coupled_operator(w, exact, p)
     return -float(np.linalg.eigvalsh(mat)[-1])
 
 
@@ -844,7 +855,7 @@ def test_a_certified_run_stops_at_its_first_nonpositive_window():
     p = make_params(alpha=2.0, h0=0.4, mu=1.0)
     bump = bump_profile(0.4)
     full = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True)
-    certified = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True, certify_spreading=True)
+    certified = run(p, CERTIFY_CFG, bump, bump, record_snapshots=True, certify=lambda H, norm: 0.0)
     assert full.status == "completed" and certified.status == "stopped_certified"
     rows = certified.t.size
     assert certified.t.tobytes() == full.t[:rows].tobytes() and certified.h.tobytes() == full.h[:rows].tobytes()

@@ -84,6 +84,15 @@ def test_zero_diffusion_matrix_is_reaction_block():
     assert np.array_equal(mat[n:, n:], -(p.b / 2.0) * np.eye(n))
 
 
+def test_the_solver_rejects_zero_dispersal_by_its_cause():
+    # Without dispersal every node carries the same 2 x 2 reaction block, so
+    # no grid refinement helps: the error names the cause, not the grid.
+    p = make_params(alpha=2.0)
+    with pytest.raises(ValueError, match=r"^d1 = d2 = 0: without dispersal the top eigenvalue is n-fold degenerate"):
+        principal_eigenvalue(problem(p, d1=0.0, d2=0.0, n=64))
+    assert principal_eigenvalue(problem(p, d1=0.0, d2=1.0, n=64)).lambda_p > lower_bound(problem(p))
+
+
 def test_zero_diffusion_limit_value():
     # a = b = e = 1, G'(0) = 2: 0.5 * (1.5 - sqrt(4.25))
     p = make_params(alpha=2.0)

@@ -1,7 +1,12 @@
 """Threshold constants: regimes, bisections, explicit bounds, determinism."""
 
+import functools
+import hashlib
+import importlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +25,17 @@ from epifront import (
     run,
     vanishing_mu_bound,
 )
+from epifront.cli import main
 from epifront.spectral import EigenProblem, SpectralError, principal_eigenvalue
 from epifront.simulator import Grid, SimState, spreading_stop_width, stability_limit, window_lambda_positive
-from epifront.thresholds import ThresholdRegimeError, ThresholdSearchError, _lambda_on_interval
+from epifront.thresholds import (
+    ThresholdRegimeError,
+    ThresholdSearchError,
+    _lambda_on_interval,
+    _level_terms,
+    _mu_level,
+    _vanishing_ladder,
+)
 from helpers import bump_profile, make_params, random_intermediate_params
 
 
@@ -190,17 +203,38 @@ def test_sigma_star_precondition():
     assert gp.kernel1.family == "gaussian"  # passes the positivity gate
 
 
-def test_find_sigma_star_bracket():
+@functools.cache
+def gaussian_sigma_search():
+    """find_sigma_star with gaussian kernels and weight (std 0.5) at mu = 2, solved once."""
     gk = KernelSpec.gaussian(0.5)
     p = make_params(alpha=2.0, h0=0.4, kernel=gk, mu=2.0)
     cfg = SimConfig(dx=0.04, dt=0.12, t_end=150.0, domain_cap=5.0, record_every=10)
     bump = bump_profile(0.4)
-    res = find_sigma_star(p, cfg, bump, bump)
+    return find_sigma_star(p, cfg, bump, bump)
+
+
+def test_find_sigma_star_bracket():
+    res = gaussian_sigma_search()
     assert res.lo_outcome == "vanishing" and res.hi_outcome == "spreading"
     assert res.hi - res.lo <= 1e-2 * res.hi
     outcomes = [o for _, o in sorted(res.probes)]
     flips = sum(1 for a, b in zip(outcomes, outcomes[1:]) if a != b)
     assert flips == 1  # single switch along the sigma axis
+
+
+def test_the_gaussian_sigma_search_keeps_its_probes():
+    # Recorded before probe runs carried the vanishing certificate, which now
+    # stops the runs of its low end 1e-3 and of the probes below sigma*.
+    res = gaussian_sigma_search()
+    assert (res.lo, res.hi, res.iterations) == (0.0059754028170653575, 0.006015848282870847, 11)
+    assert res.probes == (
+        (0.001, "vanishing"), (1000.0, "spreading"), (1.0, "spreading"),
+        (0.03162277660168379, "spreading"), (0.005623413251903491, "vanishing"),
+        (0.01333521432163324, "spreading"), (0.008659643233600654, "spreading"),
+        (0.006978305848598664, "spreading"), (0.006264335366568856, "spreading"),
+        (0.005935229272296986, "vanishing"), (0.0060975623522145925, "spreading"),
+        (0.006015848282870847, "spreading"), (0.0059754028170653575, "vanishing"),
+    )
 
 
 def test_L_star_trace_keeps_the_probes_of_a_failed_search(monkeypatch):
@@ -320,7 +354,7 @@ def test_bracket_ends_move_out_by_four_until_their_label_fits(monkeypatch):
     threshold = [0.5]
     monkeypatch.setattr(
         thr, "_classify_with_horizon",
-        lambda q, cfg, u0, v0, Ls: "spreading" if q.mu > threshold[0] else "vanishing",
+        lambda q, cfg, u0, v0, Ls, level: "spreading" if q.mu > threshold[0] else "vanishing",
     )
     res = find_mu_star(p, MU_CFG, bump, bump, bracket=(0.6, 0.7), rel_tol=0.9)
     assert [x for x, _ in res.probes[:3]] == [0.6, 0.15, 0.7]
@@ -341,7 +375,7 @@ def test_sigma_search_brackets_from_its_own_default(monkeypatch):
     bump = bump_profile(0.4)
     monkeypatch.setattr(
         thr, "_classify_with_horizon",
-        lambda q, cfg, u0, v0, Ls: "spreading" if u0(0.0) > 0.5 else "vanishing",
+        lambda q, cfg, u0, v0, Ls, level: "spreading" if u0(0.0) > 0.5 else "vanishing",
     )
     res = find_sigma_star(p, MU_CFG, bump, bump, bracket=None)
     assert res.probes[:2] == ((1e-3, "vanishing"), (1e3, "spreading"))
@@ -416,6 +450,11 @@ def test_the_window_sign_matches_the_interval_eigenvalue_off_L_star(kernel):
         assert window_lambda_positive(p, state) == (lam_half(p, half) > 0.0) == (half < Ls)
 
 
+def _no_vanishing_level(H, data_norm):
+    """A vanishing level that never stops a run: the spreading certificate alone."""
+    return 0.0
+
+
 def _decayed_run(p, bump):
     """A run whose last row is decayed and stalled below tol_vanish."""
     traj = run(p, replace(MU_CFG, t_end=60.0), bump, bump)
@@ -452,9 +491,9 @@ def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(m
     monkeypatch.setattr(thr, "classify", lambda *args: "undecided")
     if outcome is None:
         with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
-            thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6)
+            thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6, _no_vanishing_level)
     else:
-        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6) == outcome
+        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6, _no_vanishing_level) == outcome
     assert len(calls) == runs
 
 
@@ -467,10 +506,92 @@ def test_a_certified_run_that_reaches_its_last_chance_has_a_positive_window(t_en
     bump = bump_profile(0.4)
     Ls = find_L_star(p)
     cfg = replace(MU_CFG, t_end=t_end)
-    traj = run(p, cfg, bump, bump, stop_width=spreading_stop_width(Ls, cfg), certify_spreading=True)
+    traj = run(p, cfg, bump, bump, stop_width=spreading_stop_width(Ls, cfg), certify=_no_vanishing_level)
     assert traj.status == status
     assert window_lambda_positive(p, traj.final_state)
     if status == "stopped_decayed":
         import epifront.thresholds as thr
 
-        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, Ls) == "vanishing"
+        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, Ls, _no_vanishing_level) == "vanishing"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# thresholds --target mustar at the benchmark's seeds 0-3 (threshold_search.json
+# with every rate scaled by a seed's factor): SHA-256 of its standard output,
+# recorded before probe runs carried the vanishing certificate.
+MUSTAR_STDOUT = {
+    0: "712410e628d4fb47d1a10639fc806f8a74152d85b31f73cd4c0702a4d258418d",
+    1: "a60e853a2ffb40de613c907de97eb4b1097680495b9912c7ba12d9f4aaee3b8b",
+    2: "d0bf3713f84fb25f04399420963d4c3e9641798bf29d748a3543c2e3249a1a50",
+    3: "6f9cc329ec3a09fc4f4dd82df4bfad81504c46498914f64bab022f0b14bc0796",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MUSTAR_STDOUT))
+def test_the_benchmark_mu_searches_keep_their_probes_labels_and_bracket(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    argv = importlib.import_module("workloads").build("mustar", seed, str(tmp_path)).tasks[0].argv
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    result = json.loads(out)
+    assert result["iterations"] == 10
+    assert "".join(label[0] for _, label in result["probes"]) == "vsvvsvvvsvss"
+    assert hashlib.sha256(out.encode()).hexdigest() == MUSTAR_STDOUT[seed]
+
+
+def _search_ladder():
+    """threshold_search.json's model, its L* and the vanishing level of its searches."""
+    p = make_params(alpha=2.0, h0=0.4)
+    Ls = find_L_star(p)
+    return p, Ls, _vanishing_ladder(p, Ls, 241)
+
+
+def test_the_vanishing_level_is_the_largest_rung_level_over_its_covering_nodes():
+    p, Ls, level = _search_ladder()
+    rungs = [Ls - (Ls - p.h0) * 2.0 ** (-j / 2) for j in range(1, 17)]
+    solved = {h1: principal_eigenvalue(EigenProblem(p, -h1, h1, 241)) for h1 in rungs}
+    for H in (p.h0, 0.45, 0.5, 0.55, 0.59, 0.6):
+        want = 0.0
+        for h1, res in solved.items():
+            if res.lambda_p > 0.0 and h1 > H:
+                lo = np.flatnonzero(res.x <= -H)[-1]  # the first eigen node beyond -H ...
+                hi = np.flatnonzero(res.x >= H)[0]  # ... and beyond H
+                floor = float(np.minimum(res.phi1, res.phi2)[lo : hi + 1].min())
+                want = max(want, _mu_level(h1, H, *_level_terms(p, res, h1), floor, 2.0))
+        assert level(H, 2.0) == want > 0.0
+        assert level(H, 1.0) == pytest.approx(2.0 * want, rel=1e-15)
+    assert level(rungs[-1], 2.0) == level(Ls, 2.0) == 0.0  # no rung above the half-width
+    assert level(0.5, 0.0) == math.inf and level(Ls, 0.0) == 0.0
+    halves = np.linspace(p.h0, Ls, 60)
+    assert np.all(np.diff([level(H, 1.0) for H in halves]) <= 0.0)
+
+
+def test_a_probe_the_vanishing_certificate_stops_still_vanishes_without_it():
+    # The far-below-threshold probes of the search on threshold_search.json.
+    # Each stops at the recorded row where mu first falls to the level, and
+    # the same run without the certificate still decays with its fronts
+    # stalled below 2 L*, by t = 150 at the latest.
+    p, Ls, level = _search_ladder()
+    bump = bump_profile(0.4)
+    stop = spreading_stop_width(Ls, MU_CFG)
+    for mu, stopped_at in ((0.000481, 0.0), (0.0152, 8.4), (0.0855, 25.2), (0.1317, 45.6), (0.1635, 90.0)):
+        q = replace(p, mu=mu)
+        certified = run(q, MU_CFG, bump, bump, stop_width=stop, certify=level)
+        assert certified.status == "stopped_vanishing" and certified.t[-1] == pytest.approx(stopped_at)
+        assert classify(certified, Ls, MU_CFG) == "vanishing"
+        plain = run(q, MU_CFG, bump, bump, stop_width=stop)
+        assert plain.status in ("stopped_decayed", "completed") and classify(plain, Ls, MU_CFG) == "vanishing"
+        assert plain.t[-1] > certified.t[-1]
+        assert certified.t.tobytes() == plain.t[: certified.t.size].tobytes()
+
+
+def test_the_vanishing_certificate_never_fires_above_mu_star():
+    # mu* = 0.1877 on threshold_search.json; every probe above it spreads,
+    # by its window eigenvalue, before any recorded row meets the level.
+    p, Ls, level = _search_ladder()
+    bump = bump_profile(0.4)
+    cfg = replace(MU_CFG, t_end=600.0)
+    for mu in (0.18835, 0.18962, 0.1922, 0.20286, 0.48105):
+        traj = run(replace(p, mu=mu), cfg, bump, bump, stop_width=spreading_stop_width(Ls, cfg), certify=level)
+        assert traj.status == "stopped_certified", mu
+        assert all(mu > level(0.5 * (h - g), su + sv) for g, h, su, sv in zip(traj.g, traj.h, traj.sup_u, traj.sup_v))
