@@ -8,9 +8,10 @@ round-trip exactly.
 Exit codes: 0 success, 2 configuration or assumption failure (an output
 path that cannot be written and a threshold asked for outside its regime
 included), 3 numerical failure (any ode.NumericalFailure: unstable run,
-exhausted grid, failed eigen solve) or failed threshold search. `main` maps
-every failure to its code and one stderr line; a `simulate` run that ends
-unstable or off the grid writes its files and prints that line itself.
+exhausted grid, failed eigen solve), failed threshold search, or a grid too
+large to allocate (MemoryError). `main` maps every failure to its code and
+one stderr line; a `simulate` run that ends unstable or off the grid writes
+its files and prints that line itself.
 `validate` probes the weight W over [0, 2*domain_cap], every distance h - x
 the front law reads it at, table knots included; (J) and (G1)/(G2) hold by
 construction for every family the parser admits.
@@ -237,8 +238,8 @@ def _cmd_thresholds(args, cfg) -> int:
             "target": args.target,
             "value": res.value,
             "bracket": [res.lo, res.hi],
-            "lo_outcome": res.lo_outcome,
-            "hi_outcome": res.hi_outcome,
+            "lo_outcome": "vanishing",  # the labels every search's bracket ends carry
+            "hi_outcome": "spreading",
             "iterations": res.iterations,
             "probes": [[x, out] for x, out in res.probes],
         }
@@ -461,6 +462,9 @@ def main(argv=None) -> int:
     except OSError as err:  # an output path that cannot be created or written
         print(f"file error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # a grid too large to allocate (eigen or thresholds n, simulate dx)
+        print(f"memory error: {err}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

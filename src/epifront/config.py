@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernels import KERNEL_SHAPE_FIELD, WEIGHT_FAMILIES, KernelSpec, WeightSpec
-from .model import InfectionFn, ModelParams, validate_constants, validate_params
+from .model import InfectionFn, ModelParams, validate_constants
 from .simulator import SimConfig, stability_limit, validate_sim_config
 from .spectral import EIGEN_NODES, MIN_EIGEN_NODES
 from .thresholds import ThresholdConfig
@@ -213,6 +213,19 @@ def _parse_kernel(sec: _Section | None, issues: list):
     return spec
 
 
+def _points_issue(points) -> str | None:
+    """Why a table's points are not a list of [x, y] pairs of finite numbers
+    (number_issue), or None; the first bad point is named by its index."""
+    if not isinstance(points, list):
+        return "must be a list of [x, y] pairs"
+    for i, point in enumerate(points):
+        if not (isinstance(point, list) and len(point) == 2):
+            return f"point {i} must be an [x, y] pair"
+        if issue := number_issue(point[0]) or number_issue(point[1]):
+            return f"point {i}: {issue}"
+    return None
+
+
 def _parse_weight(sec: _Section | None, issues: list):
     if sec is None or (family := _family(sec, "weight", WEIGHT_FAMILIES)) is None:
         return None
@@ -228,9 +241,11 @@ def _parse_weight(sec: _Section | None, issues: list):
                 spec = WeightSpec.constant_on(radius, height)
         else:
             points = sec.get("points", required=True)
-            if points is not None:
+            if points is not None and (issue := _points_issue(points)):
+                issues.append(f"{sec.path}.points: {issue}")
+            elif points is not None:
                 spec = WeightSpec.table(points)
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
     return spec
@@ -320,17 +335,11 @@ def parse_config_dict(data: dict, check_weight: bool = True):
         weight = _parse_weight(model_sec.subsection("weight", required=True), issues)
         infection = _parse_infection(model_sec.subsection("infection", required=True), issues)
         model_sec.flag_unknown()
-        pieces = list(fields.values()) + [kernel1, kernel2, weight, infection]
-        if all(piece is not None for piece in pieces):
-            params = ModelParams(
-                kernel1=kernel1, kernel2=kernel2, weight=weight, infection=infection, **fields
-            )
-            bad = validate_params(params)
-        else:
-            bad = validate_constants(fields)  # the constants that did parse
+        bad = validate_constants(fields)  # the constants that did parse
         issues.extend(f"config.model: {msg}" for msg in bad)
-        if bad:
-            params = None  # numerics defaults and checks need a valid model
+        pieces = list(fields.values()) + [kernel1, kernel2, weight, infection]
+        if not bad and all(piece is not None for piece in pieces):  # numerics need a valid model
+            params = ModelParams(kernel1=kernel1, kernel2=kernel2, weight=weight, infection=infection, **fields)
 
     # The numerics keys are read (and type-checked) even without a valid
     # model; their defaults and the checks against the model need one.
@@ -367,8 +376,8 @@ def parse_config_dict(data: dict, check_weight: bool = True):
         given = _read(eig_sec, EigenConfig, required=("L1", "L2"))
         if "L1" in given and "L2" in given:
             eigen = EigenConfig(**given)
-            if not (eigen.L2 > eigen.L1 and eigen.n >= MIN_EIGEN_NODES):
-                issues.append(f"config.eigen: needs L1 < L2 and n >= {MIN_EIGEN_NODES}")
+            if not (0.0 < eigen.L2 - eigen.L1 < np.inf and eigen.n >= MIN_EIGEN_NODES):
+                issues.append(f"config.eigen: needs L1 < L2 with a finite L2 - L1, and n >= {MIN_EIGEN_NODES}")
                 eigen = None
 
     ode_cfg = OdeConfig()

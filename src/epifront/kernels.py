@@ -10,7 +10,7 @@ Implements:
     only family whose first moment diverges).
   - Boundary weights: a kernel tail, a constant plateau, or a sampled table
     with linear interpolation, plus a sampling-based validity report
-    (nonnegative, positive at 0, bounded, finite Lipschitz constant).
+    (nonnegative, positive at 0, finite).
 
 Kernel evaluators are even in x by construction (they only see |x|), so
 symmetry holds exactly in floating point.
@@ -217,8 +217,8 @@ class WeightSpec:
 
     @classmethod
     def table(cls, points) -> "WeightSpec":
-        xs, ys = zip(*((float(x), float(y)) for x, y in points))
-        return cls("table", xs=xs, ys=ys)
+        pairs = [(float(x), float(y)) for x, y in points]
+        return cls("table", xs=tuple(x for x, _ in pairs), ys=tuple(y for _, y in pairs))
 
 
 def weight_eval(spec: WeightSpec, x):
@@ -235,6 +235,12 @@ def weight_eval(spec: WeightSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _table_values(spec: WeightSpec, hi: float) -> list:
+    """A table's values at its knots in [0, hi] and at hi, where its extremes
+    on [0, hi] lie (it is piecewise linear)."""
+    return [y for xx, y in zip(spec.xs, spec.ys) if xx <= hi] + [weight_eval(spec, hi)]
+
+
 def weight_sup(spec: WeightSpec, hi: float) -> float:
     """Supremum of W over [0, hi], exact per family."""
     if not hi >= 0.0:
@@ -243,9 +249,7 @@ def weight_sup(spec: WeightSpec, hi: float) -> float:
         return kernel_tail(spec.kernel, 0.0)  # tail is nonincreasing
     if spec.family == "constant_on":
         return max(spec.height, 0.0)
-    knots = [y for xx, y in zip(spec.xs, spec.ys) if xx <= hi]
-    knots.append(weight_eval(spec, hi))
-    return max(max(knots), 0.0)
+    return max(max(_table_values(spec, hi)), 0.0)
 
 
 def weight_positive_on(spec: WeightSpec, hi: float) -> bool:
@@ -257,12 +261,7 @@ def weight_positive_on(spec: WeightSpec, hi: float) -> bool:
         return True  # gaussian / laplace / power_tail tails never vanish
     if spec.family == "constant_on":
         return spec.height > 0.0 and hi <= spec.radius
-    # Piecewise linear: positivity on [0, hi] is decided at knots and at hi.
-    if hi > spec.xs[-1]:
-        return False
-    vals = [y for xx, y in zip(spec.xs, spec.ys) if xx <= hi]
-    vals.append(weight_eval(spec, hi))
-    return min(vals) > 0.0
+    return hi <= spec.xs[-1] and min(_table_values(spec, hi)) > 0.0
 
 
 def kernel_positive_everywhere(spec: KernelSpec) -> bool:
@@ -275,19 +274,15 @@ class WeightReport:
     """Sampled validity report for a boundary weight."""
 
     ok: bool
-    value_at_zero: float
-    lipschitz: float
     messages: tuple
 
 
 def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
-    """Probe W at 2001 evenly spaced points of [0, probe_radius]: nonnegativity,
-    W(0) > 0, bound, Lipschitz.
+    """Probe W at 2001 evenly spaced points of [0, probe_radius]: W(0) > 0,
+    nonnegative, finite.
 
-    Violations are reported, not raised; the Lipschitz constant is the largest
-    sampled secant slope, a lower estimate that is exact for piecewise-linear
-    weights once samples fall inside single segments. A table is also sampled
-    at its knots, where its extremes lie, so its sign verdict is exact.
+    Violations are reported, not raised. A table is also sampled at its
+    knots, where its extremes lie, so its sign verdict is exact.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
@@ -295,18 +290,11 @@ def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
     if spec.family == "table":
         xs = np.union1d(xs, [x for x in spec.xs if x <= probe_radius])
     vals = np.asarray(weight_eval(spec, xs), dtype=float)
-    w0 = float(vals[0])
-    slopes = np.abs(np.diff(vals)) / np.diff(xs)
     messages = []
-    if not w0 > 0.0:
+    if not vals[0] > 0.0:
         messages.append("W(0) must be positive")
     if vals.min() < 0.0:
         messages.append("negative weight values sampled")
     if not np.all(np.isfinite(vals)):
         messages.append("non-finite weight values sampled")
-    return WeightReport(
-        ok=not messages,
-        value_at_zero=w0,
-        lipschitz=float(slopes.max()),
-        messages=tuple(messages),
-    )
+    return WeightReport(ok=not messages, messages=tuple(messages))

@@ -76,6 +76,8 @@ def integrate_ode(p: ModelParams, u0: float, v0: float, t_end: float, dt: float)
         raise ValueError("initial values must be nonnegative")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     n_steps = max(1, int(round(t_end / dt)))
     u, v, t = float(u0), float(v0), 0.0
     states = [OdeState(t, u, v)]

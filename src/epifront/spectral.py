@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .kernels import KernelSpec, kernel_eval
 from .model import ModelParams, gprime0
@@ -55,8 +55,8 @@ MIN_GAP_EPS = 1e3
 
 class SpectralError(NumericalFailure):
     """Discretization failure: Lanczos found no converged principal
-    eigenpair, or one whose vector changes sign or whose eigenvalue is not
-    separated from the next."""
+    eigenpair (any ARPACK failure), or one whose vector changes sign or whose
+    eigenvalue is not separated from the next."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class EigenProblem:
     n: int = EIGEN_NODES
 
     def __post_init__(self) -> None:
-        if not self.L2 - self.L1 > 0.0:
-            raise ValueError("interval must have positive length")
+        if not 0.0 < self.L2 - self.L1 < math.inf:
+            raise ValueError("interval must have a finite positive length")
         if self.n < MIN_EIGEN_NODES:
             raise ValueError(f"need at least {MIN_EIGEN_NODES} nodes")
         for name in ("a", "b", "e"):
@@ -194,13 +194,14 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     interval). The eigenfunctions are recovered in density coordinates
     (divide out the sqrt-weight conjugation) and normalized to unit discrete
     L2 norm.
-    Raises SpectralError when Lanczos does not converge, when the computed
-    eigenvector is not positive, or when the top eigenvalue leads the next
-    by no more than MIN_GAP_EPS * eps * ||K||_inf (a cluster in which the
-    eigenvector is not determined): the signatures of a grid too coarse for
-    the kernel support. Raises ValueError for d1 = d2 = 0, where K is the
-    reaction block at every node: its top eigenvalue (lower_bound) is
-    n-fold degenerate and has no principal eigenfunction on any grid.
+    Raises SpectralError when Lanczos fails (no convergence or any other
+    ARPACK error), when the computed eigenvector is not positive, or when
+    the top eigenvalue leads the next by no more than MIN_GAP_EPS * eps *
+    ||K||_inf (a cluster in which the eigenvector is not determined): the
+    signatures of a grid too coarse for the kernel support. Raises
+    ValueError for d1 = d2 = 0, where K is the reaction block at every
+    node: its top eigenvalue (lower_bound) is n-fold degenerate and has no
+    principal eigenfunction on any grid.
     """
     if problem.params.d1 == 0.0 and problem.params.d2 == 0.0:
         raise ValueError(
@@ -214,7 +215,7 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     grid_hint = f"refine the grid (n={n}, kernel support vs spacing mismatch)"
     try:
         vals, vecs = eigsh(op, k=2, which="LA", tol=0, rng=0)
-    except ArpackNoConvergence:
+    except ArpackError:  # no convergence, and every other ARPACK failure
         raise SpectralError(None, f"Lanczos found no principal eigenpair; {grid_hint}") from None
     top = vecs[:, -1]
     lam_p = -float(vals[-1])

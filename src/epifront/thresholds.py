@@ -12,17 +12,19 @@ Implements:
     L_star). The monotonicity holds for the continuous problem; at coarse n
     the discrete eigenvalue can cross zero more than once in L (find_L_star).
   - mu_star and sigma_star: simulation-backed bisections on the front
-    response mu and on the initial-data scale sigma. Monotonicity of the
-    dichotomy in both parameters makes plain bisection valid, and brackets
-    whose ends agree are expanded up to a cap. Probe runs stop as spreading
-    once their window eigenvalue is not positive (stopped_certified), and as
-    vanishing once mu is at most the search's vanishing level at a recorded
-    state (stopped_vanishing; _vanishing_ladder, built once per search). A
-    completed, undecided probe run continues from its final state at twice
-    the horizon, up to a cap. A run that stopped is final. At its last
-    chance (the last horizon, or a stopped_decayed run) a decayed, stalled
-    probe is vanishing (its run found its final window eigenvalue positive);
-    any other undecided probe fails the search with its status and evidence.
+    response mu and on the initial-data scale sigma, sharing one search body
+    (_label_search). Monotonicity of the dichotomy in both parameters makes
+    plain bisection valid, and brackets whose ends agree are expanded up to
+    a cap; the low end of a result vanishes and its high end spreads by
+    construction. Probe runs stop as spreading once their window eigenvalue
+    is not positive (stopped_certified), and as vanishing once mu is at most
+    the search's vanishing level at a recorded state (stopped_vanishing;
+    _vanishing_ladder, built once per search). A completed, undecided probe
+    run continues from its final state at twice the horizon, up to a cap. A
+    run that stopped is final. At its last chance (the last horizon, or a
+    stopped_decayed run) a decayed, stalled probe is vanishing (its run
+    found its final window eigenvalue positive); any other undecided probe
+    fails the search with its status and evidence.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval (vanishing_mu_bound, the mu search's low
     bracket end), and the same level at any state of a run from a ladder of
@@ -77,8 +79,6 @@ class BisectionResult:
     lo: float
     hi: float
     iterations: int
-    lo_outcome: str
-    hi_outcome: str
     probes: tuple
 
 
@@ -250,8 +250,6 @@ def vanishing_mu_bound(
     """
     Ls = _L_star_above_h0(p, n, "the vanishing bound", L_star)
     frac = 0.1
-    res = None
-    h1 = p.h0
     for _ in range(8):
         h1 = p.h0 + frac * (Ls - p.h0)
         res = principal_eigenvalue(EigenProblem(p, -h1, h1, n))
@@ -327,15 +325,14 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
         if traj.status != "completed":  # a run that stopped is final
             break
         horizon *= 2.0
-    decayed = traj.sup_u[-1] + traj.sup_v[-1] < cfg.tol_vanish
-    stalled = traj.h_rate[-1] - traj.g_rate[-1] < cfg.tol_vanish
-    last_chance = traj.status in ("completed", "stopped_decayed")
-    if last_chance and decayed and stalled:
+    density = traj.sup_u[-1] + traj.sup_v[-1]
+    speed = traj.h_rate[-1] - traj.g_rate[-1]
+    if traj.status in ("completed", "stopped_decayed") and density < cfg.tol_vanish and speed < cfg.tol_vanish:
         return "vanishing"
     raise ThresholdSearchError(
         f"probe run ended {traj.status} at t={traj.t[-1]:.6g}, undecided: width {traj.h[-1] - traj.g[-1]:.6g} "
         f"against 2L*={2.0 * L_star:.6g} and 2L*+tol_spread={2.0 * L_star + cfg.tol_spread:.6g}, sup u+v "
-        f"{traj.sup_u[-1] + traj.sup_v[-1]:.3g}, front speed {traj.h_rate[-1] - traj.g_rate[-1]:.3g}"
+        f"{density:.3g}, front speed {speed:.3g}"
     )
 
 
@@ -344,7 +341,9 @@ def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> Bise
 
     The low end must classify vanishing and the high end spreading; an end
     carrying the other label is moved outward by a factor of 4 (exact in
-    binary) up to _BRACKET_EXPANSIONS times.
+    binary) up to _BRACKET_EXPANSIONS times. Every probe keeps that
+    invariant, so a returned bracket [lo, hi] always has a vanishing low end
+    and a spreading high end, as its probes record.
     """
     probes = []
 
@@ -377,10 +376,22 @@ def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> Bise
         iterations += 1
         if iterations > 200:
             raise ThresholdSearchError("bisection failed to close the bracket")
-    return BisectionResult(
-        value=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iterations,
-        lo_outcome="vanishing", hi_outcome="spreading", probes=tuple(probes),
-    )
+    return BisectionResult(value=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iterations, probes=tuple(probes))
+
+
+def _label_search(
+    p: ModelParams, cfg: SimConfig, Ls: float, n: int, probe, bracket: tuple, rel_tol: float
+) -> BisectionResult:
+    """The bisection of a mu* or sigma* search over its bracket. probe(x) is
+    the (model, u0, v0) run at x, labelled by _classify_with_horizon against
+    this search's vanishing level (_vanishing_ladder, built here)."""
+    level = _vanishing_ladder(p, Ls, n)
+
+    def classify_at(x: float) -> str:
+        model, u0, v0 = probe(x)
+        return _classify_with_horizon(model, cfg, u0, v0, Ls, level)
+
+    return _dichotomy_bisect(classify_at, *bracket, rel_tol)
 
 
 def find_mu_star(
@@ -402,12 +413,8 @@ def find_mu_star(
     if bracket is None:
         base = vanishing_mu_bound(p, u0_profile, v0_profile, n=n, L_star=Ls)
         bracket = (base, 1e3 * base)
-    level = _vanishing_ladder(p, Ls, n)
-
-    def classify_at(mu: float) -> str:
-        return _classify_with_horizon(replace(p, mu=mu), cfg, u0_profile, v0_profile, Ls, level)
-
-    return _dichotomy_bisect(classify_at, *bracket, rel_tol)
+    probe = lambda mu: (replace(p, mu=mu), u0_profile, v0_profile)
+    return _label_search(p, cfg, Ls, n, probe, bracket, rel_tol)
 
 
 def find_sigma_star(
@@ -432,12 +439,5 @@ def find_sigma_star(
             "sigma threshold needs a strictly positive pathogen kernel or a front "
             "weight positive on [0, 2*L_star]"
         )
-
-    level = _vanishing_ladder(p, Ls, n)
-
-    def classify_at(sigma: float) -> str:
-        u0 = lambda x: sigma * psi1(x)
-        v0 = lambda x: sigma * psi2(x)
-        return _classify_with_horizon(p, cfg, u0, v0, Ls, level)
-
-    return _dichotomy_bisect(classify_at, *(bracket or (1e-3, 1e3)), rel_tol)
+    probe = lambda sigma: (p, lambda x: sigma * psi1(x), lambda x: sigma * psi2(x))
+    return _label_search(p, cfg, Ls, n, probe, bracket or (1e-3, 1e3), rel_tol)

@@ -200,8 +200,8 @@ def test_criterion_09_front_response_threshold():
     checks = {
         "explicit bound run vanishes": low == "vanishing",
         "1000x bound run spreads": high == "spreading",
-        "bracket low end vanishes": res.lo_outcome == "vanishing",
-        "bracket high end spreads": res.hi_outcome == "spreading",
+        "bracket low end vanishes": dict(res.probes)[res.lo] == "vanishing",
+        "bracket high end spreads": dict(res.probes)[res.hi] == "spreading",
         "bracket width <= 1e-2 relative": res.hi - res.lo <= 1e-2 * res.hi,
         "runtime < 10 min": elapsed < 600.0,
     }

@@ -1264,6 +1264,55 @@ def test_a_failed_integration_is_one_line_exit_3(tmp_path, capsys, argv, model, 
     assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([["0", 1], [1, 0]], "point 0: must be a number"),
+        ([[0, True], [1, 0]], "point 0: must be a number"),
+        ([[0, 1], [0.5, "2"]], "point 1: must be a number"),
+        ([[0, 1], [1e400, 0]], "point 1: must be finite"),
+        ([[0, 1, 5], [1, 0]], "point 0 must be an [x, y] pair"),
+        ([[0, 1], [1]], "point 1 must be an [x, y] pair"),
+        ({"0": 1}, "must be a list of [x, y] pairs"),
+    ],
+    ids=["string_x", "bool_y", "string_y", "infinite_x", "triple", "single", "object"],
+)
+def test_table_weight_points_follow_the_number_rule(tmp_path, capsys, points, message):
+    # Table coordinates are numbers like any other: no string or bool is
+    # coerced, no infinity admitted, and a malformed point is one line.
+    path = _vanishing_with(tmp_path, {"weight": {"family": "table", "points": points}})
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().out == f"FAIL config: config.model.weight.points: {message}\n"
+
+
+def test_an_eigen_interval_whose_length_overflows_is_a_config_error(tmp_path, capsys):
+    data = json.loads((CONFIG_DIR / "vanishing.json").read_text())
+    data["eigen"] = {"L1": -1e308, "L2": 1e308, "n": 64}
+    assert main(["eigen", write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid config: config.eigen: needs L1 < L2 with a finite L2 - L1, and n >= 16\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv, block",
+    [
+        ("vanishing.json", ["eigen"], "eigen"),
+        ("threshold_search.json", ["thresholds", "--target", "Lstar"], "thresholds"),
+    ],
+    ids=["eigen", "thresholds_Lstar"],
+)
+def test_a_grid_too_large_to_allocate_is_one_line_exit_3(tmp_path, capsys, config, argv, block):
+    # n = 10**18 nodes ask numpy for 6.94 EiB, beyond any 64-bit address
+    # space in use, so the request is refused at the call: nothing is allocated.
+    data = json.loads((CONFIG_DIR / config).read_text())
+    data[block]["n"] = 10**18
+    assert main([argv[0], write_config(tmp_path, data), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("memory error: Unable to allocate") and captured.err.count("\n") == 1
+
+
 NEGATIVE_WEIGHT = {"rho": 5, "weight": {"family": "table", "points": [[0, 1], [0.1, -5], [3, -5]]}}
 
 

@@ -1,0 +1,80 @@
+"""The CLI's outputs byte for byte: SHA-256 digests, pinned.
+
+Each digest covers a subcommand's exit code, standard output, standard error
+and every file it writes (summary.json without its echoed config, which
+holds the output directory). They were recorded with numpy 2.4.6 and scipy
+1.17.1 on x86-64, before the constant bracket labels and the unread weight
+report fields were deleted, and pin that refactor and any later one to the
+same bytes. thresholds --target mustar is pinned by MUSTAR_STDOUT in
+test_thresholds.py.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from epifront.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# Each case: a shipped config and the argv around its path (the subcommand first,
+# then its options); OUT stands for the output directory.
+CASES = {
+    "simulate-vanishing": ("vanishing.json", ["simulate"]),
+    "simulate-spreading": ("spreading.json", ["simulate"]),
+    "simulate-threshold_search": ("threshold_search.json", ["simulate"]),
+    "ode-vanishing": ("vanishing.json", ["ode"]),
+    "eigen-vanishing": ("vanishing.json", ["eigen", "--dump", "OUT/eigen.csv"]),
+    "validate-vanishing": ("vanishing.json", ["validate"]),
+    "Lstar-threshold_search": ("threshold_search.json", ["thresholds", "--target", "Lstar", "--out", "OUT/L.json"]),
+    "dstar-threshold_search": ("threshold_search.json", ["thresholds", "--target", "dstar", "--out", "OUT/d.json"]),
+}
+PINNED = {
+    "Lstar-threshold_search": "0d14c0a610eb15601412edb2a8eb5211b56f64737b21ec2de2f696c27a35ce1f",
+    "dstar-threshold_search": "b5f64278c0ddc462ae38bf4d4d1ed16d8651dc12a337d472cd4f1969ece2689e",
+    "eigen-vanishing": "d5013f118b765ca9e51454ab20485c4839d29db07b5f227d35171796fec5fcd2",
+    "ode-vanishing": "4ab9b1156f511a9368946c83124db8771ccf42030fb92941951e7383d63a134a",
+    "simulate-spreading": "d5dc8736e3e31cc3a86b4815e4b76b608f27fe38f440d78b88e478aa8aa1f34e",
+    "simulate-threshold_search": "5ef12dfa7d176e0ec591a85f246edcd92e56922b2b0e133734d089be7d8e990f",
+    "simulate-vanishing": "2b8ed8bf55704f1469db3d1f0cde83d3a8aa5a6d7747e3feedd370680b5b38e4",
+    "validate-vanishing": "8faf1a5917b28808406851bd3a7c43a77e7760d878b907f86919305f5db43a38",
+}
+pinned_versions = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="digests pinned with numpy 2.4.6 and scipy 1.17.1",
+)
+
+
+def run_case(name: str, tmp_path, capsys) -> str:
+    """The digest of one case, run in-process with its output under tmp_path."""
+    config, command = CASES[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    data = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+    data["output"]["directory"] = str(out)
+    path = tmp_path / config
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = [command[0], str(path)] + [arg.replace("OUT", str(out)) for arg in command[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    sha = hashlib.sha256(f"{code}\n".encode())
+    sha.update(hashlib.sha256(captured.out.encode()).digest())
+    sha.update(hashlib.sha256(captured.err.encode()).digest())
+    for file in sorted(out.iterdir()):
+        body = file.read_bytes()
+        if file.name == "summary.json":
+            summary = json.loads(body)
+            del summary["config"]
+            body = json.dumps(summary, indent=2).encode()
+        sha.update(file.name.encode() + b"\0" + hashlib.sha256(body).digest())
+    return sha.hexdigest()
+
+
+@pinned_versions
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_cli_writes_the_pinned_bytes(name, tmp_path, capsys):
+    assert run_case(name, tmp_path, capsys) == PINNED[name]

@@ -212,8 +212,6 @@ def test_weight_kernel_tail_report():
     w = WeightSpec.kernel_tail_of(KernelSpec.uniform(1.0))
     report = validate_weight(w, probe_radius=2.0)
     assert report.ok
-    assert report.lipschitz <= 0.5 + 1e-9
-    assert report.value_at_zero == 0.5
 
 
 def test_weight_zero_at_origin_fails():
@@ -226,9 +224,13 @@ def test_weight_table_report():
     w = WeightSpec.table([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
     report = validate_weight(w, probe_radius=2.0)
     assert report.ok
-    assert report.lipschitz == pytest.approx(0.5, abs=1e-12)
     assert weight_eval(w, 0.5) == pytest.approx(0.75)
     assert weight_eval(w, 3.0) == 0.0
+
+
+def test_a_table_with_no_points_states_the_sample_rule():
+    with pytest.raises(ValueError, match=r"table weight needs >= 2 \(x, y\) samples"):
+        WeightSpec.table([])
 
 
 def test_weight_negative_values_reported():

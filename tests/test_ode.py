@@ -34,6 +34,13 @@ def test_nonnegativity_guard():
         integrate_ode(make_params(), 0.1, 0.1, 1.0, -0.01)
 
 
+@pytest.mark.parametrize("t_end", [-5.0, 0.0, float("nan")])
+def test_a_horizon_that_is_not_positive_is_rejected(t_end):
+    # Like dt, the horizon must be positive: there is no step to take before t = 0.
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        integrate_ode(make_params(), 1.0, 1.0, t_end, 0.01)
+
+
 def test_instability_reports_time():
     # A step far beyond the decay scale makes the 4-stage update blow up.
     with pytest.raises(OdeInstabilityError) as err:

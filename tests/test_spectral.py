@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from epifront import (
     EigenProblem,
@@ -277,6 +277,14 @@ def test_problem_validation():
         EigenProblem(p, -1.0, 1.0, 8)
 
 
+@pytest.mark.parametrize("L1, L2", [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_an_interval_of_no_finite_length_is_rejected(L1, L2):
+    # L2 - L1 overflows to inf at (-1e308, 1e308): no grid spacing exists,
+    # and LAPACK and ARPACK fail on the grid it would give.
+    with pytest.raises(ValueError, match="finite positive length"):
+        EigenProblem(make_params(), L1, L2, 64)
+
+
 @pytest.mark.parametrize(
     "constants, overrides",
     [({"a": 0.0}, {}), ({"b": -1.0}, {}), ({"e": 0.0}, {}), ({"d1": -0.5}, {}), ({}, {"d1": -0.5}), ({}, {"d2": -1e-3})],
@@ -411,10 +419,15 @@ def _no_convergence(op, **kwargs):
     raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.zeros((op.shape[0], 0)))
 
 
+def _no_factorization(op, **kwargs):
+    raise ArpackError(-9999)
+
+
 @pytest.mark.parametrize(
     "fake, message",
     [(_tied_pair, "principal eigenvalue is not separated from the next"),
-     (_no_convergence, "Lanczos found no principal eigenpair")],
+     (_no_convergence, "Lanczos found no principal eigenpair"),
+     (_no_factorization, "Lanczos found no principal eigenpair")],
 )
 def test_each_lanczos_failure_is_one_spectral_error(monkeypatch, fake, message):
     # A tied top pair passes the sign check with a positive vector, but its

@@ -176,8 +176,9 @@ def test_find_mu_star_contract_and_determinism():
     p = make_params(alpha=2.0, h0=0.4)
     bump = bump_profile(0.4)
     res = find_mu_star(p, MU_CFG, bump, bump)
-    assert res.lo_outcome == "vanishing"
-    assert res.hi_outcome == "spreading"
+    labels = dict(res.probes)
+    assert labels[res.lo] == "vanishing"
+    assert labels[res.hi] == "spreading"
     assert res.hi - res.lo <= 1e-2 * res.hi
     assert res.lo <= res.value <= res.hi
     base = vanishing_mu_bound(p, bump, bump)
@@ -215,7 +216,8 @@ def gaussian_sigma_search():
 
 def test_find_sigma_star_bracket():
     res = gaussian_sigma_search()
-    assert res.lo_outcome == "vanishing" and res.hi_outcome == "spreading"
+    labels = dict(res.probes)
+    assert labels[res.lo] == "vanishing" and labels[res.hi] == "spreading"
     assert res.hi - res.lo <= 1e-2 * res.hi
     outcomes = [o for _, o in sorted(res.probes)]
     flips = sum(1 for a, b in zip(outcomes, outcomes[1:]) if a != b)
