@@ -5,7 +5,6 @@ flux and the weighted infected population."""
 from .kernels import (
     KernelSpec,
     WeightSpec,
-    WeightReport,
     has_finite_first_moment,
     kernel_eval,
     kernel_tail,

@@ -86,11 +86,11 @@ def _output_path_issue(path: str) -> str | None:
     return f"temporary output path is a directory: {tmp}" if os.path.isdir(tmp) else None
 
 
-def _check_outputs(*paths: str) -> None:
-    """Raise OSError for the first path that cannot take an output file;
-    called before any solve or run, not after it."""
+def _check_outputs(*paths: str | None) -> None:
+    """Raise OSError for the first path (None: no file) that cannot take an
+    output file; called before any solve or run, not after it."""
     for path in paths:
-        if issue := _output_path_issue(path):
+        if path is not None and (issue := _output_path_issue(path)):
             raise OSError(issue)
 
 
@@ -106,15 +106,6 @@ def _load(path: str):
     return cfg
 
 
-def _trajectory_rows(traj):
-    for i in range(traj.t.size):
-        yield (
-            float(traj.t[i]), float(traj.g[i]), float(traj.h[i]),
-            float(traj.sup_u[i]), float(traj.sup_v[i]),
-            float(traj.mass_u[i]), float(traj.mass_v[i]),
-        )
-
-
 def _cmd_simulate(args, cfg) -> int:
     p, num = cfg.params, cfg.numerics
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
@@ -124,7 +115,7 @@ def _cmd_simulate(args, cfg) -> int:
     trajectory, snapshots, summary_path = (
         os.path.join(outdir, name) for name in ("trajectory.csv", "snapshots.csv", "summary.json")
     )
-    _check_outputs(trajectory, summary_path, *([snapshots] if cfg.output.snapshots else []))
+    _check_outputs(trajectory, summary_path, snapshots if cfg.output.snapshots else None)
 
     l_star = effective_L_star(p, n=cfg.thresholds.n)
     traj = run(p, num, u0, v0, record_snapshots=cfg.output.snapshots)
@@ -140,15 +131,12 @@ def _cmd_simulate(args, cfg) -> int:
     except ValueError as err:
         refinement_note = f"coarse companion run at dx={2.0 * num.dx:g} is infeasible: {err}"
 
-    _write(
-        trajectory,
-        _csv(("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v"), _trajectory_rows(traj)),
-    )
+    columns = ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v")
+    _write(trajectory, _csv(columns, zip(*(getattr(traj, name).tolist() for name in columns))))
     if cfg.output.snapshots:
         rows = []
         for t, x, u, v in traj.snapshots:
-            for j in range(x.size):
-                rows.append((float(t), float(x[j]), float(u[j]), float(v[j])))
+            rows.extend(zip([float(t)] * x.size, x.tolist(), u.tolist(), v.tolist()))
         _write(snapshots, _csv(("t", "x", "u", "v"), rows))
     summary = {
         "classification": outcome,
@@ -199,8 +187,7 @@ def _cmd_eigen(args, cfg) -> int:
     if cfg.eigen is None:
         print("invalid config: eigen block required for the eigen subcommand", file=sys.stderr)
         return 2
-    if args.dump:
-        _check_outputs(args.dump)
+    _check_outputs(args.dump)
     problem = EigenProblem(cfg.params, cfg.eigen.L1, cfg.eigen.L2, cfg.eigen.n)
     result = principal_eigenvalue(problem)
     residual = rayleigh_check(problem, result)
@@ -215,8 +202,7 @@ def _cmd_thresholds(args, cfg) -> int:
     p, thr = cfg.params, cfg.thresholds
     u0 = cfgmod.build_profile(cfg.u0, p.h0)
     v0 = cfgmod.build_profile(cfg.v0, p.h0)
-    if args.out:
-        _check_outputs(args.out)
+    _check_outputs(args.out)
     bracket = None if thr.bracket_lo is None else (thr.bracket_lo, thr.bracket_hi)  # parsed as a pair
     if args.target in ("Lstar", "dstar"):
         trace: list = []
@@ -388,8 +374,8 @@ def _cmd_validate(args) -> int:
         p = cfg.params
         for name in ("kernel1", "kernel2"):  # by construction, like (G1)/(G2)
             checks.append((f"(J) {name}", True, "symmetric, unit mass, positive at 0"))
-        report = validate_weight(p.weight, probe_radius=2.0 * cfg.numerics.domain_cap)
-        checks.append(("(W) weight", report.ok, "; ".join(report.messages) or "nonnegative, W(0) > 0"))
+        w_issues = validate_weight(p.weight, probe_radius=2.0 * cfg.numerics.domain_cap)
+        checks.append(("(W) weight", not w_issues, "; ".join(w_issues) or "nonnegative, W(0) > 0"))
         checks.append(("(G1)/(G2) infection", True, "monotone, saturating"))  # by construction
         u0 = cfgmod.build_profile(cfg.u0, p.h0)
         v0 = cfgmod.build_profile(cfg.v0, p.h0)

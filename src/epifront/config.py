@@ -30,6 +30,7 @@ domain_cap = 8*h0.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -196,7 +197,7 @@ def _family(sec: _Section, noun: str, families, default=None):
     return family
 
 
-def _parse_kernel(sec: _Section | None, issues: list):
+def _parse_kernel(sec: _Section | None):
     if sec is None or (family := _family(sec, "kernel", KERNEL_SHAPE_FIELD)) is None:
         return None
     spec = None
@@ -208,7 +209,7 @@ def _parse_kernel(sec: _Section | None, issues: list):
         try:
             spec = KernelSpec(family, **values)
         except ValueError as err:
-            issues.append(f"{sec.path}: {err}")
+            sec.issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
     return spec
 
@@ -226,13 +227,13 @@ def _points_issue(points) -> str | None:
     return None
 
 
-def _parse_weight(sec: _Section | None, issues: list):
+def _parse_weight(sec: _Section | None):
     if sec is None or (family := _family(sec, "weight", WEIGHT_FAMILIES)) is None:
         return None
     spec = None
     try:
         if family == "kernel_tail":
-            kernel = _parse_kernel(sec.subsection("kernel", required=True), issues)
+            kernel = _parse_kernel(sec.subsection("kernel", required=True))
             if kernel is not None:
                 spec = WeightSpec.kernel_tail_of(kernel)
         elif family == "constant_on":
@@ -242,16 +243,16 @@ def _parse_weight(sec: _Section | None, issues: list):
         else:
             points = sec.get("points", required=True)
             if points is not None and (issue := _points_issue(points)):
-                issues.append(f"{sec.path}.points: {issue}")
+                sec.issues.append(f"{sec.path}.points: {issue}")
             elif points is not None:
                 spec = WeightSpec.table(points)
     except ValueError as err:
-        issues.append(f"{sec.path}: {err}")
+        sec.issues.append(f"{sec.path}: {err}")
     sec.flag_unknown()
     return spec
 
 
-def _parse_infection(sec: _Section | None, issues: list):
+def _parse_infection(sec: _Section | None):
     if sec is None or _family(sec, "infection", ("saturating",), "saturating") is None:
         return None
     alpha = sec.number("alpha", required=True)
@@ -259,16 +260,14 @@ def _parse_infection(sec: _Section | None, issues: list):
     sec.flag_unknown()
     if alpha is None or lam is None:
         return None
-    if not alpha > 0.0:
-        issues.append(f"{sec.path}.alpha: must be > 0")
+    try:
+        return InfectionFn(alpha=alpha, lam=lam)
+    except ValueError as err:  # it names the config key it rejects
+        sec.issues.append(f"{sec.path}.{err}")
         return None
-    if not 0.0 < lam <= 1.0:
-        issues.append(f"{sec.path}.lambda: must lie in (0, 1]")
-        return None
-    return InfectionFn(alpha=alpha, lam=lam)
 
 
-def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
+def _parse_profile(sec: _Section | None, depth: int = 0):
     if sec is None or (family := _family(sec, "profile", ("bump", "cosine", "scaled"))) is None:
         return None
     spec = None
@@ -277,17 +276,17 @@ def _parse_profile(sec: _Section | None, issues: list, depth: int = 0):
         if amp is not None and amp > 0.0:
             spec = ProfileSpec(family, amplitude=amp)
         elif amp is not None:
-            issues.append(f"{sec.path}.amplitude: must be > 0")
+            sec.issues.append(f"{sec.path}.amplitude: must be > 0")
     elif depth >= 4:
-        issues.append(f"{sec.path}: scaled profiles nested too deep")
+        sec.issues.append(f"{sec.path}: scaled profiles nested too deep")
     else:
         sig = sec.number("sigma", required=True)
-        base = _parse_profile(sec.subsection("base", required=True), issues, depth + 1)
+        base = _parse_profile(sec.subsection("base", required=True), depth + 1)
         if sig is not None and base is not None:
             if sig > 0.0:
                 spec = ProfileSpec("scaled", sigma=sig, base=base)
             else:
-                issues.append(f"{sec.path}.sigma: must be > 0")
+                sec.issues.append(f"{sec.path}.sigma: must be > 0")
     sec.flag_unknown()
     return spec
 
@@ -330,10 +329,10 @@ def parse_config_dict(data: dict, check_weight: bool = True):
         for name in ("d1", "d2", "a", "b", "e", "mu", "h0"):
             fields[name] = model_sec.number(name, required=True)
         fields["rho"] = model_sec.number("rho", 0.0)
-        kernel1 = _parse_kernel(model_sec.subsection("kernel1", required=True), issues)
-        kernel2 = _parse_kernel(model_sec.subsection("kernel2", required=True), issues)
-        weight = _parse_weight(model_sec.subsection("weight", required=True), issues)
-        infection = _parse_infection(model_sec.subsection("infection", required=True), issues)
+        kernel1 = _parse_kernel(model_sec.subsection("kernel1", required=True))
+        kernel2 = _parse_kernel(model_sec.subsection("kernel2", required=True))
+        weight = _parse_weight(model_sec.subsection("weight", required=True))
+        infection = _parse_infection(model_sec.subsection("infection", required=True))
         model_sec.flag_unknown()
         bad = validate_constants(fields)  # the constants that did parse
         issues.extend(f"config.model: {msg}" for msg in bad)
@@ -356,11 +355,10 @@ def parse_config_dict(data: dict, check_weight: bool = True):
         for msg in validate_sim_config(params, numerics, check_weight=check_weight):
             issues.append(f"config.numerics: {msg}")
 
-    u0 = v0 = None
     init_sec = root.subsection("initial")
     if init_sec is not None:
-        u0 = _parse_profile(init_sec.subsection("u0", required=True), issues)
-        v0 = _parse_profile(init_sec.subsection("v0", required=True), issues)
+        u0 = _parse_profile(init_sec.subsection("u0", required=True))
+        v0 = _parse_profile(init_sec.subsection("v0", required=True))
         init_sec.flag_unknown()
     else:
         u0 = v0 = ProfileSpec("bump")
@@ -386,6 +384,8 @@ def parse_config_dict(data: dict, check_weight: bool = True):
         ode_cfg = OdeConfig(**_read(ode_sec, OdeConfig))
         if ode_cfg.u0 < 0.0 or ode_cfg.v0 < 0.0 or ode_cfg.dt <= 0.0 or ode_cfg.t_end <= 0.0:
             issues.append("config.ode: needs u0, v0 >= 0 and dt, t_end > 0")
+        elif not math.isfinite(ode_cfg.t_end / ode_cfg.dt):
+            issues.append("config.ode: t_end / dt must be finite")
 
     thresholds = ThresholdConfig()
     thr_sec = root.subsection("thresholds")

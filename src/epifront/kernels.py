@@ -9,7 +9,7 @@ Implements:
   - Finite-first-moment classification (power_tail with gamma <= 2 is the
     only family whose first moment diverges).
   - Boundary weights: a kernel tail, a constant plateau, or a sampled table
-    with linear interpolation, plus a sampling-based validity report
+    with linear interpolation, plus a sampling-based check of (W)
     (nonnegative, positive at 0, finite).
 
 Kernel evaluators are even in x by construction (they only see |x|), so
@@ -269,19 +269,11 @@ def kernel_positive_everywhere(spec: KernelSpec) -> bool:
     return spec.family != "uniform"
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    """Sampled validity report for a boundary weight."""
+def validate_weight(spec: WeightSpec, probe_radius: float) -> list:
+    """Violations of (W) sampled at 2001 evenly spaced points of
+    [0, probe_radius]: W(0) > 0, nonnegative, finite. Empty when (W) holds.
 
-    ok: bool
-    messages: tuple
-
-
-def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
-    """Probe W at 2001 evenly spaced points of [0, probe_radius]: W(0) > 0,
-    nonnegative, finite.
-
-    Violations are reported, not raised. A table is also sampled at its
+    Violations are returned, not raised. A table is also sampled at its
     knots, where its extremes lie, so its sign verdict is exact.
     """
     if not probe_radius > 0.0:
@@ -297,4 +289,4 @@ def validate_weight(spec: WeightSpec, probe_radius: float) -> WeightReport:
         messages.append("negative weight values sampled")
     if not np.all(np.isfinite(vals)):
         messages.append("non-finite weight values sampled")
-    return WeightReport(ok=not messages, messages=tuple(messages))
+    return messages

@@ -34,9 +34,9 @@ class InfectionFn:
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
-            raise ValueError("alpha must be > 0")
+            raise ValueError("alpha: must be > 0")
         if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lam must lie in (0, 1]")
+            raise ValueError("lambda: must lie in (0, 1]")
 
 
 def infection_value(fn: InfectionFn, z):

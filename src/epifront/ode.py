@@ -78,6 +78,8 @@ def integrate_ode(p: ModelParams, u0: float, v0: float, t_end: float, dt: float)
         raise ValueError("dt must be positive")
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
+    if not math.isfinite(t_end / dt):
+        raise ValueError("t_end / dt must be finite")
     n_steps = max(1, int(round(t_end / dt)))
     u, v, t = float(u0), float(v0), 0.0
     states = [OdeState(t, u, v)]

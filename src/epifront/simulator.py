@@ -75,10 +75,13 @@ class Grid:
     def __init__(self, dx: float, cap: float):
         if not (dx > 0.0 and cap > dx):
             raise ValueError("grid needs 0 < dx < cap")
-        half = int(round(cap / dx))
         self.dx = float(dx)
+        try:
+            half = int(round(cap / dx))
+            self.x = np.arange(-half, half + 1) * self.dx
+        except (OverflowError, ValueError):  # cap/dx is inf, or numpy refuses the size
+            raise MemoryError(f"a grid of {2.0 * cap / dx + 1.0:.6g} nodes is too large to allocate") from None
         self.cap = half * self.dx
-        self.x = np.arange(-half, half + 1) * self.dx
         self.n = self.x.size
         self.nodes = self.x.tolist()  # the window lookups bisect this list
 
@@ -112,6 +115,8 @@ def validate_sim_config(p: ModelParams, cfg: SimConfig, check_weight: bool = Tru
         issues.append("dt must be > 0")
     if not cfg.t_end > 0.0:
         issues.append("t_end must be > 0")
+    elif cfg.dt > 0.0 and not math.isfinite(cfg.t_end / cfg.dt):
+        issues.append("t_end / dt must be finite")
     if cfg.record_every < 1:
         issues.append("record_every must be >= 1")
     if not cfg.tol_vanish > 0.0:
@@ -125,8 +130,8 @@ def validate_sim_config(p: ModelParams, cfg: SimConfig, check_weight: bool = Tru
     if not cfg.domain_cap > p.h0:
         issues.append("domain_cap must exceed h0")
     elif check_weight:
-        report = validate_weight(p.weight, 2.0 * cfg.domain_cap)
-        issues.extend(f"weight violates (W) on [0, 2*domain_cap]: {msg}" for msg in report.messages)
+        for msg in validate_weight(p.weight, 2.0 * cfg.domain_cap):
+            issues.append(f"weight violates (W) on [0, 2*domain_cap]: {msg}")
     return issues
 
 
@@ -602,6 +607,8 @@ def fixed_boundary_run(
     x = np.linspace(L1, L2, n)
     if dt is None:
         dt = 0.5 * stability_limit(p)
+    if not math.isfinite(t_end / dt):
+        raise ValueError("t_end / dt must be finite")
     u = np.asarray(u0(x), dtype=float) if callable(u0) else np.array(u0, dtype=float)
     v = np.asarray(v0(x), dtype=float) if callable(v0) else np.array(v0, dtype=float)
     if np.any(u < 0.0) or np.any(v < 0.0):

@@ -97,7 +97,10 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 
 
 def _grid(problem: EigenProblem):
-    x = np.linspace(problem.L1, problem.L2, problem.n)
+    try:
+        x = np.linspace(problem.L1, problem.L2, problem.n)
+    except ValueError:  # numpy refuses the size before allocating anything
+        raise MemoryError(f"an eigen grid of {problem.n} nodes is too large to allocate") from None
     dx = (problem.L2 - problem.L1) / (problem.n - 1)
     return x, dx, trapezoid_weights(problem.n, dx)
 

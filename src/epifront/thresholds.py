@@ -336,8 +336,13 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
     )
 
 
-def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> BisectionResult:
-    """Bisection on a monotone dichotomy whose probes classify vanishing or spreading.
+def _label_search(
+    p: ModelParams, cfg: SimConfig, Ls: float, n: int, probe, bracket: tuple, rel_tol: float
+) -> BisectionResult:
+    """The bisection of a mu* or sigma* search over its bracket, on the
+    monotone dichotomy in x. probe(x) is the (model, u0, v0) run at x,
+    labelled by _classify_with_horizon against this search's vanishing level
+    (_vanishing_ladder, built here).
 
     The low end must classify vanishing and the high end spreading; an end
     carrying the other label is moved outward by a factor of 4 (exact in
@@ -345,31 +350,32 @@ def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> Bise
     invariant, so a returned bracket [lo, hi] always has a vanishing low end
     and a spreading high end, as its probes record.
     """
+    level = _vanishing_ladder(p, Ls, n)
     probes = []
 
-    def probe(x: float) -> str:
-        outcome = classify_at(x)
+    def label(x: float) -> str:
+        model, u0, v0 = probe(x)
+        outcome = _classify_with_horizon(model, cfg, u0, v0, Ls, level)
         probes.append((x, outcome))
         return outcome
 
     def settle(x: float, factor: float, end: str, want: str, other: str) -> float:
-        out = probe(x)
+        out = label(x)
         for _ in range(_BRACKET_EXPANSIONS):
             if out != other:
                 break
             x *= factor
-            out = probe(x)
+            out = label(x)
         if out != want:
             raise ThresholdSearchError(f"{end} bracket end classifies as {out}, not {want}")
         return x
 
-    lo = settle(lo, 0.25, "low", "vanishing", "spreading")
-    hi = settle(hi, 4.0, "high", "spreading", "vanishing")
+    lo = settle(bracket[0], 0.25, "low", "vanishing", "spreading")
+    hi = settle(bracket[1], 4.0, "high", "spreading", "vanishing")
     iterations = 0
     while hi - lo > rel_tol * hi:
         mid = math.sqrt(lo * hi)  # geometric midpoint: brackets span decades
-        out = probe(mid)
-        if out == "vanishing":
+        if label(mid) == "vanishing":
             lo = mid
         else:
             hi = mid
@@ -377,21 +383,6 @@ def _dichotomy_bisect(classify_at, lo: float, hi: float, rel_tol: float) -> Bise
         if iterations > 200:
             raise ThresholdSearchError("bisection failed to close the bracket")
     return BisectionResult(value=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iterations, probes=tuple(probes))
-
-
-def _label_search(
-    p: ModelParams, cfg: SimConfig, Ls: float, n: int, probe, bracket: tuple, rel_tol: float
-) -> BisectionResult:
-    """The bisection of a mu* or sigma* search over its bracket. probe(x) is
-    the (model, u0, v0) run at x, labelled by _classify_with_horizon against
-    this search's vanishing level (_vanishing_ladder, built here)."""
-    level = _vanishing_ladder(p, Ls, n)
-
-    def classify_at(x: float) -> str:
-        model, u0, v0 = probe(x)
-        return _classify_with_horizon(model, cfg, u0, v0, Ls, level)
-
-    return _dichotomy_bisect(classify_at, *bracket, rel_tol)
 
 
 def find_mu_star(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from epifront.cli import main
 from epifront.config import build_profile, parse_config_dict
-from epifront.kernels import support_radius
+from epifront.kernels import WeightSpec, support_radius
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -562,6 +562,45 @@ def test_an_infection_without_a_family_is_saturating():
     del data["model"]["infection"]["family"]
     cfg, issues = parse_config_dict(data)
     assert issues == [] and cfg.params.infection.alpha == 0.5
+
+
+def test_a_constant_on_weight_is_parsed():
+    data = deep(BASE_CONFIG)
+    data["model"]["weight"] = {"family": "constant_on", "radius": 2.0, "height": 0.5}
+    cfg, issues = parse_config_dict(data)
+    assert issues == [] and cfg.params.weight == WeightSpec.constant_on(2.0, 0.5)
+
+
+def _nested_scaled(depth: int) -> dict:
+    profile = {"family": "bump"}
+    for _ in range(depth):
+        profile = {"family": "scaled", "sigma": 2.0, "base": profile}
+    return profile
+
+
+@pytest.mark.parametrize(
+    "path, block, expected",
+    [
+        (("model", "weight"), {"family": "constant_on", "radius": 0.0, "height": 0.5},
+         ["config.model.weight: constant_on weight needs a positive radius"]),
+        (("model", "infection"), {"family": "saturating", "alpha": -1.0, "lambda": 2.0},
+         ["config.model.infection.alpha: must be > 0"]),
+        (("model", "infection"), {"family": "saturating", "alpha": 0.5, "lambda": 2.0},
+         ["config.model.infection.lambda: must lie in (0, 1]"]),
+        (("initial", "u0"), {"family": "scaled", "sigma": 0.0, "base": {"family": "bump"}},
+         ["config.initial.u0.sigma: must be > 0"]),
+        (("initial", "u0"), _nested_scaled(5), [
+            "config.initial.u0.base.base.base.base: scaled profiles nested too deep",
+            "config.initial.u0.base.base.base.base: unknown key 'sigma'",
+            "config.initial.u0.base.base.base.base: unknown key 'base'",
+        ]),
+    ],
+    ids=["constant_on-radius", "infection-alpha-first", "infection-lambda", "scaled-sigma", "scaled-too-deep"],
+)
+def test_a_block_its_family_rejects_is_reported(path, block, expected):
+    data = deep(BASE_CONFIG)
+    data[path[0]][path[1]] = block
+    assert parse_config_dict(data) == (None, expected)
 
 
 def test_null_value_means_default():
@@ -1311,6 +1350,48 @@ def test_a_grid_too_large_to_allocate_is_one_line_exit_3(tmp_path, capsys, confi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("memory error: Unable to allocate") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, argv, block, values, message",
+    [
+        ("vanishing.json", ["eigen"], "eigen", {"n": 10**19}, "an eigen grid of 10000000000000000000 nodes"),
+        ("threshold_search.json", ["thresholds", "--target", "Lstar"], "thresholds", {"n": 10**19},
+         "an eigen grid of 10000000000000000000 nodes"),
+        ("vanishing.json", ["simulate"], "numerics", {"dx": 1e-300}, "a grid of 1.2e+301 nodes"),
+        ("vanishing.json", ["simulate"], "numerics", {"domain_cap": 1e300}, "a grid of 4e+301 nodes"),
+        ("vanishing.json", ["simulate"], "numerics", {"dx": 1e-308}, "a grid of inf nodes"),
+    ],
+    ids=["eigen_n", "thresholds_Lstar_n", "simulate_dx", "simulate_domain_cap", "simulate_dx_overflow"],
+)
+def test_a_grid_numpy_refuses_is_one_line_exit_3(tmp_path, capsys, config, argv, block, values, message):
+    # numpy refuses these sizes with a ValueError before allocating anything,
+    # and cap/dx = inf fails before numpy is called.
+    data = json.loads((CONFIG_DIR / config).read_text())
+    data[block].update(values)
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main([argv[0], write_config(tmp_path, data), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"memory error: {message} is too large to allocate\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv, block, message",
+    [
+        ("vanishing.json", ["ode"], "ode", "config.ode: t_end / dt must be finite"),
+        ("threshold_search.json", ["simulate"], "numerics", "config.numerics: t_end / dt must be finite"),
+        ("threshold_search.json", ["thresholds", "--target", "mustar"], "numerics",
+         "config.numerics: t_end / dt must be finite"),
+    ],
+    ids=["ode", "simulate", "thresholds_mustar"],
+)
+def test_a_step_count_that_overflows_is_one_line_exit_2(tmp_path, capsys, config, argv, block, message):
+    data = json.loads((CONFIG_DIR / config).read_text())
+    data[block].update({"t_end": 1e300, "dt": 1e-300})
+    data["output"]["directory"] = str(tmp_path / "out")
+    assert main([argv[0], write_config(tmp_path, data), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"invalid config: {message}\n"
 
 
 NEGATIVE_WEIGHT = {"rho": 5, "weight": {"family": "table", "points": [[0, 1], [0.1, -5], [3, -5]]}}

@@ -41,6 +41,12 @@ def test_a_horizon_that_is_not_positive_is_rejected(t_end):
         integrate_ode(make_params(), 1.0, 1.0, t_end, 0.01)
 
 
+def test_a_step_count_that_overflows_is_rejected():
+    # t_end / dt = inf has no integer step count.
+    with pytest.raises(ValueError, match=r"^t_end / dt must be finite$"):
+        integrate_ode(make_params(), 1.0, 1.0, 1e300, 1e-300)
+
+
 def test_instability_reports_time():
     # A step far beyond the decay scale makes the 4-stage update blow up.
     with pytest.raises(OdeInstabilityError) as err:

@@ -1,6 +1,7 @@
 """Moving-front integration: quadrature, front law, comparisons, steady states."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,18 @@ def test_step_domain_exhaustion():
             state = step(p, cfg, state)
 
 
+def test_a_step_far_beyond_the_stability_limit_ends_on_a_negative_density():
+    # step does not check dt against the stability limit (run's config check
+    # does), so the density check is what catches the overshoot.
+    p = make_params(alpha=2.0)
+    cfg = SimConfig(dx=0.05, dt=5.0, t_end=1.0, domain_cap=5.0)
+    grid = Grid(cfg.dx, cfg.domain_cap)
+    bump = sample_profile(bump_profile(1.0), grid, 1.0)
+    state = SimState(t=0.0, g=-1.0, h=1.0, u=bump, v=bump.copy(), grid=grid)
+    with pytest.raises(SimulationUnstable, match=r"^t=5: density went negative \(-3\.302e\+01\)$"):
+        step(p, cfg, state)
+
+
 @pytest.mark.parametrize("front", ["g", "h"])
 def test_a_non_finite_front_ends_the_step_as_unstable(front):
     # A NaN front fails every grid comparison and gives an empty window, so
@@ -340,6 +353,24 @@ def test_fixed_boundary_accepts_arrays():
     x, u, v = fixed_boundary_run(p, -2.0, 2.0, u0, u0, t_end=1.0, dx=0.1)
     assert x.size == u.size == v.size == 41
     assert np.all(u >= 0.0)
+
+
+def test_a_step_count_that_overflows_is_rejected():
+    p = make_params(alpha=2.0)
+    cfg = SimConfig(dx=0.05, dt=1e-300, t_end=1e300, domain_cap=4.0)
+    assert validate_sim_config(p, cfg) == ["t_end / dt must be finite"]
+    with pytest.raises(ValueError, match=r"^t_end / dt must be finite$"):
+        run(p, cfg, bump_profile(1.0), bump_profile(1.0))
+    with pytest.raises(ValueError, match=r"^t_end / dt must be finite$"):
+        fixed_boundary_run(p, -2.0, 2.0, bump_profile(2.0), bump_profile(2.0), t_end=1e300, dx=0.1, dt=1e-300)
+
+
+@pytest.mark.parametrize("dx, cap, count", [(1e-300, 6.0, "1.2e+301"), (0.05, 1e300, "4e+301"), (1e-308, 6.0, "inf")])
+def test_a_grid_numpy_refuses_is_a_memory_error(dx, cap, count):
+    # numpy refuses these sizes before allocating anything; cap/dx = inf
+    # fails before numpy is called.
+    with pytest.raises(MemoryError, match=rf"^a grid of {re.escape(count)} nodes is too large to allocate$"):
+        Grid(dx, cap)
 
 
 def test_check_initial_pair_reports_violations():
