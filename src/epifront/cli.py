@@ -46,9 +46,6 @@ from .thresholds import (
     find_sigma_star,
 )
 
-WORKER_ENV = "EPIFRONT_WORKERS"
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -236,7 +233,7 @@ def _cmd_thresholds(args, cfg) -> int:
 
 
 _SWEEPABLE = ("d1", "d2", "a", "b", "e", "mu", "rho", "h0", "sigma")
-_SPEC_KEYS = ("parameter", "values", "config", "config_path", "output", "workers")
+_SPEC_KEYS = ("parameter", "values", "config", "config_path", "output")
 # Parameters that leave the interval eigenvalue problem and the L* bracket
 # (h0/10, 2*h0) unchanged, so one L* serves every point of their sweep.
 _L_STAR_FIXED = ("mu", "rho", "sigma")
@@ -276,14 +273,6 @@ def _sweep_one(payload):
         return value, "error", math.nan, math.nan, math.nan, str(err)
 
 
-def _worker_count(value, name: str, issues: list) -> int:
-    """value when it is an integer (a bool is not), else 1 with a reported issue."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    issues.append(f"{name} must be an integer, got {value!r}")
-    return 1
-
-
 def _cmd_sweep(args) -> int:
     if not os.path.exists(args.spec):
         print(f"sweep spec not found: {args.spec}", file=sys.stderr)
@@ -320,26 +309,15 @@ def _cmd_sweep(args) -> int:
         issues.append(f"output must be a file path, got {output!r}")
     elif issue := _output_path_issue(output):
         issues.append(issue)
-    spec_workers = _worker_count(spec.get("workers", 1), "workers", issues)
-    env_cap = os.environ.get(WORKER_ENV)
-    if env_cap is not None:
-        try:
-            env_cap = int(env_cap)
-        except ValueError:
-            pass  # reported below with the text as given
-        env_cap = _worker_count(env_cap, WORKER_ENV, issues)
-    for value, origin in ((spec_workers, "spec"), (args.workers, "--workers"), (env_cap, WORKER_ENV)):
-        if value is not None and value < 1:
-            issues.append(f"workers must be >= 1, got {value} ({origin})")
+    if args.workers < 1:
+        issues.append(f"workers must be >= 1, got {args.workers} (--workers)")
     if issues or cfg is None:
         for msg in issues:
             print(f"invalid sweep spec: {msg}", file=sys.stderr)
         return 2
 
     # At most one worker per point: a fork pool starts every worker up front.
-    workers = min(spec_workers if args.workers is None else args.workers, len(values))
-    if env_cap is not None:
-        workers = min(workers, env_cap)
+    workers = min(args.workers, len(values))
     l_star = None
     if parameter in _L_STAR_FIXED:
         try:
@@ -423,7 +401,7 @@ def main(argv=None) -> int:
 
     swp = sub.add_parser("sweep", help="batch runs over a parameter grid")
     swp.add_argument("spec")
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=int, default=1, help="worker processes, at least 1 (default 1)")
     swp.set_defaults(func=_cmd_sweep)
 
     val = sub.add_parser("validate", help="check every model assumption in a config")

@@ -258,7 +258,7 @@ def _parse_infection(sec: _Section | None):
     alpha = sec.number("alpha", required=True)
     lam = sec.number("lambda", 1.0)
     sec.flag_unknown()
-    if alpha is None or lam is None:
+    if alpha is None:
         return None
     try:
         return InfectionFn(alpha=alpha, lam=lam)
@@ -277,8 +277,9 @@ def _parse_profile(sec: _Section | None, depth: int = 0):
             spec = ProfileSpec(family, amplitude=amp)
         elif amp is not None:
             sec.issues.append(f"{sec.path}.amplitude: must be > 0")
-    elif depth >= 4:
+    elif depth >= 4:  # one line; the block's own keys go unchecked
         sec.issues.append(f"{sec.path}: scaled profiles nested too deep")
+        sec.seen.update(sec.data)
     else:
         sig = sec.number("sigma", required=True)
         base = _parse_profile(sec.subsection("base", required=True), depth + 1)

@@ -603,8 +603,12 @@ def fixed_boundary_run(
     """
     if not L2 > L1:
         raise ValueError("need L1 < L2")
-    n = int(round((L2 - L1) / dx)) + 1
-    x = np.linspace(L1, L2, n)
+    if not dx > 0.0:  # a memory error below must mean a size, not a sign
+        raise ValueError("dx must be positive")
+    try:
+        x = np.linspace(L1, L2, int(round((L2 - L1) / dx)) + 1)
+    except (OverflowError, ValueError):  # (L2 - L1)/dx is inf, or numpy refuses the size
+        raise MemoryError(f"a grid of {(L2 - L1) / dx + 1.0:.6g} nodes is too large to allocate") from None
     if dt is None:
         dt = 0.5 * stability_limit(p)
     if not math.isfinite(t_end / dt):

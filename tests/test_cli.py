@@ -1,8 +1,10 @@
 """Command-line surface: strict parsing, outputs, determinism, exit codes."""
 
+import contextlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,19 +313,27 @@ def test_top_level_must_be_object(tmp_path):
 
 
 def test_sweep_worker_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("EPIFRONT_WORKERS", "1")  # cap below the requested pool
+    # --workers is the only worker setting: EPIFRONT_WORKERS is not read, so
+    # neither a "cap" of 1 nor an invalid 0 changes the pool --workers asks for.
+    import epifront.cli as cli
+
+    sizes = []
+
+    def pool(max_workers):  # maps in this process
+        sizes.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
     data = deep(BASE_CONFIG)
-    data["numerics"]["t_end"] = 5.0
-    spec = {
-        "parameter": "mu",
-        "values": [0.1, 0.2],
-        "config": data,
-        "output": str(tmp_path / "cap.csv"),
-    }
+    data["numerics"]["t_end"] = 1.0
+    spec = {"parameter": "mu", "values": [0.1, 0.2, 0.3], "config": data, "output": str(tmp_path / "cap.csv")}
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(spec))
-    assert main(["sweep", str(path), "--workers", "8"]) == 0
-    assert len((tmp_path / "cap.csv").read_text().splitlines()) == 3
+    for cap in ("0", "1"):
+        monkeypatch.setenv("EPIFRONT_WORKERS", cap)
+        assert main(["sweep", str(path), "--workers", "2"]) == 0
+        assert len((tmp_path / "cap.csv").read_text().splitlines()) == 4
+    assert sizes == [2, 2]
 
 
 def test_sweep_deterministic_across_worker_counts(tmp_path):
@@ -589,11 +599,7 @@ def _nested_scaled(depth: int) -> dict:
          ["config.model.infection.lambda: must lie in (0, 1]"]),
         (("initial", "u0"), {"family": "scaled", "sigma": 0.0, "base": {"family": "bump"}},
          ["config.initial.u0.sigma: must be > 0"]),
-        (("initial", "u0"), _nested_scaled(5), [
-            "config.initial.u0.base.base.base.base: scaled profiles nested too deep",
-            "config.initial.u0.base.base.base.base: unknown key 'sigma'",
-            "config.initial.u0.base.base.base.base: unknown key 'base'",
-        ]),
+        (("initial", "u0"), _nested_scaled(5), ["config.initial.u0.base.base.base.base: scaled profiles nested too deep"]),
     ],
     ids=["constant_on-radius", "infection-alpha-first", "infection-lambda", "scaled-sigma", "scaled-too-deep"],
 )
@@ -690,54 +696,16 @@ def test_thresholds_block_accepts_a_valid_bracket_and_a_wrong_typed_end_alone():
     assert parse_config_dict(data)[1] == ["config.thresholds.bracket_lo: must be a number"]
 
 
-@pytest.mark.parametrize(
-    "env, spec_workers",
-    [("abc", None), ("1.5", None), (None, "two"), (None, [2]), (None, 2.5), (None, True), (None, "2")],
-)
-def test_sweep_rejects_non_integer_worker_counts(tmp_path, capsys, monkeypatch, env, spec_workers):
-    if env is None:
-        monkeypatch.delenv("EPIFRONT_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("EPIFRONT_WORKERS", env)
-    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
-    if spec_workers is not None:
-        spec["workers"] = spec_workers
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(spec))
-    assert main(["sweep", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid sweep spec: ") and "must be an integer" in err
-    assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
-
-
-@pytest.mark.parametrize("spec_workers, flag", [(-3, None), (0, None), (2, "0"), (None, "-1")])
-def test_sweep_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch, spec_workers, flag):
+@pytest.mark.parametrize("flag", ["0", "-1"])
+def test_sweep_rejects_worker_counts_below_one(tmp_path, capsys, flag):
     # A count below 1 is an error, not a serial run; --workers 0 is a count,
-    # not an absent flag that would defer to the spec.
-    monkeypatch.delenv("EPIFRONT_WORKERS", raising=False)
+    # not an absent flag.
     spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
-    if spec_workers is not None:
-        spec["workers"] = spec_workers
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))
-    assert main(["sweep", str(path)] + ([] if flag is None else ["--workers", flag])) == 2
+    assert main(["sweep", str(path), "--workers", flag]) == 2
     err = capsys.readouterr().err
-    bad, origin = (spec_workers, "spec") if flag is None else (int(flag), "--workers")
-    assert err == f"invalid sweep spec: workers must be >= 1, got {bad} ({origin})\n"
-    assert not (tmp_path / "s.csv").exists()
-
-
-@pytest.mark.parametrize("cap", ["0", "-2"])
-def test_sweep_rejects_a_worker_env_cap_below_one(tmp_path, capsys, monkeypatch, cap):
-    # A cap below 1 is an error like a count below 1, not a silent serial run.
-    monkeypatch.setenv("EPIFRONT_WORKERS", cap)
-    spec = {"parameter": "mu", "values": [0.1, 0.2], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
-    spec["workers"] = 2  # the cap, not the spec, is what fails
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(spec))
-    assert main(["sweep", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"invalid sweep spec: workers must be >= 1, got {int(cap)} (EPIFRONT_WORKERS)\n"
+    assert err == f"invalid sweep spec: workers must be >= 1, got {int(flag)} (--workers)\n"
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -977,6 +945,41 @@ def test_a_sweep_spec_with_unknown_keys_is_rejected(tmp_path, capsys, monkeypatc
     err = _sweep_error(tmp_path, capsys, spec)
     assert err == "invalid sweep spec: unknown key 'worker'\ninvalid sweep spec: unknown key 'valuez'\n"
     assert not out.exists()
+
+
+def test_a_sweep_spec_with_a_workers_key_is_rejected(tmp_path, capsys, monkeypatch):
+    # The worker count comes from --workers alone; a spec key for it is unknown.
+    monkeypatch.setattr("epifront.cli._sweep_one", _no_solve)
+    out = tmp_path / "s.csv"
+    spec = {"parameter": "mu", "values": [0.1], "config": deep(BASE_CONFIG), "output": str(out), "workers": 1}
+    assert _sweep_error(tmp_path, capsys, spec) == "invalid sweep spec: unknown key 'workers'\n"
+    assert not out.exists()
+
+
+def test_a_parameter_that_cannot_be_swept_is_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("epifront.cli._sweep_one", _no_solve)
+    spec = {"parameter": "L1", "values": [0.1], "config": deep(BASE_CONFIG), "output": str(tmp_path / "s.csv")}
+    sweepable = "('d1', 'd2', 'a', 'b', 'e', 'mu', 'rho', 'h0', 'sigma')"
+    assert _sweep_error(tmp_path, capsys, spec) == f"invalid sweep spec: parameter must be one of {sweepable}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, noun",
+    [
+        (["simulate"], "config"),
+        (["ode"], "config"),
+        (["eigen"], "config"),
+        (["thresholds", "--target", "Lstar"], "config"),
+        (["sweep"], "sweep spec"),
+        (["validate"], "config"),
+    ],
+    ids=["simulate", "ode", "eigen", "thresholds", "sweep", "validate"],
+)
+def test_a_missing_input_file_is_one_line(tmp_path, capsys, argv, noun):
+    missing = str(tmp_path / "absent.json")
+    assert main(argv[:1] + [missing] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == f"{noun} not found: {missing}\n"
 
 
 def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):

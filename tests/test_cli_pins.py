@@ -45,7 +45,7 @@ CASES = {
     "validate-G-out-of-range": ("vanishing.json", ["validate"], G_OUT_OF_RANGE),
     "simulate-G-out-of-range": ("vanishing.json", ["simulate"], G_OUT_OF_RANGE),
 }
-SWEEP_SPEC = {"parameter": "mu", "values": [0.1, 0.2, 0.4], "output": "sweep.csv", "workers": 1}
+SWEEP_SPEC = {"parameter": "mu", "values": [0.1, 0.2, 0.4], "output": "sweep.csv"}
 PINNED = {
     "Lstar-threshold_search": "0d14c0a610eb15601412edb2a8eb5211b56f64737b21ec2de2f696c27a35ce1f",
     "dstar-threshold_search": "b5f64278c0ddc462ae38bf4d4d1ed16d8651dc12a337d472cd4f1969ece2689e",

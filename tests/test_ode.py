@@ -54,6 +54,13 @@ def test_instability_reports_time():
     assert err.value.t > 0.0
 
 
+def test_a_state_that_overflows_is_reported_as_non_finite():
+    # At the float limit the first step overflows to inf before any state
+    # can go negative.
+    with pytest.raises(OdeInstabilityError, match=r"^t=0\.1: state became non-finite; reduce dt$"):
+        integrate_ode(make_params(), 1e308, 1e308, 1.0, 0.1)
+
+
 def test_lyapunov_requires_balance():
     with pytest.raises(ValueError):
         lyapunov_series(make_params(alpha=2.0), [])

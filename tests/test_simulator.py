@@ -241,6 +241,17 @@ def test_a_step_far_beyond_the_stability_limit_ends_on_a_negative_density():
         step(p, cfg, state)
 
 
+def test_a_density_that_overflows_ends_the_run_as_unstable():
+    # Densities near the float limit overflow in the first step; the check
+    # names the non-finite density, not a later negative one. The frozen
+    # interval has no fronts whose rates could fail first.
+    p = make_params(alpha=2.0)
+    huge = lambda x: np.full_like(x, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationUnstable, match=r"^t=0\.05: density became non-finite; reduce dt$"):
+            fixed_boundary_run(p, -1.0, 1.0, huge, huge, t_end=1.0, dx=0.1, dt=0.05)
+
+
 @pytest.mark.parametrize("front", ["g", "h"])
 def test_a_non_finite_front_ends_the_step_as_unstable(front):
     # A NaN front fails every grid comparison and gives an empty window, so
@@ -371,6 +382,21 @@ def test_a_grid_numpy_refuses_is_a_memory_error(dx, cap, count):
     # fails before numpy is called.
     with pytest.raises(MemoryError, match=rf"^a grid of {re.escape(count)} nodes is too large to allocate$"):
         Grid(dx, cap)
+
+
+@pytest.mark.parametrize("dx, count", [(1e-300, "2e+300"), (1e-320, "inf")])
+def test_a_frozen_interval_numpy_refuses_is_a_memory_error(dx, count):
+    # (L2 - L1)/dx = 2e300 is a count numpy refuses; 2/1e-320 is inf, which
+    # has no integer count.
+    p = make_params(alpha=2.0)
+    with pytest.raises(MemoryError, match=rf"^a grid of {re.escape(count)} nodes is too large to allocate$"):
+        fixed_boundary_run(p, -1.0, 1.0, bump_profile(1.0), bump_profile(1.0), t_end=1.0, dx=dx)
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.1, math.nan])
+def test_a_frozen_interval_needs_a_positive_spacing(dx):
+    with pytest.raises(ValueError, match=r"^dx must be positive$"):
+        fixed_boundary_run(make_params(alpha=2.0), -1.0, 1.0, bump_profile(1.0), bump_profile(1.0), t_end=1.0, dx=dx)
 
 
 def test_check_initial_pair_reports_violations():
