@@ -51,9 +51,15 @@ def _fmt(x: float) -> str:
 
 
 def _csv(header, rows):
+    """CSV text chunks: the header, then each row (a tuple) through one %
+    format, %.17g (as _fmt) in each float column and %s in the others,
+    taken from the first row; every writer's columns keep one type."""
     yield ",".join(header) + "\n"
+    line = None
     for row in rows:
-        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        if line is None:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
+        yield line % row
 
 
 def _write(path: str, chunks) -> None:

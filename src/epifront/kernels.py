@@ -130,6 +130,35 @@ def kernel_eval(spec: KernelSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _const(value: float) -> np.ndarray:
+    """value as a 0-d array: numpy converts a Python scalar operand at every
+    operation and a 0-d array at none, with the same result."""
+    return np.array(float(value))
+
+
+def tail_formula(spec: KernelSpec):
+    """The closed-form tail mass W_J of spec as a function of ax >= 0 (an
+    array or a numpy scalar), unchecked: the formula behind kernel_tail,
+    with spec's constants bound once, so the moving-front stage binds it per
+    run and calls it at its positive front distances."""
+    if spec.family == "uniform":
+        radius, width, zero = _const(spec.radius), _const(2.0 * spec.radius), _const(0.0)
+        return lambda ax: np.maximum(radius - ax, zero) / width
+    if spec.family == "gaussian":
+        half, scale = _const(0.5), _const(spec.std * math.sqrt(2.0))
+        return lambda ax: half * erfc(ax / scale)
+    if spec.family == "laplace":
+        half, scale = _const(0.5), _const(spec.scale)
+        return lambda ax: half * np.exp(-ax / scale)
+    g, x0 = spec.exponent, spec.cutoff
+
+    def power_tail(ax):
+        plateau = (g - 1.0) / (2.0 * g * x0) * np.maximum(x0 - ax, 0.0)
+        return plateau + _cutoff_ratio_power(x0, ax, g - 1.0) / (2.0 * g)
+
+    return power_tail
+
+
 def kernel_tail(spec: KernelSpec, x):
     """Tail mass W_J(x) = integral of J over [x, inf), closed form per family.
 
@@ -139,16 +168,7 @@ def kernel_tail(spec: KernelSpec, x):
     ax = np.asarray(x, dtype=float)
     if (ax < 0.0).any():
         raise ValueError("kernel_tail argument must be nonnegative")
-    if spec.family == "uniform":
-        out = np.maximum(spec.radius - ax, 0.0) / (2.0 * spec.radius)
-    elif spec.family == "gaussian":
-        out = 0.5 * erfc(ax / (spec.std * math.sqrt(2.0)))
-    elif spec.family == "laplace":
-        out = 0.5 * np.exp(-ax / spec.scale)
-    else:
-        g, x0 = spec.exponent, spec.cutoff
-        plateau = (g - 1.0) / (2.0 * g * x0) * np.maximum(x0 - ax, 0.0)
-        out = plateau + _cutoff_ratio_power(x0, ax, g - 1.0) / (2.0 * g)
+    out = tail_formula(spec)(ax)
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,17 +241,23 @@ class WeightSpec:
         return cls("table", xs=tuple(x for x, _ in pairs), ys=tuple(y for _, y in pairs))
 
 
+def weight_formula(spec: WeightSpec):
+    """W as a function of ax >= 0 (an array or a numpy scalar), unchecked:
+    the formula behind weight_eval, with spec's constants bound once."""
+    if spec.family == "kernel_tail":
+        return tail_formula(spec.kernel)
+    if spec.family == "constant_on":
+        return lambda ax: np.where(ax <= spec.radius, spec.height, 0.0)
+    xs, ys = np.array(spec.xs, dtype=float), np.array(spec.ys, dtype=float)
+    return lambda ax: np.interp(ax, xs, ys, right=0.0)
+
+
 def weight_eval(spec: WeightSpec, x):
     """Evaluate W(x) for x >= 0 (elementwise)."""
     ax = np.asarray(x, dtype=float)
     if (ax < 0.0).any():
         raise ValueError("weight argument must be nonnegative")
-    if spec.family == "kernel_tail":
-        return kernel_tail(spec.kernel, ax if ax.ndim else float(ax))
-    if spec.family == "constant_on":
-        out = np.where(ax <= spec.radius, spec.height, 0.0)
-    else:
-        out = np.interp(ax, spec.xs, spec.ys, right=0.0)
+    out = weight_formula(spec)(ax)
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,15 +39,21 @@ class InfectionFn:
             raise ValueError("lambda: must lie in (0, 1]")
 
 
+def infection_formula(fn: InfectionFn, z):
+    """G(z) = alpha*z / (1 + |z|^lam) for a Python float or an array z,
+    without infection_value's conversion: the one formula behind it, which
+    the moving-front stage calls directly. The denominator uses |z|^lam so
+    that stray negative round-off from explicit stages stays finite instead
+    of producing NaN."""
+    return fn.alpha * z / (1.0 + abs(z) ** fn.lam)
+
+
 def infection_value(fn: InfectionFn, z):
-    """G(z) for z >= 0. The denominator uses |z|^lam so that stray negative
-    round-off from explicit stages stays finite instead of producing NaN.
-    A Python float is evaluated in Python floats, the same operations in
-    the same order as the array path."""
+    """G(z) for z >= 0: a Python float in Python floats, anything else as a
+    float array (a float for a 0-d one), by the one infection_formula."""
     if type(z) is float:
-        return fn.alpha * z / (1.0 + abs(z) ** fn.lam)
-    za = np.asarray(z, dtype=float)
-    out = fn.alpha * za / (1.0 + np.abs(za) ** fn.lam)
+        return infection_formula(fn, z)
+    out = infection_formula(fn, np.asarray(z, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,10 +19,17 @@ Implements:
     scale) and both front fluxes, from one tail evaluation and one mat-vec.
     Every other node has zero rate. The density check (finite, round-off
     clamp at -1e-14) runs once per step on y.
-    The front rates (mu F_h, -mu F_g) are formed in one place, _front_rates,
-    for the stage, the recorded rows, boundary_rates and the flux check. The
-    fluxes are nonnegative by construction: run checks (W) and the initial
-    data at every node, and the stepper keeps the densities nonnegative.
+  - The stage (_Stage), built once per run and hung on the run's grid:
+    the stencils, the fold flag, the rate constants as 0-d arrays and the
+    unchecked tail, weight and G formulas, bound for every stage of every
+    step. Its methods are the one copy of the stage expressions: the front
+    rates (mu F_h, -mu F_g) for the stage, the recorded rows, boundary_rates
+    and the flux check, and the dispersal-reaction rates for the moving and
+    the frozen interval. _stage_rates, _density_rates and _front_rates are
+    entry points that bind a stage per call with the checked evaluators.
+    The fluxes are nonnegative by construction: run checks (W) and the
+    initial data at every node, and the stepper keeps the densities
+    nonnegative.
   - The equivalence check between the double-integral outward-flux form and
     the tail-weighted single integral the stepper uses.
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
@@ -30,12 +37,13 @@ Implements:
     the interval's principal eigenvalue is negative. fixed_boundary_run is
     its one integrator (step always moves the fronts). It shares the density
     rates, the 4-stage step and the density check with the moving-front
-    stepper.
+    stepper, and binds its stencils and trapezoid weights once per run.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - The sign of the principal eigenvalue of the frozen linearization on the
     occupied window (the eigen solver's operator and kernel entries on the
-    simulator's nodes and weights; one Cholesky attempt). Runs of the threshold
+    simulator's nodes and weights; one Cholesky attempt; the run's stage
+    keeps the kernel blocks of the last window). Runs of the threshold
     searches stop as `stopped_certified` once it is not positive, a
     certificate of spreading, and as `stopped_vanishing` once mu is at most
     the search's vanishing level at the recorded state, a certificate of
@@ -50,13 +58,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad
 
-from .kernels import KernelSpec, kernel_eval, kernel_tail, support_radius, validate_weight, weight_eval
-from .model import ModelParams, gprime0, infection_value
+from .kernels import (
+    KernelSpec,
+    _const,
+    kernel_eval,
+    kernel_tail,
+    support_radius,
+    tail_formula,
+    validate_weight,
+    weight_eval,
+    weight_formula,
+)
+from .model import ModelParams, gprime0, infection_formula, infection_value
 from .ode import NEG_TOL, NumericalFailure, rk4_step
 from .spectral import _kernel_matrix, coupled_operator, trapezoid_weights
 
@@ -84,6 +102,8 @@ class Grid:
         self.cap = half * self.dx
         self.n = self.x.size
         self.nodes = self.x.tolist()  # the window lookups bisect this list
+        self.cells = np.full(self.n, self.dx)  # interior quadrature weights, copied per window
+        self.stage = None  # the _Stage of the run stepping on this grid
 
 
 @dataclass(frozen=True)
@@ -198,7 +218,7 @@ def quad_weights(grid: Grid, g: float, h: float):
     strictly inside (g, h).
     """
     lo, hi = _window(grid, g, h)
-    w = np.full(hi - lo, grid.dx)
+    w = grid.cells[lo:hi].copy()
     if hi - lo == 1:
         w[0] = 0.5 * (h - g)
     elif hi > lo:
@@ -224,23 +244,110 @@ def _folds(p: ModelParams) -> bool:
     return p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1
 
 
-def _front_rates(p: ModelParams, x: np.ndarray, wy: np.ndarray, g: float, h: float, fold: bool):
-    """Front rates (mu F_h, -mu F_g), F the sum of w (u T1 + rho v W) of the
-    distance to that front over the occupied nodes x, T1 the J1 tail, with
-    wy = w * (u, v) on those nodes.
+class _Stage:
+    """The rates of one stage of model p, with all that stays fixed from stage
+    to stage bound once: the stencils st1, st2 of the grid's spacing, the fold
+    flag (_folds), the rate constants as 0-d arrays (numpy then converts no
+    Python scalar per operation; the products are the same), and the tail,
+    weight and G evaluators.
 
-    Both fronts' J1 tails come from one kernel_tail call and both fluxes from
-    one mat-vec; with `fold` (_folds: a kernel_tail weight of kernel1) the
-    tails serve as the weight too, with u + rho v folded first.
+    densities, fronts and rates are the one copy of the stage expressions.
+    The entry points _stage_rates, _density_rates and _front_rates bind a
+    stage per call with the checked kernel_tail, weight_eval and
+    infection_value. A run binds one (on_grid) with their unchecked formulas,
+    since its front distances are positive and its densities clamped by
+    construction; it hangs on the run's grid (grid.stage) for the steps and
+    keeps the window certificate's kernel blocks of the last occupied node
+    range (blocks).
     """
-    to_front = np.array((h - x, x - g))  # positive: occupied nodes lie strictly inside (g, h)
-    tails = kernel_tail(p.kernel1, to_front)
-    if fold:
-        flux_h, flux_g = tails @ (wy[0] + p.rho * wy[1])
-    else:
-        weights = weight_eval(p.weight, to_front)
-        flux_h, flux_g = np.hstack((tails, weights)) @ np.concatenate((wy[0], p.rho * wy[1]))
-    return p.mu * float(flux_h), -p.mu * float(flux_g)
+
+    def __init__(self, p: ModelParams, grid=None, st1=None, st2=None, fold=False, checked=True):
+        self.p, self.grid, self.st1, self.st2, self.fold = p, grid, st1, st2, fold
+        self.d1, self.d1a, self.e = _const(p.d1), _const(p.d1 + p.a), _const(p.e)
+        self.d2, self.d2b, self.rho, self.zero = _const(p.d2), _const(p.d2 + p.b), _const(p.rho), _const(0.0)
+        if checked:
+            self.tail = partial(kernel_tail, p.kernel1)
+            self.weight = partial(weight_eval, p.weight)
+            self.infection = partial(infection_value, p.infection)
+        else:
+            self.tail, self.weight = tail_formula(p.kernel1), weight_formula(p.weight)
+            self.infection = partial(infection_formula, p.infection)
+        self._span, self._blocks = None, {}
+
+    @classmethod
+    def on_grid(cls, p: ModelParams, grid: Grid) -> "_Stage":
+        """The stage of a run or step of model p on grid, with the unchecked formulas."""
+        st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
+        st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
+        return cls(p, grid, st1, st2, _folds(p), checked=False)
+
+    def densities(self, wy: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Dispersal-reaction rates of the density pair y = (u, v), written into
+        out; wy = w * y carries the quadrature weights w."""
+        out[0] = self.d1 * _conv(wy[0], self.st1) - self.d1a * y[0] + self.e * y[1]
+        g_of_u = self.infection(np.maximum(y[0], self.zero))
+        out[1] = self.d2 * _conv(wy[1], self.st2) - self.d2b * y[1] + g_of_u
+        return out
+
+    def fronts(self, x: np.ndarray, wy: np.ndarray, g: float, h: float):
+        """Front rates (mu F_h, -mu F_g), F the sum of w (u T1 + rho v W) of
+        the distance to that front over the occupied nodes x, T1 the J1 tail,
+        with wy = w * (u, v) on those nodes.
+
+        Both fronts' J1 tails come from one tail evaluation and both fluxes
+        from one mat-vec; with `fold` (a kernel_tail weight of kernel1) the
+        tails serve as the weight too, with u + rho v folded first.
+        """
+        to_front = np.array((h - x, x - g))  # positive: occupied nodes lie strictly inside (g, h)
+        tails = self.tail(to_front)
+        if self.fold:
+            flux_h, flux_g = (tails @ (wy[0] + self.rho * wy[1])).tolist()
+        else:
+            weights = self.weight(to_front)
+            flux_h, flux_g = (np.hstack((tails, weights)) @ np.concatenate((wy[0], self.rho * wy[1]))).tolist()
+        return self.p.mu * flux_h, -self.p.mu * flux_g
+
+    def rates(self, y: np.ndarray, g: float, h: float):
+        """Stage rates (dy, g', h') of the density pair y = (u, v), evaluated
+        on the occupied window [lo, hi).
+
+        Densities vanish outside the window, so the convolutions take only
+        the window's weighted values, dy is zero elsewhere, and the one
+        product w * y[:, lo:hi] serves both the density and the front rates.
+        """
+        w, lo, hi = quad_weights(self.grid, g, h)
+        dy = np.zeros(y.shape)
+        if lo == hi:
+            return dy, 0.0, 0.0
+        win = y[:, lo:hi]
+        wy = w * win
+        self.densities(wy, win, dy[:, lo:hi])
+        h_rate, g_rate = self.fronts(self.grid.x[lo:hi], wy, g, h)
+        return dy, g_rate, h_rate
+
+    def blocks(self, lo: int, hi: int) -> dict:
+        """The window certificate's kernel blocks J(x_j - x_k) on the node
+        range [lo, hi), by kernel; emptied when the range changes. The
+        occupied range only grows along a run, so an older one never comes
+        back."""
+        if self._span != (lo, hi):
+            self._span, self._blocks = (lo, hi), {}
+        return self._blocks
+
+
+def _stage_rates(p: ModelParams, grid: Grid, st1, st2, fold: bool, y: np.ndarray, g: float, h: float):
+    """Stage rates (dy, g', h') of model p at (y, g, h): _Stage.rates."""
+    return _Stage(p, grid, st1, st2, fold).rates(y, g, h)
+
+
+def _density_rates(p: ModelParams, wy: np.ndarray, y: np.ndarray, st1, st2, out: np.ndarray) -> np.ndarray:
+    """Dispersal-reaction rates of model p: _Stage.densities."""
+    return _Stage(p, st1=st1, st2=st2).densities(wy, y, out)
+
+
+def _front_rates(p: ModelParams, x: np.ndarray, wy: np.ndarray, g: float, h: float, fold: bool):
+    """Front rates (mu F_h, -mu F_g) of model p: _Stage.fronts."""
+    return _Stage(p, fold=fold).fronts(x, wy, g, h)
 
 
 def _occupied(state: SimState):
@@ -254,11 +361,15 @@ def _occupied(state: SimState):
 def boundary_rates(p: ModelParams, state: SimState):
     """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law.
 
-    Evaluated by the stage's own window code, so the rates equal the front
-    rates of the first stage of a step from `state` bit for bit.
+    The front rates of one stage at `state` (_stage_rates; its density rates
+    are dropped), so they equal those of the first stage of a step from
+    `state` bit for bit.
     """
-    x, wy, _, _ = _occupied(state)
-    return _front_rates(p, x, wy, state.g, state.h, _folds(p))
+    grid = state.grid
+    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
+    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
+    _, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((state.u, state.v)), state.g, state.h)
+    return h_rate, g_rate
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
@@ -270,42 +381,25 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     the eigen solver's kernel entries J(x_j - x_k) (spectral._kernel_matrix).
     Only the sign is needed: -K is positive definite exactly when
     lambda_p > 0, so one Cholesky attempt decides it, to rounding.
+    The entries depend only on the node range: the run's stage keeps them
+    for its last range (_Stage.blocks), and equal kernels share one block.
     """
     w, lo, hi = quad_weights(state.grid, state.g, state.h)
     x = state.grid.x[lo:hi]
-    mat = coupled_operator(w, lambda kernel: _kernel_matrix(kernel, x), p)
+    stage = state.grid.stage
+    blocks = stage.blocks(lo, hi) if stage is not None and stage.p is p else {}
+
+    def kernel_matrix(kernel: KernelSpec) -> np.ndarray:
+        if kernel not in blocks:
+            blocks[kernel] = _kernel_matrix(kernel, x)
+        return blocks[kernel]
+
+    mat = coupled_operator(w, kernel_matrix, p)
     try:
         np.linalg.cholesky(-mat)
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _density_rates(p: ModelParams, wy: np.ndarray, y: np.ndarray, st1, st2, out: np.ndarray) -> np.ndarray:
-    """Dispersal-reaction rates of the density pair y = (u, v), written into
-    out; wy = w * y carries the quadrature weights w."""
-    out[0] = p.d1 * _conv(wy[0], st1) - (p.d1 + p.a) * y[0] + p.e * y[1]
-    out[1] = p.d2 * _conv(wy[1], st2) - (p.d2 + p.b) * y[1] + infection_value(p.infection, np.maximum(y[0], 0.0))
-    return out
-
-
-def _stage_rates(p: ModelParams, grid: Grid, st1, st2, fold: bool, y: np.ndarray, g: float, h: float):
-    """Stage rates (dy, g', h') of the density pair y = (u, v), evaluated on
-    the occupied window [lo, hi).
-
-    Densities vanish outside the window, so the convolutions take only the
-    window's weighted values, dy is zero elsewhere, and the one product
-    w * y[:, lo:hi] serves both the density and the front rates.
-    """
-    w, lo, hi = quad_weights(grid, g, h)
-    dy = np.zeros(y.shape)
-    if lo == hi:
-        return dy, 0.0, 0.0
-    win = y[:, lo:hi]
-    wy = w * win
-    _density_rates(p, wy, win, st1, st2, dy[:, lo:hi])
-    h_rate, g_rate = _front_rates(p, grid.x[lo:hi], wy, g, h, fold)
-    return dy, g_rate, h_rate
 
 
 def _check_densities(t: float, y: np.ndarray) -> None:
@@ -331,14 +425,14 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
     the step as DomainExhausted, stamped with the step's start or end time.
     """
     grid, dt = state.grid, cfg.dt
-    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
-    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
-    fold = _folds(p)
+    stage = grid.stage
+    if stage is None or stage.p is not p:
+        stage = grid.stage = _Stage.on_grid(p, grid)
 
     def rhs(y, g, h):
         if h > grid.cap or g < -grid.cap:
             raise DomainExhausted(state.t, "front left the preallocated grid")
-        return _stage_rates(p, grid, st1, st2, fold, y, g, h)
+        return stage.rates(y, g, h)
 
     y, g_new, h_new = rk4_step(rhs, (np.array((state.u, state.v)), state.g, state.h), dt)
     t_new = state.t + dt
@@ -457,11 +551,10 @@ def run(
     rows = []
     snapshots = []
     status = "completed"
-    fold = _folds(p)
 
     def record(s: SimState):
         x, wy, lo, hi = _occupied(s)
-        hr, gr = _front_rates(p, x, wy, s.g, s.h, fold)
+        hr, gr = stage.fronts(x, wy, s.g, s.h)
         # Sums over the whole grid: numpy sums pairwise, so the grouping, and
         # with it the rounding, would move with the window's start.
         weighted = np.zeros((2, grid.n))
@@ -498,8 +591,9 @@ def run(
         if not (np.all(state.u >= 0.0) and np.all(state.v >= 0.0)):  # NaN fails too
             raise ValueError("initial data must be nonnegative")
         done = 0
-        if vanishes(record(state)):
-            status = "stopped_vanishing"
+    stage = grid.stage = _Stage.on_grid(p, grid)
+    if done == 0 and vanishes(record(state)):  # a fresh run's initial row
+        status = "stopped_vanishing"
     decay_floor = 0.01 * cfg.tol_vanish
     while status == "completed" and done < n_steps:
         try:
@@ -527,6 +621,7 @@ def run(
                 break
     if rows[-1][0] != state.t:
         record(state)
+    grid.stage = None
     cols = {name: np.asarray(col) for name, col in zip(_ROW_FIELDS, zip(*rows))}
     return Trajectory(
         **cols,
@@ -619,7 +714,13 @@ def fixed_boundary_run(
         raise ValueError("initial data must be nonnegative")
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     y = np.array((u, v))
-    rhs = lambda y: (fixed_boundary_rhs(p, x, y),)
+    # fixed_boundary_rhs with its stencils and trapezoid weights bound once:
+    # the interval never moves.
+    spacing = x[1] - x[0]
+    st1 = _stencil(p.kernel1, spacing, x.size - 1)
+    st2 = _stencil(p.kernel2, spacing, x.size - 1)
+    stage, w = _Stage(p, st1=st1, st2=st2, checked=False), trapezoid_weights(x.size, spacing)
+    rhs = lambda y: (stage.densities(w * y, y, np.empty_like(y)),)
     for k in range(n_steps):
         (y,) = rk4_step(rhs, (y,), dt)
         _check_densities((k + 1) * dt, y)

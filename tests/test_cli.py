@@ -1424,3 +1424,15 @@ def test_a_weight_violating_W_is_one_line_exit_2_before_any_solve(tmp_path, caps
         "invalid config: config.numerics: weight violates (W) on [0, 2*domain_cap]: negative weight values sampled\n"
     )
     assert solves == [] and captured.out == ""
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300])
+def test_a_csv_float_is_written_as_format_17g(x):
+    # _csv formats a row with one % string; %.17g must equal the per-value
+    # format(x, ".17g") it replaced, the specials and extremes included.
+    from epifront.cli import _csv
+
+    assert "%.17g" % x == format(x, ".17g")
+    rows = [(x, "label", 3), (0.1, "other", -1)]
+    want = f"x,kind,n\n{format(x, '.17g')},label,3\n0.10000000000000001,other,-1\n"
+    assert "".join(_csv(("x", "kind", "n"), rows)) == want

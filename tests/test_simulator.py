@@ -982,3 +982,102 @@ def test_the_window_operator_takes_the_eigen_solvers_kernel_entries(monkeypatch)
     want = [_kernel_matrix(kernel, x) for kernel in (p.kernel1, p.kernel2)]
     assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]
     assert x[-1] - x[0] > 2.0 and (want[0] > 0.0).all()
+
+
+def test_run_builds_its_stage_once_per_call(monkeypatch):
+    # One stage per run, fresh or resumed: the steps, the rows and the window
+    # certificates all use the one the run hangs on its grid.
+    import epifront.simulator as sim
+
+    built = []
+
+    class Counted(sim._Stage):
+        def __init__(self, p, *args, **kwargs):
+            built.append(p)
+            super().__init__(p, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_Stage", Counted)
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=1.2, domain_cap=4.0, record_every=5)
+    no_level = lambda H, norm: 0.0
+    prefix = run(p, cfg, bump, bump, certify=no_level)
+    assert (prefix.status, prefix.steps, prefix.t.size) == ("completed", 10, 3)
+    assert built == [p]
+    resumed = run(p, replace(cfg, t_end=2.4), bump, bump, certify=no_level, resume=prefix)
+    assert (resumed.status, resumed.steps, resumed.t.size) == ("completed", 20, 5)
+    assert built == [p, p]
+
+
+def test_a_library_step_equals_the_runs_own_step():
+    # step outside a run builds the stage it finds missing, and rebuilds it for
+    # another model on the same grid; either way the state is the run's, bit
+    # for bit.
+    p = make_params(mu=2.0, kernel=KernelSpec.gaussian(0.6), kernel2=KernelSpec.laplace(0.35))
+    other = replace(p, mu=0.5)
+    cfg = SimConfig(dx=0.05, dt=0.1, t_end=3.0, domain_cap=5.0, record_every=5)
+    bump = bump_profile(1.0)
+    traj = run(p, cfg, bump, bump)
+    grid = traj.final_state.grid
+    fresh = lambda: SimState(0.0, -1.0, 1.0, sample_profile(bump, grid, 1.0), sample_profile(bump, grid, 1.0), grid)
+    state = fresh()
+    for k in range(traj.steps):
+        state = step(p, cfg, state)
+        if k == 10:
+            step(other, cfg, fresh())
+            assert grid.stage.p is other
+    assert grid.stage.p is p
+    final = traj.final_state
+    assert (state.t, state.g, state.h) == (final.t, final.g, final.h)
+    assert state.u.tobytes() == final.u.tobytes() and state.v.tobytes() == final.v.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernels, mu",
+    [((KernelSpec.uniform(1.0), KernelSpec.uniform(1.0)), 0.2), ((KernelSpec.gaussian(0.5), KernelSpec.laplace(0.4)), 0.1)],
+    ids=["equal", "distinct"],
+)
+def test_a_certifying_run_passes_the_eigen_solvers_kernel_blocks(monkeypatch, kernels, mu):
+    # Every window certificate of a run gets the blocks _kernel_matrix builds on
+    # its window, byte for byte; a window met again reuses them, and equal
+    # kernels share one. The slow, lopsided fronts meet a window again and
+    # also move one end of it alone, so the blocks must be kept by the whole
+    # node range.
+    import epifront.simulator as sim
+
+    p = make_params(alpha=2.0, h0=0.4, mu=mu, kernel=kernels[0], kernel2=kernels[1])
+    calls = []
+
+    def capture(w, kernel_matrix, model):
+        calls.append([kernel_matrix(kernel) for kernel in (model.kernel1, model.kernel2)])
+        return coupled_operator(w, kernel_matrix, model)
+
+    monkeypatch.setattr(sim, "coupled_operator", capture)
+    bump = bump_profile(0.4)
+    traj = run(p, CERTIFY_CFG, bump, lambda x: bump(x) * (1.0 + 2.0 * np.asarray(x)), certify=lambda H, norm: 0.0)
+    assert traj.status in ("completed", "stopped_certified")
+    assert len(calls) == traj.t.size - 1  # every row but the initial one
+    grid = traj.final_state.grid
+    spans = [quad_weights(grid, g, h)[1:] for g, h in zip(traj.g[1:], traj.h[1:])]
+    for (lo, hi), blocks in zip(spans, calls):
+        want = [_kernel_matrix(kernel, grid.x[lo:hi]) for kernel in kernels]
+        assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]
+        assert (blocks[0] is blocks[1]) == (kernels[0] == kernels[1])
+    repeats = [i for i in range(1, len(spans)) if spans[i] == spans[i - 1]]
+    assert repeats and all(calls[i][0] is calls[i - 1][0] for i in repeats)
+    moved_lo_only = [i for i in range(1, len(spans)) if spans[i][0] != spans[i - 1][0] and spans[i][1] == spans[i - 1][1]]
+    assert moved_lo_only
+
+
+def test_the_block_cache_does_not_outlive_its_run():
+    # The run takes its stage, and with it the certificate's kernel blocks,
+    # off the grid when it returns, however it stopped.
+    p = make_params(alpha=2.0, h0=0.4, mu=1.0)
+    bump = bump_profile(0.4)
+    certified = run(p, CERTIFY_CFG, bump, bump, certify=lambda H, norm: 0.0)
+    assert certified.status == "stopped_certified" and certified.final_state.grid.stage is None
+    completed = run(replace(p, mu=0.1), CERTIFY_CFG, bump, bump, certify=lambda H, norm: 0.0)
+    assert completed.status == "completed" and completed.final_state.grid.stage is None
+    # A certificate outside a run builds its blocks afresh and keeps none.
+    assert not window_lambda_positive(p, certified.final_state)
+    assert certified.final_state.grid.stage is None
