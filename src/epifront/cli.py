@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -160,7 +159,10 @@ def _cmd_simulate(args, cfg) -> int:
     _write(summary_path, (json.dumps(summary, indent=2), "\n"))
     print(f"classification={outcome} status={traj.status} h_end={_fmt(traj.h[-1])}")
     if traj.status in ("unstable", "domain_exhausted"):
-        print(f"numerical failure: run ended {traj.status}; last recorded t={traj.t[-1]:.6g}", file=sys.stderr)
+        print(
+            f"numerical failure: run ended {traj.status}; last recorded t={traj.t[-1]:.6g}; {traj.failure}",
+            file=sys.stderr,
+        )
         return 3
     return 0
 
@@ -277,6 +279,14 @@ def _sweep_one(payload):
         )
     except Exception as err:  # per-run failures are recorded, the sweep continues
         return value, "error", math.nan, math.nan, math.nan, str(err)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported by the one subcommand
+    that pools, so no other subcommand loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _cmd_sweep(args) -> int:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 # Tail mass below which the kernel is treated as zero for quadrature.
 TAIL_CUTOFF_MASS = 1e-10
@@ -139,12 +138,15 @@ def _const(value: float) -> np.ndarray:
 def tail_formula(spec: KernelSpec):
     """The closed-form tail mass W_J of spec as a function of ax >= 0 (an
     array or a numpy scalar), unchecked: the formula behind kernel_tail,
-    with spec's constants bound once, so the moving-front stage binds it per
-    run and calls it at its positive front distances."""
+    with spec's constants (and the gaussian's scipy erfc) bound once, so the
+    moving-front stage binds it per run and calls it at its positive front
+    distances."""
     if spec.family == "uniform":
         radius, width, zero = _const(spec.radius), _const(2.0 * spec.radius), _const(0.0)
         return lambda ax: np.maximum(radius - ax, zero) / width
     if spec.family == "gaussian":
+        from scipy.special import erfc
+
         half, scale = _const(0.5), _const(spec.std * math.sqrt(2.0))
         return lambda ax: half * erfc(ax / scale)
     if spec.family == "laplace":
@@ -181,6 +183,8 @@ def support_radius(spec: KernelSpec) -> float:
     if spec.family == "uniform":
         return spec.radius
     if spec.family == "gaussian":
+        from scipy.special import erfcinv
+
         return spec.std * math.sqrt(2.0) * float(erfcinv(2.0 * TAIL_CUTOFF_MASS))
     if spec.family == "laplace":
         return spec.scale * math.log(0.5 / TAIL_CUTOFF_MASS)

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import (
     KernelSpec,
@@ -184,6 +183,7 @@ class Trajectory:
     final_state: SimState
     snapshots: list = field(default_factory=list)
     steps: int = 0  # time steps taken since t = 0
+    failure: str | None = None  # the failed step's NumericalFailure message, "t=...: ..."
 
 
 @lru_cache(maxsize=64)
@@ -455,6 +455,8 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     by adaptive quadrature of the kernel density itself, independent of the
     closed-form tail.
     """
+    from scipy.integrate import quad
+
     grid = state.grid
     x, wy, lo, hi = _occupied(state)
     tail_form = _front_rates(replace(p, rho=0.0), x, wy, state.g, state.h, _folds(p))[0]
@@ -551,6 +553,7 @@ def run(
     rows = []
     snapshots = []
     status = "completed"
+    failure = None
 
     def record(s: SimState):
         x, wy, lo, hi = _occupied(s)
@@ -598,11 +601,11 @@ def run(
     while status == "completed" and done < n_steps:
         try:
             state = step(p, cfg, state)
-        except DomainExhausted:
-            status = "domain_exhausted"
+        except DomainExhausted as err:
+            status, failure = "domain_exhausted", str(err)
             break
-        except SimulationUnstable:
-            status = "unstable"
+        except SimulationUnstable as err:
+            status, failure = "unstable", str(err)
             break
         done += 1
         if stop_width is not None and state.h - state.g > stop_width:
@@ -629,6 +632,7 @@ def run(
         final_state=state,
         snapshots=snapshots,
         steps=done,
+        failure=failure,
     )
 
 

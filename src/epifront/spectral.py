@@ -27,6 +27,10 @@ Implements:
     independent algebraic cross-check.
   - Closed-form bounds: lower_bound, the zero-diffusion limit from the
     reaction block alone, and the constant-test-pair upper bound.
+
+scipy is imported by the functions that call it, so a subcommand that solves
+no eigen problem loads none of it. toeplitz and eigsh stay names of this
+module, each importing its scipy function on its first call.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import toeplitz
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .kernels import KernelSpec, kernel_eval
 from .model import ModelParams, gprime0
@@ -105,6 +106,20 @@ def _grid(problem: EigenProblem):
     return x, dx, trapezoid_weights(problem.n, dx)
 
 
+def toeplitz(column: np.ndarray) -> np.ndarray:
+    """scipy.linalg.toeplitz, imported by the first dense kernel block."""
+    from scipy.linalg import toeplitz as dense_toeplitz
+
+    return dense_toeplitz(column)
+
+
+def eigsh(op, **options):
+    """scipy.sparse.linalg.eigsh, imported by the first eigen solve."""
+    from scipy.sparse.linalg import eigsh as lanczos
+
+    return lanczos(op, **options)
+
+
 def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     # Toeplitz by translation invariance: entry (j, k) is J(x_j - x_k).
     return toeplitz(kernel_eval(kernel, x - x[0]))
@@ -114,6 +129,8 @@ def _toeplitz_product(kernels, x: np.ndarray):
     """y -> T_i y_i for the kernel blocks T_i = J_i(x_j - x_k), i along axis
     -2 of y, without forming T_i: each is symmetric Toeplitz and is applied by
     FFT of its circulant embedding, whose spectrum is computed here once."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = x.size
     m = next_fast_len(2 * n - 1, real=True)
     col = np.zeros((len(kernels), m))
@@ -171,6 +188,8 @@ def _operator(problem: EigenProblem, x: np.ndarray, sw: np.ndarray):
     on ||K||_inf. Each kernel block applies c sw T(sw y) - (c + react) y with
     sw = sqrt(w); the identity coupling adds v to the u rows and u to the v
     rows."""
+    from scipy.sparse.linalg import LinearOperator
+
     p = problem.params
     c1, c2, a_e, b_g = _scaling(p)
     c = np.array([[c1], [c2]])
@@ -211,6 +230,8 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
             "d1 = d2 = 0: without dispersal the top eigenvalue is n-fold degenerate "
             "and has no principal eigenfunction (its value is spectral.lower_bound)"
         )
+    from scipy.sparse.linalg import ArpackError
+
     x, _, w = _grid(problem)
     sw = np.sqrt(w)
     op, bound = _operator(problem, x, sw)

@@ -42,7 +42,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import bisect, brentq
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
@@ -158,6 +157,8 @@ def find_L_star(
         raise ThresholdRegimeError(
             "spreading-sufficient regime (r0 >= (1 + d1/a)(1 + d2/b)): eigenvalue negative for every length"
         )
+    from scipy.optimize import bisect
+
     lam = lambda half: _lambda_on_interval(p, half, n)
     return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", bisect, trace=trace)
 
@@ -176,6 +177,8 @@ def find_d_star(
         raise ThresholdRegimeError("r0 must exceed 1 for a diffusion threshold")
     if not (p.d1 > 0.0 and p.d2 > 0.0):  # ModelParams built in code are not validated
         raise ValueError("reference diffusion rates must be positive")
+    from scipy.optimize import brentq
+
     lam = lambda s: _lambda_on_interval(replace(p, d1=s * p.d1, d2=s * p.d2), p.h0, n)
     return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brentq, trace=trace)
 

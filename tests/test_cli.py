@@ -428,7 +428,8 @@ def test_simulate_numerical_failure_exit(tmp_path):
 
 def test_a_simulate_run_that_fails_prints_one_line_exit_3(tmp_path, capsys):
     # The shipped threshold-search config runs off its grid. The files are
-    # still written and stdout keeps its one summary line.
+    # still written, stdout keeps its one summary line, and the stderr line
+    # ends with the failed step's own message and time.
     data = json.loads((CONFIG_DIR / "threshold_search.json").read_text())
     data["output"]["directory"] = str(tmp_path / "out")
     assert main(["simulate", write_config(tmp_path, data)]) == 3
@@ -437,7 +438,8 @@ def test_a_simulate_run_that_fails_prints_one_line_exit_3(tmp_path, capsys):
     assert summary["status"] == "domain_exhausted"
     assert captured.out.startswith("classification=") and captured.out.count("\n") == 1
     assert captured.err == (
-        f"numerical failure: run ended domain_exhausted; last recorded t={summary['final']['t']:.6g}\n"
+        f"numerical failure: run ended domain_exhausted; last recorded t={summary['final']['t']:.6g}; "
+        "t=72.36: front left the preallocated grid\n"
     )
 
 

@@ -1,6 +1,7 @@
-"""Source guards over the package: no unused import, no orphaned private
-name, no public exception that the CLI would let escape as a traceback, and
-no README reference to an attribute that does not exist."""
+"""Source guards over the package: no unused import, no import of a
+dependency's private module, no orphaned private name, no public exception
+that the CLI would let escape as a traceback, and no README reference to an
+attribute that does not exist."""
 
 import ast
 import builtins
@@ -58,6 +59,28 @@ def test_every_import_is_used(module):
     used = _references(tree)
     unused = sorted(name for name in _imported_names(tree) if name not in used)
     assert not unused, f"{module} imports unused names: {unused}"
+
+
+def _private_dependency_imports(tree):
+    """Absolute imports of a private module or name: one whose dotted path
+    has a part starting with `_` (`numpy._core.multiarray`,
+    `from scipy.fft import _pocketfft`). __future__ is the language's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (path for path in paths if any(part.startswith("_") for part in path.split(".")))
+
+
+def test_no_private_dependency_module_is_imported():
+    # Private modules such as numpy._core or scipy.fft._pocketfft are cheaper
+    # to call than their public fronts, but change without notice between
+    # releases; the program uses the public API only.
+    private = [f"{module}: {path}" for module, tree in MODULES.items() for path in _private_dependency_imports(tree)]
+    assert not private, f"imports of private dependency modules: {private}"
 
 
 def test_every_private_name_is_referenced():
