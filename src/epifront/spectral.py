@@ -17,20 +17,19 @@ Implements:
     (self-adjointness that raw endpoint weights would break).
   - The principal eigenvalue lambda_p = -(largest eigenvalue) with its
     positive eigenfunction pair and a Rayleigh-quotient residual, by
-    implicitly restarted Lanczos (ARPACK, scipy.sparse.linalg.eigsh) on K
-    applied matrix-free: each kernel block is symmetric Toeplitz, J(x_j -
-    x_k), and is applied by FFT of its circulant embedding, so no n x n
-    array is formed. The start vector is fixed, so a solve is
-    bit-reproducible. The dense matrix (assemble_operator, coupled_operator)
-    is still built for the simulator's window certificate and for tests.
+    thick-restart Lanczos (_top_pair) on K applied matrix-free: each kernel
+    block is symmetric Toeplitz, J(x_j - x_k), and is applied by FFT of its
+    circulant embedding, so no n x n array is formed. The start vector is
+    fixed, so a solve is bit-reproducible. The dense matrix
+    (assemble_operator, coupled_operator) is still built for the
+    simulator's window certificate and for tests.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
   - Closed-form bounds: lower_bound, the zero-diffusion limit from the
     reaction block alone, and the constant-test-pair upper bound.
 
-scipy is imported by the functions that call it, so a subcommand that solves
-no eigen problem loads none of it. toeplitz and eigsh stay names of this
-module, each importing its scipy function on its first call.
+The module uses numpy alone: its FFT, its dense eigensolver for the small
+projected matrix, and numpy indexing for the dense Toeplitz blocks.
 """
 
 from __future__ import annotations
@@ -48,16 +47,26 @@ EIGEN_NODES = 400  # default grid size of an eigen solve
 MIN_EIGEN_NODES = 16  # coarsest admissible grid
 # The top eigenvalue must lead the next by more than this many eps * ||K||_inf.
 # Within a tighter cluster Lanczos returns a vector that depends on its start
-# vector. Measured gap / (eps * bound): 0.6 and 2.9 on the two unresolved grids
-# the tests use, at least 3.8e6 on resolved ones, nearly degenerate d = 1e-8
-# included.
+# vector. Measured gap / (eps * bound): 0.7 to 1.7 on the three unresolved
+# grids the tests use, at least 3.8e6 on resolved ones, nearly degenerate
+# d = 1e-8 included.
 MIN_GAP_EPS = 1e3
+# Lanczos (_top_pair): basis vectors at most (ARPACK's default for two pairs;
+# even, so a full basis falls on a Ritz check), Ritz vectors a restart keeps,
+# products before a solve gives up, and the residual per largest |Ritz value|
+# at which a pair has converged. Solves on resolved grids take 4 to 40
+# products; random models whose second eigenvalue lies within 5e-7 ||K|| of
+# the third took up to 48,000 (ARPACK up to 44,600).
+_LANCZOS_BASIS = 20
+_LANCZOS_KEEP = 10
+_LANCZOS_STEPS = 100_000
+_LANCZOS_TOL = 1e-14
 
 
 class SpectralError(NumericalFailure):
     """Discretization failure: Lanczos found no converged principal
-    eigenpair (any ARPACK failure), or one whose vector changes sign or whose
-    eigenvalue is not separated from the next."""
+    eigenpair within its step limit, or one whose vector changes sign or
+    whose eigenvalue is not separated from the next."""
 
 
 @dataclass(frozen=True)
@@ -106,42 +115,30 @@ def _grid(problem: EigenProblem):
     return x, dx, trapezoid_weights(problem.n, dx)
 
 
-def toeplitz(column: np.ndarray) -> np.ndarray:
-    """scipy.linalg.toeplitz, imported by the first dense kernel block."""
-    from scipy.linalg import toeplitz as dense_toeplitz
-
-    return dense_toeplitz(column)
-
-
-def eigsh(op, **options):
-    """scipy.sparse.linalg.eigsh, imported by the first eigen solve."""
-    from scipy.sparse.linalg import eigsh as lanczos
-
-    return lanczos(op, **options)
-
-
 def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
-    # Toeplitz by translation invariance: entry (j, k) is J(x_j - x_k).
-    return toeplitz(kernel_eval(kernel, x - x[0]))
+    # Toeplitz by translation invariance: entry (j, k) is J(x_j - x_k) = J(x_|j-k| - x_0).
+    offsets = np.arange(x.size)
+    return kernel_eval(kernel, x - x[0])[np.abs(offsets[:, None] - offsets)]
 
 
 def _toeplitz_product(kernels, x: np.ndarray):
     """y -> T_i y_i for the kernel blocks T_i = J_i(x_j - x_k), i along axis
     -2 of y, without forming T_i: each is symmetric Toeplitz and is applied by
-    FFT of its circulant embedding, whose spectrum is computed here once."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
+    FFT of its circulant embedding, whose spectrum is computed here once. The
+    embedding's length is the power of two at or above 2n - 1."""
     n = x.size
-    m = next_fast_len(2 * n - 1, real=True)
+    m = 1 << (2 * n - 2).bit_length()
     col = np.zeros((len(kernels), m))
     for i, kernel in enumerate(kernels):
         t = kernel_eval(kernel, x - x[0])
         col[i, :n] = t
         col[i, m - n + 1:] = t[:0:-1]
-    spectrum = rfft(col).real  # the embedding is even, so its spectrum is real
+    spectrum = np.fft.rfft(col).real.copy()  # the embedding is even, so its spectrum is real
 
     def apply(y: np.ndarray) -> np.ndarray:
-        return irfft(spectrum * rfft(y, m), m)[..., :n]
+        z = np.fft.rfft(y, m)
+        z *= spectrum
+        return np.fft.irfft(z, m)[..., :n]
 
     return apply
 
@@ -184,12 +181,10 @@ def assemble_operator(problem: EigenProblem) -> np.ndarray:
 
 
 def _operator(problem: EigenProblem, x: np.ndarray, sw: np.ndarray):
-    """K = DN - D + A as a matrix-free LinearOperator, and a Gershgorin bound
-    on ||K||_inf. Each kernel block applies c sw T(sw y) - (c + react) y with
-    sw = sqrt(w); the identity coupling adds v to the u rows and u to the v
-    rows."""
-    from scipy.sparse.linalg import LinearOperator
-
+    """K = DN - D + A as a matrix-free product y -> K y on R^(2n), and a
+    Gershgorin bound on ||K||_inf. Each kernel block applies c sw T(sw y) -
+    (c + react) y with sw = sqrt(w); the identity coupling adds v to the u
+    rows and u to the v rows."""
     p = problem.params
     c1, c2, a_e, b_g = _scaling(p)
     c = np.array([[c1], [c2]])
@@ -203,23 +198,96 @@ def _operator(problem: EigenProblem, x: np.ndarray, sw: np.ndarray):
 
     row_sums = (sw * conv(np.stack([sw, sw]))).max(axis=1)
     bound = 1.0 + float(np.max(c[:, 0] * row_sums + diag[:, 0]))
-    return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float), bound
+    return matvec, bound
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its components along the orthonormal rows of
+    basis by two passes of classical Gram-Schmidt; returns the coefficients."""
+    h = basis @ w
+    w -= h @ basis
+    again = basis @ w
+    w -= again @ basis
+    return h + again
+
+
+def _top_pair(matvec, size: int):
+    """The top two eigenvalues (ascending) and the top unit eigenvector of the
+    symmetric operator `matvec` on R^size (size > _LANCZOS_BASIS), by
+    thick-restart Lanczos (Wu & Simon 2000) with full reorthogonalization.
+
+    The start vector is fixed (default_rng(0)), so a solve is bit-reproducible,
+    and not mirror-even: an even start keeps the Krylov space even on a
+    symmetric interval and never finds an odd second eigenvalue. Column j of
+    `proj` holds v_i . K v_j for i <= j, from two passes of classical
+    Gram-Schmidt; its upper triangle is the projection of K on the basis,
+    thick restarts included. A Ritz pair (theta, y) of m basis vectors has
+    residual beta |y_m|, beta the norm of the orthogonalized product of the
+    last vector; the top two pairs have converged once both residuals are at
+    most _LANCZOS_TOL * max |theta|. The basis holds at most _LANCZOS_BASIS
+    vectors: a full basis restarts from its top _LANCZOS_KEEP Ritz vectors
+    and the last residual, so memory stays O(size) at any size. Its rows are
+    written as the basis grows; a solve that converges early never touches
+    the rest.
+
+    Breakdown, beta below _LANCZOS_TOL times the norm of the product, means
+    the Krylov space is invariant (a kernel flat over the interval gives
+    dimension 4): its Ritz pairs are exact, but it holds one vector of each
+    eigenspace its start vector touches, so it cannot show a multiple top
+    eigenvalue. At the first breakdown the iteration restarts from the top
+    Ritz vector alone and a second pseudorandom vector orthogonal to it, so
+    the second Ritz pair must come from the Krylov space of that vector:
+    the next eigenvalue, or another copy of the top one. A later breakdown
+    that has not converged goes on from a fresh vector orthogonal to the
+    basis. A remainder above the breakdown level, such as the roundoff left
+    by a space that is invariant only to 1e-13, is the next vector like any
+    other. Returns None after _LANCZOS_STEPS products without convergence.
+    """
+    rng = np.random.default_rng(0)
+    basis = np.empty((_LANCZOS_BASIS, size))
+    proj = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))
+    basis[0] = rng.standard_normal(size)
+    basis[0] /= np.linalg.norm(basis[0])
+    fresh = False  # whether a breakdown has restarted the iteration
+    m = 0  # basis vectors whose products are in proj
+    for _ in range(_LANCZOS_STEPS):
+        w = matvec(basis[m])
+        scale = np.linalg.norm(w)
+        m += 1
+        proj[:m, m - 1] = _orthogonalize(w, basis[:m])
+        beta = float(np.linalg.norm(w))
+        breakdown = beta <= _LANCZOS_TOL * scale
+        if breakdown or m % 2 == 0:  # the Ritz pairs every other step; a full basis is one
+            theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
+            tol = _LANCZOS_TOL * np.abs(theta).max()
+            if m > 1 and (fresh or not breakdown) and beta * np.abs(y[-1, -2:]).max() <= tol:
+                return theta[-2:], y[:, -1] @ basis[:m]
+            keep = 1 if breakdown and not fresh else _LANCZOS_KEEP if m == _LANCZOS_BASIS else 0
+            if keep:
+                basis[:keep] = y[:, -keep:].T @ basis[:m]
+                m = keep
+                proj[:] = 0.0
+                proj[range(m), range(m)] = theta[-m:]
+        if breakdown:
+            fresh = True
+            w = rng.standard_normal(size)
+            _orthogonalize(w, basis[:m])
+            beta = float(np.linalg.norm(w))
+        np.divide(w, beta, out=basis[m])
+    return None
 
 
 def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
     """Principal eigenvalue with sign-normalized positive eigenfunction pair.
 
     lambda_p is minus the largest eigenvalue of K, found with the next one
-    by implicitly restarted Lanczos (eigsh, k=2, which="LA", tol=0) on the
-    matrix-free operator, from a fixed pseudorandom start vector that is not
-    mirror-even (an even start keeps the Krylov space even on a symmetric
-    interval). The eigenfunctions are recovered in density coordinates
-    (divide out the sqrt-weight conjugation) and normalized to unit discrete
-    L2 norm.
-    Raises SpectralError when Lanczos fails (no convergence or any other
-    ARPACK error), when the computed eigenvector is not positive, or when
-    the top eigenvalue leads the next by no more than MIN_GAP_EPS * eps *
-    ||K||_inf (a cluster in which the eigenvector is not determined): the
+    by thick-restart Lanczos (_top_pair) on the matrix-free operator. The
+    eigenfunctions are recovered in density coordinates (divide out the
+    sqrt-weight conjugation) and normalized to unit discrete L2 norm.
+    Raises SpectralError when Lanczos finds no converged top pair within its
+    step limit, when the computed eigenvector is not positive, or
+    when the top eigenvalue leads the next by no more than MIN_GAP_EPS * eps
+    * ||K||_inf (a cluster in which the eigenvector is not determined): the
     signatures of a grid too coarse for the kernel support. Raises
     ValueError for d1 = d2 = 0, where K is the reaction block at every
     node: its top eigenvalue (lower_bound) is n-fold degenerate and has no
@@ -230,18 +298,15 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
             "d1 = d2 = 0: without dispersal the top eigenvalue is n-fold degenerate "
             "and has no principal eigenfunction (its value is spectral.lower_bound)"
         )
-    from scipy.sparse.linalg import ArpackError
-
     x, _, w = _grid(problem)
     sw = np.sqrt(w)
-    op, bound = _operator(problem, x, sw)
+    matvec, bound = _operator(problem, x, sw)
     n = problem.n
     grid_hint = f"refine the grid (n={n}, kernel support vs spacing mismatch)"
-    try:
-        vals, vecs = eigsh(op, k=2, which="LA", tol=0, rng=0)
-    except ArpackError:  # no convergence, and every other ARPACK failure
-        raise SpectralError(None, f"Lanczos found no principal eigenpair; {grid_hint}") from None
-    top = vecs[:, -1]
+    pair = _top_pair(matvec, 2 * n)
+    if pair is None:
+        raise SpectralError(None, f"Lanczos found no principal eigenpair; {grid_hint}")
+    vals, top = pair
     lam_p = -float(vals[-1])
     phi1 = top[:n] / sw
     phi2 = top[n:] / sw
@@ -252,7 +317,7 @@ def principal_eigenvalue(problem: EigenProblem) -> EigenResult:
         raise SpectralError(None, f"principal eigenvector has sign changes; {grid_hint}")
     if vals[-1] - vals[-2] <= MIN_GAP_EPS * np.finfo(float).eps * bound:
         raise SpectralError(None, f"principal eigenvalue is not separated from the next; {grid_hint}")
-    residual = abs(lam_p + float(top @ op.matvec(top)))
+    residual = abs(lam_p + float(top @ matvec(top)))
     return EigenResult(lambda_p=lam_p, x=x, phi1=phi1, phi2=phi2, rayleigh_residual=residual)
 
 

@@ -8,9 +8,10 @@ Implements:
     on [-h0, h0] crosses zero (strictly increasing in s), defined for r0 > 1,
     with its closed-form lower bound (sqrt((a-b)^2 + 4 e G'(0)) - (a+b)) / 2.
     Both roots share one search: widen a sign-changing bracket, then close
-    it until |lambda_p| < tol (scipy's brentq for d_star, its bisect for
-    L_star). The monotonicity holds for the continuous problem; at coarse n
-    the discrete eigenvalue can cross zero more than once in L (find_L_star).
+    it until |lambda_p| < tol (Brent's method for d_star, bisection for
+    L_star; both follow scipy.optimize's brentq and bisect step for step).
+    The monotonicity holds for the continuous problem; at coarse n the
+    discrete eigenvalue can cross zero more than once in L (find_L_star).
   - mu_star and sigma_star: simulation-backed bisections on the front
     response mu and on the initial-data scale sigma, sharing one search body
     (_label_search). Monotonicity of the dichotomy in both parameters makes
@@ -89,6 +90,68 @@ class _RootFound(Exception):
     """Stops the root search at the first abscissa within the tolerance."""
 
 
+# The bracket closers below are scipy.optimize's bisect and brentq loops (its C
+# `bisect` and `brentq`) with its rtol and iteration cap and the smallest
+# float as xtol (relative stopping only: roots may be tiny), so they make the
+# probes scipy made. Each returns when its bracket is below the tolerance or
+# after _CLOSE_STEPS steps; f ends a search by raising _RootFound.
+_RTOL = 4.0 * np.finfo(float).eps
+_XTOL = np.finfo(float).tiny
+_CLOSE_STEPS = 100
+
+
+def _bisect(f, xa: float, xb: float) -> None:
+    """Bisection of [xa, xb], over which f changes sign; like scipy's, it
+    evaluates both ends first."""
+    fa = f(xa)
+    f(xb)
+    dm = xb - xa
+    for _ in range(_CLOSE_STEPS):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < _XTOL + _RTOL * abs(xm):
+            return
+
+
+def _brent(f, xa: float, xb: float) -> None:
+    """Brent's method (Brent 1973, ch. 4, `zeroin`) on [xa, xb], over which f
+    changes sign: inverse quadratic or secant steps, kept only while they
+    shrink the bracket fast enough, else bisection."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_CLOSE_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+
+
 def _eigen_root(
     lam, lo: float, shrink: float, hi: float, lo_sign: float, tol: float, what: str, close,
     trace: list | None = None,
@@ -96,11 +159,11 @@ def _eigen_root(
     """First probe x with |lam(x)| < tol, where lam has the sign lo_sign at small x.
 
     lo is divided by `shrink` until lam(lo) has the sign lo_sign, then hi is
-    doubled (the old hi becoming lo) until the sign flips. scipy's bracketed
-    root finder `close` (bisect or brentq) then closes the bracket; where
-    lam vanishes more than once in it, the two may return different zeros.
-    Each abscissa is solved once; `trace`, when given, receives every
-    (x, lam(x)) probe in solve order, also when the search fails.
+    doubled (the old hi becoming lo) until the sign flips. The bracket closer
+    `close` (_bisect or _brent) then closes the bracket; where lam vanishes
+    more than once in it, the two may return different zeros. Each abscissa
+    is solved once; `trace`, when given, receives every (x, lam(x)) probe in
+    solve order, also when the search fails.
     """
     values: dict = {}
 
@@ -124,8 +187,7 @@ def _eigen_root(
             lo, hi = hi, 2.0 * hi
         else:
             raise ThresholdSearchError(f"no {what} above the eigenvalue zero crossing found")
-        # Relative stopping only (xtol at the smallest float): roots may be tiny.
-        close(f, lo, hi, xtol=np.finfo(float).tiny, full_output=True, disp=False)
+        close(f, lo, hi)
     except _RootFound as found:
         return found.args[0]
     finally:
@@ -137,7 +199,7 @@ def _eigen_root(
 def find_L_star(
     p: ModelParams, n: int = ThresholdConfig.n, tol: float = ThresholdConfig.tol, trace: list | None = None
 ) -> float:
-    """Half-length where the interval eigenvalue vanishes, by scipy.optimize.bisect.
+    """Half-length where the interval eigenvalue vanishes, by bisection (_bisect).
 
     Only defined in the intermediate regime; outside it the eigenvalue has
     one sign for every length and the applicable regime is reported instead.
@@ -157,16 +219,14 @@ def find_L_star(
         raise ThresholdRegimeError(
             "spreading-sufficient regime (r0 >= (1 + d1/a)(1 + d2/b)): eigenvalue negative for every length"
         )
-    from scipy.optimize import bisect
-
     lam = lambda half: _lambda_on_interval(p, half, n)
-    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", bisect, trace=trace)
+    return _eigen_root(lam, p.h0 / 10.0, 2.0, 2.0 * p.h0, 1.0, tol, "length", _bisect, trace=trace)
 
 
 def find_d_star(
     p: ModelParams, n: int = ThresholdConfig.n, tol: float = ThresholdConfig.tol, trace: list | None = None
 ) -> float:
-    """Scale of the model's own (d1, d2) where the eigenvalue on [-h0, h0] crosses zero, by Brent's method.
+    """Scale of the model's own (d1, d2) where the eigenvalue on [-h0, h0] crosses zero, by Brent's method (_brent).
 
     The eigenvalue is strictly increasing in the scale, negative in the
     zero-diffusion limit whenever r0 > 1, and grows without bound. The grid
@@ -177,10 +237,8 @@ def find_d_star(
         raise ThresholdRegimeError("r0 must exceed 1 for a diffusion threshold")
     if not (p.d1 > 0.0 and p.d2 > 0.0):  # ModelParams built in code are not validated
         raise ValueError("reference diffusion rates must be positive")
-    from scipy.optimize import brentq
-
     lam = lambda s: _lambda_on_interval(replace(p, d1=s * p.d1, d2=s * p.d2), p.h0, n)
-    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", brentq, trace=trace)
+    return _eigen_root(lam, 1e-8, 4.0, 1.0, -1.0, tol, "diffusion scale", _brent, trace=trace)
 
 
 def effective_L_star(p: ModelParams, n: int = ThresholdConfig.n) -> float:

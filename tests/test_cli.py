@@ -1417,7 +1417,7 @@ def test_a_weight_violating_W_is_one_line_exit_2_before_any_solve(tmp_path, caps
 
     solves = []
     monkeypatch.setattr(spectral, "assemble_operator", lambda *a: solves.append(a))
-    monkeypatch.setattr(spectral, "eigsh", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(spectral, "_top_pair", lambda *a, **k: solves.append(a))
     monkeypatch.setattr(sim, "step", lambda *a, **k: solves.append(a))
     path = _vanishing_with(tmp_path, NEGATIVE_WEIGHT)
     assert main([argv[0], path, *argv[1:]]) == 2

@@ -1,9 +1,13 @@
 """What a subcommand imports: each case runs in a fresh interpreter and
-reads sys.modules after the call. scipy loads inside the functions that use
-it, so a subcommand that runs no eigen solve, root search or special
-function loads none of it, and only `sweep` loads multiprocessing."""
+reads sys.modules after the call. The eigen solver and the L*/d* root
+searches use numpy alone, and scipy loads inside the functions that use it
+(scipy.special for a gaussian kernel's tail, quad for the library's flux
+check), so a subcommand on a non-gaussian config loads none of it, eigen
+solves and root searches included, and only `sweep` loads
+multiprocessing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,12 +29,15 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
 """
 
 
-def loaded_by(argv, tmp_path) -> list:
+def loaded_by(argv, tmp_path, name="vanishing.json", edit=None) -> list:
     """The modules loaded after `import epifront.cli` and main(argv) in a
-    fresh interpreter, which must exit 0."""
-    data = json.loads((CONFIG_DIR / "vanishing.json").read_text(encoding="utf-8"))
+    fresh interpreter, which must exit 0. CONFIG in argv is the shipped
+    config `name`, changed by edit(data) when given."""
+    data = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     data["output"]["directory"] = str(tmp_path / "out")
-    config = tmp_path / "vanishing.json"
+    if edit is not None:
+        edit(data)
+    config = tmp_path / name
     config.write_text(json.dumps(data), encoding="utf-8")
     report = tmp_path / "modules.json"
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -59,8 +66,38 @@ def test_a_subcommand_without_eigen_solves_loads_no_scipy(command, tmp_path):
     assert under(loaded_by([command, "CONFIG"], tmp_path), "scipy") == []
 
 
-def test_eigen_loads_no_root_finder_and_no_quadrature(tmp_path):
-    modules = loaded_by(["eigen", "CONFIG"], tmp_path)
-    assert under(modules, "scipy.sparse.linalg")  # the solve ran
-    assert under(modules, "scipy.optimize") == []
-    assert under(modules, "scipy.integrate") == []
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("vanishing.json", ["eigen", "CONFIG"]),
+        ("threshold_search.json", ["thresholds", "CONFIG", "--target", "Lstar"]),
+        ("threshold_search.json", ["thresholds", "CONFIG", "--target", "dstar"]),
+    ],
+    ids=["eigen", "thresholds_Lstar", "thresholds_dstar"],
+)
+def test_eigen_solves_and_root_searches_load_no_scipy(name, argv, tmp_path):
+    assert under(loaded_by(argv, tmp_path, name), "scipy") == []
+
+
+def test_a_simulate_that_solves_L_star_loads_no_scipy(tmp_path):
+    # threshold_search.json is in the intermediate regime, so simulate solves
+    # L* for its classification: the benchmark's mu* set-up path.
+    def shorten(data):
+        data["numerics"]["t_end"] = 10 * data["numerics"]["dt"]
+
+    modules = loaded_by(["simulate", "CONFIG"], tmp_path, "threshold_search.json", shorten)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert 0.0 < summary["l_star"] < math.inf
+    assert under(modules, "scipy") == []
+
+
+def test_eigen_on_a_gaussian_config_loads_scipy_special_alone(tmp_path):
+    def gaussian(data):
+        kern = {"family": "gaussian", "std": 0.5}
+        data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
+
+    modules = under(loaded_by(["eigen", "CONFIG"], tmp_path, edit=gaussian), "scipy")
+    assert "scipy.special" in modules
+    # scipy's own private modules and scipy.version load with any subpackage
+    public = {m.split(".")[1] for m in modules if "." in m and not m.split(".")[1].startswith("_")}
+    assert public <= {"special", "version"}

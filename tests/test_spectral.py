@@ -1,14 +1,15 @@
 """Interval eigenvalue: structure, closed forms, monotonicity, convergence."""
 
 import hashlib
+import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from epifront import (
     EigenProblem,
@@ -410,32 +411,80 @@ def test_a_solve_is_bit_identical_across_calls_and_processes():
     assert out.stdout.strip() == _solve_digest(97)
 
 
-def _tied_pair(op, **kwargs):
-    vec = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
-    return np.array([0.5, 0.5]), np.column_stack([vec, vec])
+def _tied_pair(monkeypatch):
+    # Every gap is a tie once MIN_GAP_EPS exceeds it: the solve returns a
+    # positive vector that passes the sign check, but inside a tied pair that
+    # vector depends on the start vector, so it must not be reported.
+    monkeypatch.setattr(spectral, "MIN_GAP_EPS", math.inf)
+    return problem(make_params(alpha=2.0), n=32)
 
 
-def _no_convergence(op, **kwargs):
-    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.zeros((op.shape[0], 0)))
+def _no_convergence(monkeypatch):
+    # The step limit is reached before the top two Ritz pairs converge.
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
+    return problem(make_params(alpha=2.0), n=32)
 
 
-def _no_factorization(op, **kwargs):
-    raise ArpackError(-9999)
+def _breakdown(monkeypatch):
+    # A uniform kernel narrower than the spacing leaves one 2 x 2 reaction
+    # block per node: K has 4 distinct eigenvalues, so the Krylov space is
+    # invariant after 4 products. Their remainder, 2e-13 of the product, is
+    # roundoff above the breakdown level, and the iteration goes on from it.
+    # The top eigenvalue is (n - 2)-fold, and the vector that Lanczos returns
+    # from that cluster changes sign.
+    return problem(make_params(alpha=2.0, kernel=KernelSpec.uniform(0.01)), n=32)
 
 
 @pytest.mark.parametrize(
-    "fake, message",
+    "setup, message",
     [(_tied_pair, "principal eigenvalue is not separated from the next"),
      (_no_convergence, "Lanczos found no principal eigenpair"),
-     (_no_factorization, "Lanczos found no principal eigenpair")],
+     (_breakdown, "principal eigenvector has sign changes")],
 )
-def test_each_lanczos_failure_is_one_spectral_error(monkeypatch, fake, message):
-    # A tied top pair passes the sign check with a positive vector, but its
-    # eigenvector depends on the start vector; it must not be reported.
-    monkeypatch.setattr(spectral, "eigsh", fake)
+def test_each_lanczos_failure_is_one_spectral_error(monkeypatch, setup, message):
+    prob = setup(monkeypatch)
     with pytest.raises(SpectralError, match=message) as err:
-        principal_eigenvalue(problem(make_params(alpha=2.0), n=32))
+        principal_eigenvalue(prob)
     assert "\n" not in str(err.value)
+
+
+def test_a_kernel_flat_over_the_interval_is_solved_after_breakdown():
+    # On an interval shorter than the uniform kernel's radius every node pair
+    # carries J = 1/2: K is the reaction block plus a rank-one term per
+    # species, its Krylov space breaks down after 4 products, and the top
+    # pair is simple. The L* search's first probe (h0/10) is such a case.
+    prob = problem(make_params(alpha=2.0, kernel=KernelSpec.uniform(10.0)), -0.1, 0.1, n=32)
+    vals = np.linalg.eigvalsh(assemble_operator(prob))
+    res = principal_eigenvalue(prob)
+    assert abs(res.lambda_p + vals[-1]) < 1e-14
+    assert res.rayleigh_residual < 1e-14
+
+
+def test_lanczos_sees_a_double_top_eigenvalue_after_breakdown():
+    # K projects onto two orthonormal vectors: eigenvalue 1 twice, 0 else.
+    # The Krylov space of one start vector holds one vector of the pair and
+    # is invariant after 2 products; the second start vector finds the other.
+    size = 64
+    pair = np.linalg.qr(np.random.default_rng(3).standard_normal((size, 2)))[0]
+    vals, vec = spectral._top_pair(lambda y: pair @ (pair.T @ y), size)
+    assert np.allclose(vals, [1.0, 1.0], rtol=0.0, atol=1e-14)
+    assert abs(np.linalg.norm(pair.T @ vec) - 1.0) < 1e-14
+
+
+def test_a_solve_keeps_its_memory_within_the_lanczos_basis():
+    # The basis holds at most _LANCZOS_BASIS vectors of 2n floats; beyond it
+    # a solve allocates a restart's _LANCZOS_KEEP new rows and the product's
+    # FFT workspace at the power-of-two length, under 6 vectors more.
+    n = 20_000
+    prob = problem(make_params(alpha=2.0, kernel=KernelSpec.laplace(0.5)), n=n)
+    principal_eigenvalue(problem(make_params(alpha=2.0), n=32))  # load numpy's fft and random first
+    tracemalloc.start()
+    try:
+        principal_eigenvalue(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (spectral._LANCZOS_BASIS + spectral._LANCZOS_KEEP + 6) * 2 * n * 8
 
 
 def dense_variational_reference(prob, phi1, phi2):
@@ -473,7 +522,7 @@ def test_no_n_by_n_matrix_is_formed_by_a_solve_or_its_check(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an n x n matrix was formed")
 
-    for name in ("assemble_operator", "coupled_operator", "_kernel_matrix", "toeplitz"):
+    for name in ("assemble_operator", "coupled_operator", "_kernel_matrix"):
         monkeypatch.setattr(spectral, name, forbidden)
     prob = pair_problem("uniform", 400)
     res = principal_eigenvalue(prob)
