@@ -9,8 +9,9 @@ Implements:
   - Finite-first-moment classification (power_tail with gamma <= 2 is the
     only family whose first moment diverges).
   - Boundary weights: a kernel tail, a constant plateau, or a sampled table
-    with linear interpolation, plus a sampling-based check of (W)
-    (nonnegative, positive at 0, finite).
+    with linear interpolation, plus a check of (W) (nonnegative, positive
+    at 0, finite): by construction for gaussian and laplace tails, sampled
+    for the rest.
 
 Kernel evaluators are even in x by construction (they only see |x|), so
 symmetry holds exactly in floating point.
@@ -25,6 +26,10 @@ import numpy as np
 
 # Tail mass below which the kernel is treated as zero for quadrature.
 TAIL_CUTOFF_MASS = 1e-10
+# erfcinv(2 * TAIL_CUTOFF_MASS), as scipy.special returns it: the standard
+# normal's cutoff quantile over sqrt(2), so a gaussian's support radius is
+# std * sqrt(2) times it.
+GAUSSIAN_CUTOFF_QUANTILE = 4.49814728952926
 
 # Each kernel family and the KernelSpec field holding its shape parameter.
 KERNEL_SHAPE_FIELD = {"uniform": "radius", "gaussian": "std", "laplace": "scale", "power_tail": "exponent"}
@@ -138,9 +143,11 @@ def _const(value: float) -> np.ndarray:
 def tail_formula(spec: KernelSpec):
     """The closed-form tail mass W_J of spec as a function of ax >= 0 (an
     array or a numpy scalar), unchecked: the formula behind kernel_tail,
-    with spec's constants (and the gaussian's scipy erfc) bound once, so the
-    moving-front stage binds it per run and calls it at its positive front
-    distances."""
+    with spec's constants bound once, so the moving-front stage binds it per
+    run and calls it at its positive front distances. The gaussian's is
+    scipy's erfc, imported here: the one place a gaussian kernel loads
+    scipy (support_radius and validate_weight take no gaussian tail
+    values)."""
     if spec.family == "uniform":
         radius, width, zero = _const(spec.radius), _const(2.0 * spec.radius), _const(0.0)
         return lambda ax: np.maximum(radius - ax, zero) / width
@@ -183,9 +190,7 @@ def support_radius(spec: KernelSpec) -> float:
     if spec.family == "uniform":
         return spec.radius
     if spec.family == "gaussian":
-        from scipy.special import erfcinv
-
-        return spec.std * math.sqrt(2.0) * float(erfcinv(2.0 * TAIL_CUTOFF_MASS))
+        return spec.std * math.sqrt(2.0) * GAUSSIAN_CUTOFF_QUANTILE
     if spec.family == "laplace":
         return spec.scale * math.log(0.5 / TAIL_CUTOFF_MASS)
     g = spec.exponent
@@ -303,11 +308,18 @@ def validate_weight(spec: WeightSpec, probe_radius: float) -> list:
     """Violations of (W) sampled at 2001 evenly spaced points of
     [0, probe_radius]: W(0) > 0, nonnegative, finite. Empty when (W) holds.
 
-    Violations are returned, not raised. A table is also sampled at its
-    knots, where its extremes lie, so its sign verdict is exact.
+    Violations are returned, not raised. A gaussian or laplace tail,
+    0.5 erfc(x / (std sqrt 2)) or 0.5 exp(-x / scale), holds (W) by
+    construction: W(0) = 1/2 and every value lies in [0, 1/2] for any
+    positive float parameter, so it is not sampled on a finite interval.
+    A uniform or power_tail tail can round to 0 at 0 or overflow, and is
+    sampled. A table is also sampled at its knots, where its extremes lie,
+    so its sign verdict is exact.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
+    if spec.family == "kernel_tail" and spec.kernel.family in ("gaussian", "laplace") and math.isfinite(probe_radius):
+        return []
     xs = np.linspace(0.0, probe_radius, 2001)
     if spec.family == "table":
         xs = np.union1d(xs, [x for x in spec.xs if x <= probe_radius])

@@ -25,8 +25,8 @@ Implements:
     step. Its methods are the one copy of the stage expressions: the front
     rates (mu F_h, -mu F_g) for the stage, the recorded rows, boundary_rates
     and the flux check, and the dispersal-reaction rates for the moving and
-    the frozen interval. _stage_rates, _density_rates and _front_rates are
-    entry points that bind a stage per call with the checked evaluators.
+    the frozen interval. _density_rates and _front_rates are entry points
+    that bind a stage per call with the checked evaluators.
     The fluxes are nonnegative by construction: run checks (W) and the
     initial data at every node, and the stepper keeps the densities
     nonnegative.
@@ -252,13 +252,12 @@ class _Stage:
     weight and G evaluators.
 
     densities, fronts and rates are the one copy of the stage expressions.
-    The entry points _stage_rates, _density_rates and _front_rates bind a
-    stage per call with the checked kernel_tail, weight_eval and
-    infection_value. A run binds one (on_grid) with their unchecked formulas,
-    since its front distances are positive and its densities clamped by
-    construction; it hangs on the run's grid (grid.stage) for the steps and
-    keeps the window certificate's kernel blocks of the last occupied node
-    range (blocks).
+    The entry points _density_rates and _front_rates bind a stage per call
+    with the checked kernel_tail, weight_eval and infection_value. A run
+    binds one (on_grid) with their unchecked formulas, since its front
+    distances are positive and its densities clamped by construction; it
+    hangs on the run's grid (grid.stage) for the steps and keeps the window
+    certificate's kernel blocks of the last occupied node range (blocks).
     """
 
     def __init__(self, p: ModelParams, grid=None, st1=None, st2=None, fold=False, checked=True):
@@ -335,11 +334,6 @@ class _Stage:
         return self._blocks
 
 
-def _stage_rates(p: ModelParams, grid: Grid, st1, st2, fold: bool, y: np.ndarray, g: float, h: float):
-    """Stage rates (dy, g', h') of model p at (y, g, h): _Stage.rates."""
-    return _Stage(p, grid, st1, st2, fold).rates(y, g, h)
-
-
 def _density_rates(p: ModelParams, wy: np.ndarray, y: np.ndarray, st1, st2, out: np.ndarray) -> np.ndarray:
     """Dispersal-reaction rates of model p: _Stage.densities."""
     return _Stage(p, st1=st1, st2=st2).densities(wy, y, out)
@@ -361,15 +355,15 @@ def _occupied(state: SimState):
 def boundary_rates(p: ModelParams, state: SimState):
     """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law.
 
-    The front rates of one stage at `state` (_stage_rates; its density rates
-    are dropped), so they equal those of the first stage of a step from
-    `state` bit for bit.
+    The front rates of a run's stage (_Stage.on_grid) on the occupied window
+    of `state`, the expression run records, so they equal those of the first
+    stage of a step from `state` bit for bit; (0.0, 0.0) on an empty window,
+    as the stage's rates give.
     """
-    grid = state.grid
-    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
-    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
-    _, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((state.u, state.v)), state.g, state.h)
-    return h_rate, g_rate
+    x, wy, lo, hi = _occupied(state)
+    if lo == hi:
+        return 0.0, 0.0
+    return _Stage.on_grid(p, state.grid).fronts(x, wy, state.g, state.h)
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:

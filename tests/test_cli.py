@@ -459,6 +459,35 @@ def test_spectral_failure_is_a_numerical_failure(tmp_path, capsys):
         assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "weight_kernel, domain_cap, line",
+    [
+        ({"family": "uniform", "radius": 1e308}, 5.0, "FAIL (W) weight: W(0) must be positive"),
+        (
+            {"family": "power_tail", "exponent": 1.457e5, "cutoff": 6.3e-188},
+            1.45e202,
+            "FAIL (W) weight: non-finite weight values sampled",
+        ),
+        # 2 * domain_cap overflows: the probe interval [0, inf] is sampled
+        (
+            {"family": "gaussian", "std": 0.5},
+            1e308,
+            "FAIL (W) weight: W(0) must be positive; non-finite weight values sampled",
+        ),
+    ],
+    ids=["uniform_radius_1e308", "power_tail_overflow", "gaussian_infinite_probe"],
+)
+def test_validate_reports_tails_that_break_W(tmp_path, capsys, weight_kernel, domain_cap, line):
+    data = deep(BASE_CONFIG)
+    data["model"]["weight"] = {"family": "kernel_tail", "kernel": weight_kernel}
+    data["numerics"]["domain_cap"] = domain_cap
+    path = write_config(tmp_path, data)
+    with np.errstate(all="ignore"):
+        assert main(["validate", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [row for row in out if row.startswith("FAIL")] == [line]
+
+
 @pytest.mark.parametrize("exponent", [1.2, 1.5, 2.0, 2.5])
 def test_validate_passes_power_tail_kernels(tmp_path, capsys, exponent):
     data = deep(BASE_CONFIG)

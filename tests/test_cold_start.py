@@ -1,10 +1,11 @@
 """What a subcommand imports: each case runs in a fresh interpreter and
 reads sys.modules after the call. The eigen solver and the L*/d* root
-searches use numpy alone, and scipy loads inside the functions that use it
-(scipy.special for a gaussian kernel's tail, quad for the library's flux
-check), so a subcommand on a non-gaussian config loads none of it, eigen
-solves and root searches included, and only `sweep` loads
-multiprocessing."""
+searches use numpy alone, a gaussian kernel's support radius is a constant
+and its tail satisfies (W) by construction, and scipy loads inside the
+functions that use it (scipy.special for the stepper's gaussian tail, quad
+for the library's flux check). So a subcommand loads scipy only to step
+a gaussian front (eigen solves and root searches on gaussian configs load
+none of it), and only `sweep` loads multiprocessing."""
 
 import json
 import math
@@ -91,12 +92,27 @@ def test_a_simulate_that_solves_L_star_loads_no_scipy(tmp_path):
     assert under(modules, "scipy") == []
 
 
-def test_eigen_on_a_gaussian_config_loads_scipy_special_alone(tmp_path):
-    def gaussian(data):
-        kern = {"family": "gaussian", "std": 0.5}
-        data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
+def gaussian(data):
+    kern = {"family": "gaussian", "std": 0.5}
+    data["model"].update(kernel1=kern, kernel2=kern, weight={"family": "kernel_tail", "kernel": kern})
 
-    modules = under(loaded_by(["eigen", "CONFIG"], tmp_path, edit=gaussian), "scipy")
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("vanishing.json", ["eigen", "CONFIG"]),
+        ("vanishing.json", ["validate", "CONFIG"]),
+        ("threshold_search.json", ["thresholds", "CONFIG", "--target", "Lstar"]),
+        ("threshold_search.json", ["thresholds", "CONFIG", "--target", "dstar"]),
+    ],
+    ids=["eigen", "validate", "thresholds_Lstar", "thresholds_dstar"],
+)
+def test_a_gaussian_config_loads_no_scipy_without_stepping(name, argv, tmp_path):
+    assert under(loaded_by(argv, tmp_path, name, gaussian), "scipy") == []
+
+
+def test_simulating_a_gaussian_config_loads_scipy_special_alone(tmp_path):
+    modules = under(loaded_by(["simulate", "CONFIG"], tmp_path, "spreading.json"), "scipy")
     assert "scipy.special" in modules
     # scipy's own private modules and scipy.version load with any subpackage
     public = {m.split(".")[1] for m in modules if "." in m and not m.split(".")[1].startswith("_")}

@@ -5,7 +5,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc, erfcinv
 
 from epifront import (
     KernelSpec,
@@ -17,6 +20,7 @@ from epifront import (
     validate_weight,
     weight_eval,
 )
+from epifront.kernels import KERNEL_SHAPE_FIELD, TAIL_CUTOFF_MASS
 
 ALL_KERNELS = [
     KernelSpec.uniform(1.0),
@@ -211,6 +215,69 @@ def test_kernel_spec_validation():
 def test_weight_kernel_tail_report():
     w = WeightSpec.kernel_tail_of(KernelSpec.uniform(1.0))
     assert validate_weight(w, probe_radius=2.0) == []
+
+
+@pytest.mark.parametrize("std", [5e-324, 1e-300, 0.01, 0.1, 0.3, 0.5, 1.0, 2.5, 7.3, 1e300])
+def test_a_gaussian_support_radius_is_scipys_cutoff_quantile(std):
+    # support_radius holds erfcinv(2 TAIL_CUTOFF_MASS) as a constant; it must
+    # be scipy's value for the current cutoff mass, bit for bit.
+    expected = std * math.sqrt(2.0) * float(erfcinv(2.0 * TAIL_CUTOFF_MASS))
+    assert support_radius(KernelSpec.gaussian(std)) == expected
+
+
+def _sampled_tail_verdict(family: str, param: float, probe_radius: float) -> list:
+    """(W) violations of a gaussian or laplace tail sampled at 2001 evenly
+    spaced points of [0, probe_radius]: the check validate_weight runs on
+    the families it samples."""
+    xs = np.linspace(0.0, probe_radius, 2001)
+    with np.errstate(all="ignore"):
+        if family == "gaussian":
+            vals = 0.5 * erfc(xs / (param * math.sqrt(2.0)))
+        else:
+            vals = 0.5 * np.exp(-xs / param)
+    messages = []
+    if not vals[0] > 0.0:
+        messages.append("W(0) must be positive")
+    if vals.min() < 0.0:
+        messages.append("negative weight values sampled")
+    if not np.all(np.isfinite(vals)):
+        messages.append("non-finite weight values sampled")
+    return messages
+
+
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["gaussian", "laplace"]), POSITIVE_FLOATS, POSITIVE_FLOATS)
+@example("gaussian", 5e-324, 1.7e308)
+@example("gaussian", 1.7e308, 5e-324)
+@example("gaussian", 1.7e308, 1.7e308)
+@example("laplace", 5e-324, 1.7e308)
+@example("laplace", 1.7e308, 5e-324)
+def test_gaussian_and_laplace_tails_pass_W_unsampled_as_sampled(family, param, probe_radius):
+    kernel = KernelSpec(family, **{KERNEL_SHAPE_FIELD[family]: param})
+    expected = _sampled_tail_verdict(family, param, probe_radius)
+    assert expected == []
+    assert validate_weight(WeightSpec.kernel_tail_of(kernel), probe_radius) == expected
+
+
+@pytest.mark.parametrize(
+    "kernel, probe_radius, messages",
+    [
+        # 1e308 - 0 over 2e308 = inf rounds W(0) to 0
+        (KernelSpec.uniform(1e308), 10.0, ["W(0) must be positive"]),
+        # x0 scaled by 2**-662 underflows to 0, and the ratio's remainder is 0/0
+        (KernelSpec.power_tail(1.457e5, 6.3e-188), 2.9e202, ["non-finite weight values sampled"]),
+        # linspace over [0, inf] starts at NaN: an infinite interval stays sampled
+        (KernelSpec.gaussian(0.5), math.inf, ["W(0) must be positive", "non-finite weight values sampled"]),
+        (KernelSpec.laplace(0.5), math.inf, ["W(0) must be positive", "non-finite weight values sampled"]),
+    ],
+    ids=["uniform_radius_1e308", "power_tail_overflow", "gaussian_infinite_probe", "laplace_infinite_probe"],
+)
+def test_tails_that_can_fail_W_are_still_sampled(kernel, probe_radius, messages):
+    with np.errstate(all="ignore"):
+        assert validate_weight(WeightSpec.kernel_tail_of(kernel), probe_radius) == messages
 
 
 def test_weight_zero_at_origin_fails():

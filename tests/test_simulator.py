@@ -30,7 +30,7 @@ from epifront.simulator import (
     _density_rates,
     _folds,
     _front_rates,
-    _stage_rates,
+    _Stage,
     _stencil,
     check_initial_pair,
     fixed_boundary_rhs,
@@ -762,7 +762,7 @@ def test_window_stage_matches_full_grid(kernel, weight):
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h)
-        dy, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((u, v)), g, h)
+        dy, g_rate, h_rate = _Stage(p, grid, st1, st2, _folds(p)).rates(np.array((u, v)), g, h)
         got = (dy[0], dy[1], g_rate, h_rate)
         for ref_d, got_d in zip(ref[:2], got[:2]):
             assert got_d.shape == ref_d.shape
@@ -792,11 +792,10 @@ def test_recorded_rates_are_the_stage_rates(kernel, weight):
         v=sample_profile(lambda x: bump(x) * (1.0 + 0.5 * x), grid, 1.0),
         grid=grid,
     )
-    st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
-    st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
     for k in range(30):
         state = step(p, cfg, state)
-        _, g_rate, h_rate = _stage_rates(p, grid, st1, st2, _folds(p), np.array((state.u, state.v)), state.g, state.h)
+        # the stage the step bound on the grid is the next step's
+        _, g_rate, h_rate = grid.stage.rates(np.array((state.u, state.v)), state.g, state.h)
         assert boundary_rates(p, state) == (h_rate, g_rate), f"step {k + 1}"
     assert state.h > 1.0 + cfg.dx and state.g < -1.0 - cfg.dx
 
