@@ -103,11 +103,14 @@ def _cutoff_ratio_power(x0: float, ax, g: float):
     mant, ex = np.frexp(np.maximum(ax, x0))
     num = np.ldexp(x0, -ex)
     q = num / mant
-    with np.errstate(invalid="ignore"):  # |x| = inf: q = 0 and r is NaN
+    # |x| = inf: q = 0 and r is NaN; x0 / |x| below the subnormals: num = 0
+    # and r / num is 0/0, a NaN that (W)'s finiteness check reports.
+    with np.errstate(invalid="ignore"):
         prod = q * mant
         (qh, ql), (mh, ml) = _split(q), _split(mant)
         r = (num - prod) - (((qh * mh - prod) + qh * ml + ql * mh) + ql * ml)
-    return q**g * np.exp(g * np.nan_to_num(r) / num)
+        correction = g * np.nan_to_num(r) / num
+    return q**g * np.exp(correction)
 
 
 def kernel_eval(spec: KernelSpec, x):

@@ -14,19 +14,20 @@ Implements:
   - Stages evaluated on the occupied window [lo, hi), the nodes strictly
     inside (g, h), found by bisecting the grid's node list: only the
     window's quadrature weights are built, and the one product w * y[:, lo:hi]
-    feeds convolutions by direct O(n_win*m) stencil products (kernel values
-    tabulated at node offsets once per kernel/grid pair; no FFT at this
-    scale) and both front fluxes, from one tail evaluation and one mat-vec.
+    feeds convolutions by direct O(n_win*m) stencil products (the eigen
+    solver's kernel column, spectral._kernel_column, on the node offsets
+    0..m*dx, mirrored, once per kernel/grid pair; no FFT at this scale) and
+    both front fluxes, from one tail evaluation and one mat-vec.
     Every other node has zero rate. The density check (finite, round-off
     clamp at -1e-14) runs once per step on y.
-  - The stage (_Stage), built once per run and hung on the run's grid:
-    the stencils, the fold flag, the rate constants as 0-d arrays and the
-    unchecked tail, weight and G formulas, bound for every stage of every
-    step. Its methods are the one copy of the stage expressions: the front
-    rates (mu F_h, -mu F_g) for the stage, the recorded rows, boundary_rates
-    and the flux check, and the dispersal-reaction rates for the moving and
-    the frozen interval. _density_rates and _front_rates are entry points
-    that bind a stage per call with the checked evaluators.
+  - The stage (_Stage), built once per run from the model, the node
+    spacing and count, and the grid it steps: it builds its stencils and
+    fold flag and binds the rate constants as 0-d arrays and the unchecked
+    tail, weight and G formulas for every stage of every step. Its methods
+    are the one copy of the stage expressions: the front rates
+    (mu F_h, -mu F_g) for the stage, the recorded rows, boundary_rates and
+    the flux check, and the dispersal-reaction rates for the moving and the
+    frozen interval.
     The fluxes are nonnegative by construction: run checks (W) and the
     initial data at every node, and the stepper keeps the densities
     nonnegative.
@@ -35,9 +36,10 @@ Implements:
   - The fixed-interval companion problem (frozen fronts, no front ODEs),
     whose long-time profiles approach the unique positive steady state when
     the interval's principal eigenvalue is negative. fixed_boundary_run is
-    its one integrator (step always moves the fronts). It shares the density
-    rates, the 4-stage step and the density check with the moving-front
-    stepper, and binds its stencils and trapezoid weights once per run.
+    its one integrator (step always moves the fronts). It shares the stage's
+    density rates, the 4-stage step and the density check with the
+    moving-front stepper, and binds its stage and trapezoid weights once per
+    run.
   - Trajectory recording and the finite-horizon spreading / vanishing /
     undecided classifier.
   - The sign of the principal eigenvalue of the frozen linearization on the
@@ -75,7 +77,7 @@ from .kernels import (
 )
 from .model import ModelParams, gprime0, infection_formula, infection_value
 from .ode import NEG_TOL, NumericalFailure, rk4_step
-from .spectral import _kernel_matrix, coupled_operator, trapezoid_weights
+from .spectral import _kernel_column, _kernel_matrix, coupled_operator, trapezoid_weights
 
 
 class SimulationUnstable(NumericalFailure):
@@ -148,6 +150,8 @@ def validate_sim_config(p: ModelParams, cfg: SimConfig, check_weight: bool = Tru
         issues.append("dx must not exceed h0/10")
     if not cfg.domain_cap > p.h0:
         issues.append("domain_cap must exceed h0")
+    elif not math.isfinite(2.0 * cfg.domain_cap):
+        issues.append("2*domain_cap must be finite")
     elif check_weight:
         for msg in validate_weight(p.weight, 2.0 * cfg.domain_cap):
             issues.append(f"weight violates (W) on [0, 2*domain_cap]: {msg}")
@@ -188,10 +192,12 @@ class Trajectory:
 
 @lru_cache(maxsize=64)
 def _stencil(kernel: KernelSpec, dx: float, max_offset: int) -> np.ndarray:
-    """Kernel values at node offsets k*dx, |k| <= m; m capped by the grid width."""
+    """Kernel values at node offsets k*dx, |k| <= m; m capped by the grid
+    width: the kernel column on the nodes 0, dx, ..., m*dx, mirrored."""
     reach = support_radius(kernel) / dx
     m = max_offset if reach > max_offset else int(math.ceil(reach))
-    return kernel_eval(kernel, np.arange(-m, m + 1) * dx)
+    col = _kernel_column(kernel, np.arange(m + 1) * dx)
+    return np.concatenate((col[:0:-1], col))
 
 
 def _conv(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
@@ -239,29 +245,27 @@ def nonlocal_term(kernel: KernelSpec, grid: Grid, g: float, h: float, density: n
     return float(np.sum(w * kernel_eval(kernel, x - grid.x[lo:hi]) * density[lo:hi]))
 
 
-def _folds(p: ModelParams) -> bool:
-    """Whether the front weight is the J1 tail, so both fronts' fluxes share it."""
-    return p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1
-
-
 class _Stage:
-    """The rates of one stage of model p, with all that stays fixed from stage
-    to stage bound once: the stencils st1, st2 of the grid's spacing, the fold
-    flag (_folds), the rate constants as 0-d arrays (numpy then converts no
-    Python scalar per operation; the products are the same), and the tail,
-    weight and G evaluators.
+    """The rates of one stage of model p on n nodes dx apart, with all that
+    stays fixed from stage to stage bound once: the stencils st1, st2
+    (_stencil), the fold flag (whether the front weight is the J1 tail, so
+    both fronts' fluxes share it), the rate constants as 0-d arrays
+    (numpy then converts no Python scalar per operation; the products are
+    the same), and the tail, weight and G evaluators.
 
-    densities, fronts and rates are the one copy of the stage expressions.
-    The entry points _density_rates and _front_rates bind a stage per call
-    with the checked kernel_tail, weight_eval and infection_value. A run
-    binds one (on_grid) with their unchecked formulas, since its front
-    distances are positive and its densities clamped by construction; it
-    hangs on the run's grid (grid.stage) for the steps and keeps the window
-    certificate's kernel blocks of the last occupied node range (blocks).
+    densities, fronts and rates (which needs the grid it steps) are the one
+    copy of the stage expressions. The evaluators are the unchecked
+    formulas, since a run's front distances are positive and its densities
+    clamped by construction; flux_equivalence_check alone binds the checked
+    kernel_tail, weight_eval and infection_value. A run's stage hangs on its
+    grid (grid.stage) for the steps and keeps the window certificate's
+    kernel blocks of the last occupied node range (blocks).
     """
 
-    def __init__(self, p: ModelParams, grid=None, st1=None, st2=None, fold=False, checked=True):
-        self.p, self.grid, self.st1, self.st2, self.fold = p, grid, st1, st2, fold
+    def __init__(self, p: ModelParams, dx: float, n: int, grid: Grid | None = None, checked: bool = False):
+        self.p, self.grid = p, grid
+        self.fold = p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1
+        self.st1, self.st2 = _stencil(p.kernel1, dx, n - 1), _stencil(p.kernel2, dx, n - 1)
         self.d1, self.d1a, self.e = _const(p.d1), _const(p.d1 + p.a), _const(p.e)
         self.d2, self.d2b, self.rho, self.zero = _const(p.d2), _const(p.d2 + p.b), _const(p.rho), _const(0.0)
         if checked:
@@ -272,13 +276,6 @@ class _Stage:
             self.tail, self.weight = tail_formula(p.kernel1), weight_formula(p.weight)
             self.infection = partial(infection_formula, p.infection)
         self._span, self._blocks = None, {}
-
-    @classmethod
-    def on_grid(cls, p: ModelParams, grid: Grid) -> "_Stage":
-        """The stage of a run or step of model p on grid, with the unchecked formulas."""
-        st1 = _stencil(p.kernel1, grid.dx, grid.n - 1)
-        st2 = _stencil(p.kernel2, grid.dx, grid.n - 1)
-        return cls(p, grid, st1, st2, _folds(p), checked=False)
 
     def densities(self, wy: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Dispersal-reaction rates of the density pair y = (u, v), written into
@@ -334,16 +331,6 @@ class _Stage:
         return self._blocks
 
 
-def _density_rates(p: ModelParams, wy: np.ndarray, y: np.ndarray, st1, st2, out: np.ndarray) -> np.ndarray:
-    """Dispersal-reaction rates of model p: _Stage.densities."""
-    return _Stage(p, st1=st1, st2=st2).densities(wy, y, out)
-
-
-def _front_rates(p: ModelParams, x: np.ndarray, wy: np.ndarray, g: float, h: float, fold: bool):
-    """Front rates (mu F_h, -mu F_g) of model p: _Stage.fronts."""
-    return _Stage(p, fold=fold).fronts(x, wy, g, h)
-
-
 def _occupied(state: SimState):
     """(x, wy, lo, hi) of the occupied window of `state`: its nodes, the
     densities times their quadrature weights, and its node range."""
@@ -355,7 +342,7 @@ def _occupied(state: SimState):
 def boundary_rates(p: ModelParams, state: SimState):
     """(h_rate >= 0, g_rate <= 0) from the tail-weighted front law.
 
-    The front rates of a run's stage (_Stage.on_grid) on the occupied window
+    The front rates of a run's stage (_Stage) on the occupied window
     of `state`, the expression run records, so they equal those of the first
     stage of a step from `state` bit for bit; (0.0, 0.0) on an empty window,
     as the stage's rates give.
@@ -363,7 +350,7 @@ def boundary_rates(p: ModelParams, state: SimState):
     x, wy, lo, hi = _occupied(state)
     if lo == hi:
         return 0.0, 0.0
-    return _Stage.on_grid(p, state.grid).fronts(x, wy, state.g, state.h)
+    return _Stage(p, state.grid.dx, state.grid.n).fronts(x, wy, state.g, state.h)
 
 
 def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
@@ -421,7 +408,7 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
     grid, dt = state.grid, cfg.dt
     stage = grid.stage
     if stage is None or stage.p is not p:
-        stage = grid.stage = _Stage.on_grid(p, grid)
+        stage = grid.stage = _Stage(p, grid.dx, grid.n, grid)
 
     def rhs(y, g, h):
         if h > grid.cap or g < -grid.cap:
@@ -453,7 +440,7 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
 
     grid = state.grid
     x, wy, lo, hi = _occupied(state)
-    tail_form = _front_rates(replace(p, rho=0.0), x, wy, state.g, state.h, _folds(p))[0]
+    tail_form = _Stage(replace(p, rho=0.0), grid.dx, grid.n, checked=True).fronts(x, wy, state.g, state.h)[0]
     reach = support_radius(p.kernel1)
     double_form = 0.0
     for j in range(lo, hi):
@@ -588,7 +575,7 @@ def run(
         if not (np.all(state.u >= 0.0) and np.all(state.v >= 0.0)):  # NaN fails too
             raise ValueError("initial data must be nonnegative")
         done = 0
-    stage = grid.stage = _Stage.on_grid(p, grid)
+    stage = grid.stage = _Stage(p, grid.dx, grid.n, grid)
     if done == 0 and vanishes(record(state)):  # a fresh run's initial row
         status = "stopped_vanishing"
     decay_floor = 0.01 * cfg.tol_vanish
@@ -668,15 +655,6 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
     return "undecided"
 
 
-def fixed_boundary_rhs(p: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the frozen-interval system for the density pair
-    y = (u, v) on nodes spanning [L1, L2]."""
-    dx = x[1] - x[0]
-    st1 = _stencil(p.kernel1, dx, x.size - 1)
-    st2 = _stencil(p.kernel2, dx, x.size - 1)
-    return _density_rates(p, trapezoid_weights(x.size, dx) * y, y, st1, st2, np.empty_like(y))
-
-
 def fixed_boundary_run(
     p: ModelParams,
     L1: float,
@@ -712,12 +690,10 @@ def fixed_boundary_run(
         raise ValueError("initial data must be nonnegative")
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     y = np.array((u, v))
-    # fixed_boundary_rhs with its stencils and trapezoid weights bound once:
+    # The stage's density rates under trapezoid weights, both bound once:
     # the interval never moves.
     spacing = x[1] - x[0]
-    st1 = _stencil(p.kernel1, spacing, x.size - 1)
-    st2 = _stencil(p.kernel2, spacing, x.size - 1)
-    stage, w = _Stage(p, st1=st1, st2=st2, checked=False), trapezoid_weights(x.size, spacing)
+    stage, w = _Stage(p, spacing, x.size), trapezoid_weights(x.size, spacing)
     rhs = lambda y: (stage.densities(w * y, y, np.empty_like(y)),)
     for k in range(n_steps):
         (y,) = rk4_step(rhs, (y,), dt)

@@ -23,6 +23,10 @@ Implements:
     fixed, so a solve is bit-reproducible. The dense matrix
     (assemble_operator, coupled_operator) is still built for the
     simulator's window certificate and for tests.
+  - The kernel column J(x_j - x_0) on the nodes (_kernel_column), the one
+    place the kernel is tabulated at node differences: the dense Toeplitz
+    blocks index it, their FFT embedding embeds it, and the simulator's
+    stencils mirror it.
   - The variational double-integral form of the Rayleigh quotient as an
     independent algebraic cross-check.
   - Closed-form bounds: lower_bound, the zero-diffusion limit from the
@@ -115,10 +119,17 @@ def _grid(problem: EigenProblem):
     return x, dx, trapezoid_weights(problem.n, dx)
 
 
+def _kernel_column(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """J(x_j - x_0) on the nodes x: the one place the kernel is tabulated at
+    node differences. The dense blocks (_kernel_matrix), their FFT embedding
+    (_toeplitz_product) and the simulator's stencils read it."""
+    return kernel_eval(kernel, x - x[0])
+
+
 def _kernel_matrix(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     # Toeplitz by translation invariance: entry (j, k) is J(x_j - x_k) = J(x_|j-k| - x_0).
     offsets = np.arange(x.size)
-    return kernel_eval(kernel, x - x[0])[np.abs(offsets[:, None] - offsets)]
+    return _kernel_column(kernel, x)[np.abs(offsets[:, None] - offsets)]
 
 
 def _toeplitz_product(kernels, x: np.ndarray):
@@ -130,7 +141,7 @@ def _toeplitz_product(kernels, x: np.ndarray):
     m = 1 << (2 * n - 2).bit_length()
     col = np.zeros((len(kernels), m))
     for i, kernel in enumerate(kernels):
-        t = kernel_eval(kernel, x - x[0])
+        t = _kernel_column(kernel, x)
         col[i, :n] = t
         col[i, m - n + 1:] = t[:0:-1]
     spectrum = np.fft.rfft(col).real.copy()  # the embedding is even, so its spectrum is real

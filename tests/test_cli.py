@@ -3,6 +3,9 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +19,7 @@ from epifront.config import build_profile, parse_config_dict
 from epifront.kernels import WeightSpec, support_radius
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CONFIG = {
     "model": {
@@ -468,12 +472,8 @@ def test_spectral_failure_is_a_numerical_failure(tmp_path, capsys):
             1.45e202,
             "FAIL (W) weight: non-finite weight values sampled",
         ),
-        # 2 * domain_cap overflows: the probe interval [0, inf] is sampled
-        (
-            {"family": "gaussian", "std": 0.5},
-            1e308,
-            "FAIL (W) weight: W(0) must be positive; non-finite weight values sampled",
-        ),
+        # 2 * domain_cap overflows: the config is rejected before (W) is probed
+        ({"family": "gaussian", "std": 0.5}, 1e308, "FAIL config: config.numerics: 2*domain_cap must be finite"),
     ],
     ids=["uniform_radius_1e308", "power_tail_overflow", "gaussian_infinite_probe"],
 )
@@ -486,6 +486,47 @@ def test_validate_reports_tails_that_break_W(tmp_path, capsys, weight_kernel, do
         assert main(["validate", path]) == 2
     out = capsys.readouterr().out.splitlines()
     assert [row for row in out if row.startswith("FAIL")] == [line]
+
+
+def cli_process(tmp_path, data, *argv):
+    """The CLI on the config `data` in a fresh interpreter, so stderr holds
+    what a user sees, numpy's RuntimeWarnings included."""
+    path = write_config(tmp_path, data)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))}
+    cmd = [sys.executable, "-m", "epifront.cli", *argv, path]
+    return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_validate_reports_an_underflowing_power_tail_weight_without_a_warning(tmp_path):
+    # x0 / |x| underflows to 0 far out on this tail, so its exponent
+    # correction is 0/0: a NaN that (W)'s finiteness check reports, and no
+    # numpy warning on stderr.
+    data = deep(BASE_CONFIG)
+    data["model"]["weight"] = {"family": "kernel_tail", "kernel": {"family": "power_tail", "exponent": 1.457e5, "cutoff": 6.3e-188}}
+    data["numerics"]["domain_cap"] = 1.45e202
+    proc = cli_process(tmp_path, data, "validate")
+    assert proc.returncode == 2
+    assert [row for row in proc.stdout.splitlines() if row.startswith("FAIL")] == [
+        "FAIL (W) weight: non-finite weight values sampled"
+    ]
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("weight_kernel", [{"family": "gaussian", "std": 0.5}, {"family": "laplace", "scale": 0.5}], ids=["gaussian", "laplace"])
+def test_a_domain_cap_whose_double_overflows_is_one_config_line(tmp_path, weight_kernel):
+    # The front law reads W on [0, 2*domain_cap]; an interval that is not
+    # finite is the config's fault, said once, with no numpy warning.
+    data = deep(BASE_CONFIG)
+    data["model"]["weight"] = {"family": "kernel_tail", "kernel": weight_kernel}
+    data["numerics"]["domain_cap"] = 1e308
+    validate = cli_process(tmp_path, data, "validate")
+    assert (validate.returncode, validate.stdout, validate.stderr) == (
+        2, "FAIL config: config.numerics: 2*domain_cap must be finite\n", ""
+    )
+    simulate = cli_process(tmp_path, data, "simulate")
+    assert (simulate.returncode, simulate.stdout, simulate.stderr) == (
+        2, "", "invalid config: config.numerics: 2*domain_cap must be finite\n"
+    )
 
 
 @pytest.mark.parametrize("exponent", [1.2, 1.5, 2.0, 2.5])

@@ -27,13 +27,9 @@ from epifront.simulator import (
     SimulationUnstable,
     Trajectory,
     _conv,
-    _density_rates,
-    _folds,
-    _front_rates,
     _Stage,
     _stencil,
     check_initial_pair,
-    fixed_boundary_rhs,
     quad_weights,
     sample_profile,
     validate_sim_config,
@@ -41,7 +37,16 @@ from epifront.simulator import (
 )
 from epifront.kernels import kernel_eval, kernel_tail, weight_eval
 from epifront.model import infection_value
-from epifront.spectral import EigenProblem, _kernel_matrix, coupled_operator, principal_eigenvalue
+from epifront.ode import rk4_step
+from epifront.spectral import (
+    EigenProblem,
+    _kernel_column,
+    _kernel_matrix,
+    _toeplitz_product,
+    coupled_operator,
+    principal_eigenvalue,
+    trapezoid_weights,
+)
 from helpers import bump_profile, make_params
 
 
@@ -326,6 +331,53 @@ def test_nonlocal_term_matches_stencil_convolution():
         assert direct == pytest.approx(conv[idx], abs=1e-12)
 
 
+def _random_kernel(family: str, rng, dx: float) -> KernelSpec:
+    if family == "uniform":  # half the radii on a node, where the kernel jumps
+        k = rng.integers(1, 40)
+        return KernelSpec.uniform(k * dx if rng.random() < 0.5 else rng.uniform(0.5, 40.0) * dx)
+    if family == "gaussian":
+        return KernelSpec.gaussian(rng.uniform(0.2, 20.0) * dx)
+    if family == "laplace":
+        return KernelSpec.laplace(rng.uniform(0.2, 20.0) * dx)
+    return KernelSpec.power_tail(rng.uniform(1.2, 4.0), rng.uniform(0.5, 20.0) * dx)
+
+
+@pytest.mark.parametrize("family", ["uniform", "gaussian", "laplace", "power_tail"])
+def test_every_kernel_entry_is_the_kernel_column(monkeypatch, family):
+    # One function tabulates J at node differences: the stepper's stencil is
+    # its column on 0, dx, ..., m*dx mirrored (J(k*dx), as tabulated before),
+    # and the dense blocks and their FFT embedding on any nodes hold its
+    # column, byte for byte.
+    rng = np.random.default_rng(["uniform", "gaussian", "laplace", "power_tail"].index(family))
+    embedded = []
+    real_rfft = np.fft.rfft
+
+    def rfft(a, *args, **kwargs):
+        embedded.append(np.array(a))
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    for _ in range(25):
+        dx = rng.uniform(0.005, 0.2)
+        n = int(rng.integers(2, 300))
+        kernel = _random_kernel(family, rng, dx)
+        stencil = _stencil(kernel, dx, n - 1)
+        m = stencil.size // 2
+        col = _kernel_column(kernel, np.arange(m + 1) * dx)
+        assert stencil.tobytes() == np.concatenate((col[:0:-1], col)).tobytes()
+        assert stencil.tobytes() == kernel_eval(kernel, np.arange(-m, m + 1) * dx).tobytes()
+        x = np.linspace(rng.uniform(-5.0, 0.0), 0.0, n) if rng.random() < 0.5 else (rng.integers(-200, 200) + np.arange(n)) * dx
+        col = _kernel_column(kernel, x)
+        assert col.tobytes() == kernel_eval(kernel, x - x[0]).tobytes()
+        assert _kernel_matrix(kernel, x)[:, 0].tobytes() == col.tobytes()
+        embedded.clear()
+        _toeplitz_product((kernel,), x)
+        (table,) = embedded[0]
+        assert table[:n].tobytes() == col.tobytes()
+        assert table[table.size - n + 1 :].tobytes() == col[:0:-1].tobytes()
+        assert not table[n : table.size - n + 1].any()
+
+
 def test_record_cadence_and_stability_limit():
     from epifront import stability_limit
 
@@ -522,7 +574,8 @@ def test_fixed_boundary_steady_state_wide_interval():
     assert abs(u[mid] - 1.0) < 5e-2
     assert abs(v[mid] - 1.0) < 5e-2
     assert np.all(u <= 1.0 + 1e-9) and np.all(v <= 1.0 + 1e-9)
-    du, dv = fixed_boundary_rhs(p, x, np.array((u, v)))
+    y, dx = np.array((u, v)), x[1] - x[0]
+    du, dv = _Stage(p, dx, x.size).densities(trapezoid_weights(x.size, dx) * y, y, np.empty_like(y))
     assert max(np.abs(du).max(), np.abs(dv).max()) < 1e-5
 
 
@@ -695,7 +748,7 @@ def test_occupied_fluxes_match_full_grid(weight):
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         flux_h, flux_g = _front_fluxes(p, grid, w, u, v, g, h)
         ref = (p.mu * flux_h, -p.mu * flux_g)
-        got = _front_rates(p, x[lo:hi], w[lo:hi] * np.array((u[lo:hi], v[lo:hi])), g, h, _folds(p))
+        got = _Stage(p, grid.dx, grid.n).fronts(x[lo:hi], w[lo:hi] * np.array((u[lo:hi], v[lo:hi])), g, h)
         if name == "empty":
             assert lo == hi and ref == got == (0.0, 0.0)
         else:
@@ -762,7 +815,7 @@ def test_window_stage_matches_full_grid(kernel, weight):
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h)
-        dy, g_rate, h_rate = _Stage(p, grid, st1, st2, _folds(p)).rates(np.array((u, v)), g, h)
+        dy, g_rate, h_rate = _Stage(p, grid.dx, grid.n, grid).rates(np.array((u, v)), g, h)
         got = (dy[0], dy[1], g_rate, h_rate)
         for ref_d, got_d in zip(ref[:2], got[:2]):
             assert got_d.shape == ref_d.shape
@@ -855,20 +908,21 @@ def test_a_recorded_row_computes_its_quadrature_weights_once(monkeypatch):
 
 
 def test_frozen_interval_rates_integrate_with_the_endpoint_trapezoid_rule():
-    # The frozen-interval rates are the density rates under trapezoid weights
-    # of spacing x[1] - x[0], dx/2 at both endpoints, bit for bit.
+    # A frozen-interval step is the 4-stage step of the stage's density rates
+    # under trapezoid weights of spacing x[1] - x[0], dx/2 at both endpoints,
+    # bit for bit.
     p = make_params(alpha=2.0, kernel=KernelSpec.gaussian(0.3))
     x = np.linspace(-1.1, 0.9, 81)
     u, v = 1.0 - (x / 1.2) ** 2, 0.5 + 0.1 * x
     dx = x[1] - x[0]
     w = np.full(x.size, dx)
     w[0] = w[-1] = 0.5 * dx
-    st1 = _stencil(p.kernel1, dx, x.size - 1)
-    st2 = _stencil(p.kernel2, dx, x.size - 1)
-    y = np.array((u, v))
-    want = _density_rates(p, w * y, y, st1, st2, np.empty_like(y))
-    got = fixed_boundary_rhs(p, x, y)
-    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+    stage, dt = _Stage(p, dx, x.size), 0.05
+    rhs = lambda y: (stage.densities(w * y, y, np.empty_like(y)),)
+    (want,) = rk4_step(rhs, (np.array((u, v)),), dt)
+    got_x, got_u, got_v = fixed_boundary_run(p, x[0], x[-1], u, v, t_end=dt, dx=dx, dt=dt)
+    assert got_x.tobytes() == x.tobytes()
+    assert [got_u.tobytes(), got_v.tobytes()] == [r.tobytes() for r in want]
 
 
 def window_lambda(p, grid: Grid, g: float, h: float) -> float:

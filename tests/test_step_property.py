@@ -10,8 +10,7 @@ from epifront.simulator import (
     DomainExhausted,
     Grid,
     SimState,
-    _folds,
-    _front_rates,
+    _Stage,
     quad_weights,
     sample_profile,
     stability_limit,
@@ -120,5 +119,6 @@ def test_front_fluxes_are_nonnegative_for_every_W_valid_weight(case):
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(0.0, 10.0, (2, FLUX_GRID.n)) * (rng.random((2, FLUX_GRID.n)) < 0.8)
     w, lo, hi = quad_weights(FLUX_GRID, g, h)
-    h_rate, g_rate = _front_rates(p, FLUX_GRID.x[lo:hi], w * np.array((u[lo:hi], v[lo:hi])), g, h, _folds(p))
+    stage = _Stage(p, FLUX_GRID.dx, FLUX_GRID.n, FLUX_GRID)  # the stage a run on FLUX_GRID steps with
+    h_rate, g_rate = stage.fronts(FLUX_GRID.x[lo:hi], w * np.array((u[lo:hi], v[lo:hi])), g, h)
     assert h_rate >= 0.0 >= g_rate
