@@ -29,6 +29,7 @@ from .simulator import (
     SimConfig,
     SimState,
     Trajectory,
+    Verdict,
     boundary_rates,
     classify,
     fixed_boundary_run,

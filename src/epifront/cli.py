@@ -121,7 +121,7 @@ def _cmd_simulate(args, cfg) -> int:
 
     l_star = effective_L_star(p, n=cfg.thresholds.n)
     traj = run(p, num, u0, v0, record_snapshots=cfg.output.snapshots)
-    outcome = classify(traj, l_star, num)
+    outcome = classify(traj, l_star, num).label
 
     # Coarse companion run: one halving level of resolution, for the
     # grid-refinement delta reported alongside the result. When the doubled
@@ -270,10 +270,9 @@ def _sweep_one(payload):
         if l_star is None:
             l_star = effective_L_star(p, n=cfg.thresholds.n)
         traj = run(p, num, u0, v0, stop_width=spreading_stop_width(l_star, num))
-        outcome = classify(traj, l_star, num)
+        verdict = classify(traj, l_star, num)
         return (
-            value, outcome,
-            float(traj.h[-1] - traj.g[-1]),
+            value, verdict.label, verdict.width,
             float(traj.sup_u[-1]), float(traj.sup_v[-1]),
             traj.status,
         )

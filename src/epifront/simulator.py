@@ -41,11 +41,14 @@ Implements:
     moving-front stepper, and binds its stage and trapezoid weights once per
     run.
   - Trajectory recording and the finite-horizon spreading / vanishing /
-    undecided classifier.
+    undecided classifier (classify), which returns its label with the rule
+    that decided it and the final row's evidence (Verdict); one function
+    (decayed_and_stalled) holds the decay test it, the searches' last-chance
+    rule and run's decay stop share.
   - The sign of the principal eigenvalue of the frozen linearization on the
     occupied window (the eigen solver's operator and kernel entries on the
-    simulator's nodes and weights; one Cholesky attempt; the run's stage
-    keeps the kernel blocks of the last window). Runs of the threshold
+    simulator's nodes and weights; one Cholesky attempt), a function of the
+    model and the state alone. Runs of the threshold
     searches stop as `stopped_certified` once it is not positive, a
     certificate of spreading, and as `stopped_vanishing` once mu is at most
     the search's vanishing level at the recorded state, a certificate of
@@ -104,7 +107,7 @@ class Grid:
         self.n = self.x.size
         self.nodes = self.x.tolist()  # the window lookups bisect this list
         self.cells = np.full(self.n, self.dx)  # interior quadrature weights, copied per window
-        self.stage = None  # the _Stage of the run stepping on this grid
+        self.stage = None  # the _Stage the last run or step bound on this grid
 
 
 @dataclass(frozen=True)
@@ -258,8 +261,7 @@ class _Stage:
     formulas, since a run's front distances are positive and its densities
     clamped by construction; flux_equivalence_check alone binds the checked
     kernel_tail, weight_eval and infection_value. A run's stage hangs on its
-    grid (grid.stage) for the steps and keeps the window certificate's
-    kernel blocks of the last occupied node range (blocks).
+    grid (grid.stage) for the steps.
     """
 
     def __init__(self, p: ModelParams, dx: float, n: int, grid: Grid | None = None, checked: bool = False):
@@ -275,7 +277,6 @@ class _Stage:
         else:
             self.tail, self.weight = tail_formula(p.kernel1), weight_formula(p.weight)
             self.infection = partial(infection_formula, p.infection)
-        self._span, self._blocks = None, {}
 
     def densities(self, wy: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Dispersal-reaction rates of the density pair y = (u, v), written into
@@ -321,15 +322,6 @@ class _Stage:
         h_rate, g_rate = self.fronts(self.grid.x[lo:hi], wy, g, h)
         return dy, g_rate, h_rate
 
-    def blocks(self, lo: int, hi: int) -> dict:
-        """The window certificate's kernel blocks J(x_j - x_k) on the node
-        range [lo, hi), by kernel; emptied when the range changes. The
-        occupied range only grows along a run, so an older one never comes
-        back."""
-        if self._span != (lo, hi):
-            self._span, self._blocks = (lo, hi), {}
-        return self._blocks
-
 
 def _occupied(state: SimState):
     """(x, wy, lo, hi) of the occupied window of `state`: its nodes, the
@@ -362,19 +354,10 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     the eigen solver's kernel entries J(x_j - x_k) (spectral._kernel_matrix).
     Only the sign is needed: -K is positive definite exactly when
     lambda_p > 0, so one Cholesky attempt decides it, to rounding.
-    The entries depend only on the node range: the run's stage keeps them
-    for its last range (_Stage.blocks), and equal kernels share one block.
+    Equal kernels share one block.
     """
     w, lo, hi = quad_weights(state.grid, state.g, state.h)
-    x = state.grid.x[lo:hi]
-    stage = state.grid.stage
-    blocks = stage.blocks(lo, hi) if stage is not None and stage.p is p else {}
-
-    def kernel_matrix(kernel: KernelSpec) -> np.ndarray:
-        if kernel not in blocks:
-            blocks[kernel] = _kernel_matrix(kernel, x)
-        return blocks[kernel]
-
+    kernel_matrix = lru_cache(maxsize=None)(partial(_kernel_matrix, x=state.grid.x[lo:hi]))
     mat = coupled_operator(w, kernel_matrix, p)
     try:
         np.linalg.cholesky(-mat)
@@ -434,21 +417,23 @@ def flux_equivalence_check(p: ModelParams, state: SimState) -> float:
     The tail form is the pathogen part (rho = 0) of boundary_rates, the code
     the stepper runs. The inner dispersal integral of the double form is done
     by adaptive quadrature of the kernel density itself, independent of the
-    closed-form tail.
+    closed-form tail. A power_tail kernel's is split at its cutoff and runs
+    to infinity: over its finite support radius (about 7.9e5 at exponent
+    2.5) quad returned about -1e-10 against a tail mass of 0.12-0.47.
     """
     from scipy.integrate import quad
 
     grid = state.grid
     x, wy, lo, hi = _occupied(state)
     tail_form = _Stage(replace(p, rho=0.0), grid.dx, grid.n, checked=True).fronts(x, wy, state.g, state.h)[0]
-    reach = support_radius(p.kernel1)
+    density, reach = partial(kernel_eval, p.kernel1), support_radius(p.kernel1)
     double_form = 0.0
     for j in range(lo, hi):
         gap = state.h - grid.x[j]
         if gap >= reach or state.u[j] == 0.0:
             continue
-        pts = [p.kernel1.radius] if p.kernel1.family == "uniform" else None
-        inner, _ = quad(lambda s: kernel_eval(p.kernel1, s), gap, reach, points=pts, limit=200)
+        ends = (gap, max(gap, p.kernel1.cutoff), math.inf) if p.kernel1.family == "power_tail" else (gap, reach)
+        inner = sum(quad(density, a, b, limit=200)[0] for a, b in zip(ends, ends[1:]))
         double_form += wy[0, j - lo] * inner
     double_form *= p.mu
     return abs(double_form - tail_form)
@@ -578,7 +563,6 @@ def run(
     stage = grid.stage = _Stage(p, grid.dx, grid.n, grid)
     if done == 0 and vanishes(record(state)):  # a fresh run's initial row
         status = "stopped_vanishing"
-    decay_floor = 0.01 * cfg.tol_vanish
     while status == "completed" and done < n_steps:
         try:
             state = step(p, cfg, state)
@@ -600,12 +584,11 @@ def run(
             if certify is not None and not window_lambda_positive(p, state):
                 status = "stopped_certified"
                 break
-            if row[3] + row[4] < decay_floor and row[7] - row[8] < decay_floor:
+            if decayed_and_stalled(row[3] + row[4], row[7] - row[8], 0.01 * cfg.tol_vanish):
                 status = "stopped_decayed"
                 break
     if rows[-1][0] != state.t:
         record(state)
-    grid.stage = None
     cols = {name: np.asarray(col) for name, col in zip(_ROW_FIELDS, zip(*rows))}
     return Trajectory(
         **cols,
@@ -623,22 +606,55 @@ def spreading_stop_width(L_star: float, cfg: SimConfig) -> float:
     return 2.0 * L_star + 2.0 * cfg.tol_spread
 
 
-def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
-    """Finite-horizon spreading / vanishing / undecided proxy.
+@dataclass(frozen=True)
+class Verdict:
+    """A finite-horizon label ("spreading", "vanishing" or "undecided"), the
+    rule that decided it, and the evidence that rule compared, all read at
+    the final recorded row: its time t, the occupied width h - g, the
+    density sup u + sup v and the front speed h' - g'.
+
+    classify's rules: certified (stopped_certified), width (past 2*L_star +
+    tol_spread), level (stopped_vanishing), escaped (the escape width of a
+    domain_exhausted run), decayed (decayed_and_stalled below tol_vanish
+    within 2*L_star) and none (undecided). The threshold searches add
+    last_chance (thresholds._classify_with_horizon).
+    """
+
+    label: str
+    rule: str
+    t: float
+    width: float
+    density: float
+    speed: float
+
+
+def decayed_and_stalled(density: float, speed: float, tol: float) -> bool:
+    """Whether the density sup u + sup v and the front speed h' - g' both sit below tol."""
+    return density < tol and speed < tol
+
+
+def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> Verdict:
+    """Finite-horizon spreading / vanishing / undecided proxy, with its rule.
 
     spreading: the run stopped on a window eigenvalue certificate
-    (`stopped_certified`), or the occupied width exceeded 2*L_star +
-    tol_spread at some recorded time (beyond that width the interval
-    eigenvalue is negative, so the range can never stall). vanishing: the
-    run stopped on the vanishing level (`stopped_vanishing`), or at the
-    final time the densities and the front speeds sit below tol_vanish and
-    the width is still at most 2*L_star. Everything else is undecided.
+    (`stopped_certified`: certified), or the occupied width exceeded
+    2*L_star + tol_spread at some recorded time (width; beyond that width
+    the interval eigenvalue is negative, so the range can never stall).
+    vanishing: the run stopped on the vanishing level (`stopped_vanishing`:
+    level), or at the final time the densities and the front speeds sit
+    below tol_vanish and the width is still at most 2*L_star (decayed).
+    Everything else is undecided (none).
     """
     width = trajectory.h - trajectory.g
-    if trajectory.status == "stopped_certified" or np.any(width > 2.0 * L_star + cfg.tol_spread):
-        return "spreading"
+    density = float(trajectory.sup_u[-1] + trajectory.sup_v[-1])
+    speed = float(trajectory.h_rate[-1] - trajectory.g_rate[-1])
+    verdict = partial(Verdict, t=float(trajectory.t[-1]), width=float(width[-1]), density=density, speed=speed)
+    if trajectory.status == "stopped_certified":
+        return verdict("spreading", "certified")
+    if np.any(width > 2.0 * L_star + cfg.tol_spread):
+        return verdict("spreading", "width")
     if trajectory.status == "stopped_vanishing":
-        return "vanishing"
+        return verdict("vanishing", "level")
     if trajectory.status == "domain_exhausted":
         # The fronts left the grid: the escaping side passed cap - dx (the grid's
         # cap, domain_cap rounded to a multiple of dx) and the other never retreats
@@ -647,12 +663,10 @@ def classify(trajectory: Trajectory, L_star: float, cfg: SimConfig) -> str:
         grid = trajectory.final_state.grid
         escape_width = grid.cap - grid.dx - float(trajectory.g[0])
         if escape_width > 2.0 * L_star + cfg.tol_spread:
-            return "spreading"
-    decayed = trajectory.sup_u[-1] + trajectory.sup_v[-1] < cfg.tol_vanish
-    stalled = trajectory.h_rate[-1] - trajectory.g_rate[-1] < cfg.tol_vanish
-    if decayed and stalled and width[-1] <= 2.0 * L_star:
-        return "vanishing"
-    return "undecided"
+            return verdict("spreading", "escaped")
+    if decayed_and_stalled(density, speed, cfg.tol_vanish) and width[-1] <= 2.0 * L_star:
+        return verdict("vanishing", "decayed")
+    return verdict("undecided", "none")
 
 
 def fixed_boundary_run(

@@ -23,9 +23,10 @@ Implements:
     _vanishing_ladder, built once per search). A completed, undecided probe
     run continues from its final state at twice the horizon, up to a cap. A
     run that stopped is final. At its last chance (the last horizon, or a
-    stopped_decayed run) a decayed, stalled probe is vanishing (its run
-    found its final window eigenvalue positive); any other undecided probe
-    fails the search with its status and evidence.
+    stopped_decayed run) a decayed, stalled probe is vanishing by the rule
+    last_chance (its run found its final window eigenvalue positive); any
+    other undecided probe fails the search with its status and its verdict's
+    evidence. A probe keeps only its label.
   - The explicit sufficient vanishing level for mu built from the eigenpair
     of a slightly enlarged interval (vanishing_mu_bound, the mu search's low
     bracket end), and the same level at any state of a run from a ladder of
@@ -46,7 +47,7 @@ import numpy as np
 
 from .kernels import kernel_positive_everywhere, weight_positive_on, weight_sup
 from .model import ModelParams, gprime0, r0, spreading_sufficient
-from .simulator import SimConfig, classify, run, spreading_stop_width
+from .simulator import SimConfig, Verdict, classify, decayed_and_stalled, run, spreading_stop_width
 from .spectral import EigenProblem, principal_eigenvalue, trapezoid_weights
 
 _HORIZON_DOUBLINGS = 3  # an undecided probe runs at most 4 horizons
@@ -364,15 +365,17 @@ def _vanishing_ladder(p: ModelParams, L_star: float, n: int):
     return level
 
 
-def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float, level) -> str:
-    """A probe's label: classify its run, doubling a completed undecided run's
-    horizon; runs stop early on the window eigenvalue certificate and on the
-    search's vanishing level `level` (_vanishing_ladder), run's `certify`.
+def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profile, L_star: float, level) -> Verdict:
+    """A probe's verdict: classify its run, doubling a completed undecided
+    run's horizon; runs stop early on the window eigenvalue certificate and
+    on the search's vanishing level `level` (_vanishing_ladder), run's
+    `certify`.
 
     A run still undecided at its last chance (the last horizon, or a
-    `stopped_decayed` run) is vanishing when it is decayed and stalled below
-    tol_vanish; otherwise the search fails. Its window eigenvalue is positive:
-    the run checked it at every recorded row, its final step included.
+    `stopped_decayed` run) is vanishing by the rule last_chance when it is
+    decayed and stalled below tol_vanish; otherwise the search fails, naming
+    the verdict's evidence. Its window eigenvalue is positive: the run
+    checked it at every recorded row, its final step included.
     """
     stop = spreading_stop_width(L_star, cfg)
     horizon = cfg.t_end
@@ -380,20 +383,19 @@ def _classify_with_horizon(p: ModelParams, cfg: SimConfig, u0_profile, v0_profil
     for _ in range(_HORIZON_DOUBLINGS + 1):
         local = replace(cfg, t_end=horizon)
         traj = run(p, local, u0_profile, v0_profile, stop_width=stop, resume=traj, certify=level)
-        outcome = classify(traj, L_star, local)
-        if outcome != "undecided":
-            return outcome
+        verdict = classify(traj, L_star, local)
+        if verdict.label != "undecided":
+            return verdict
         if traj.status != "completed":  # a run that stopped is final
             break
         horizon *= 2.0
-    density = traj.sup_u[-1] + traj.sup_v[-1]
-    speed = traj.h_rate[-1] - traj.g_rate[-1]
-    if traj.status in ("completed", "stopped_decayed") and density < cfg.tol_vanish and speed < cfg.tol_vanish:
-        return "vanishing"
+    quiet = decayed_and_stalled(verdict.density, verdict.speed, cfg.tol_vanish)
+    if traj.status in ("completed", "stopped_decayed") and quiet:
+        return replace(verdict, label="vanishing", rule="last_chance")
     raise ThresholdSearchError(
-        f"probe run ended {traj.status} at t={traj.t[-1]:.6g}, undecided: width {traj.h[-1] - traj.g[-1]:.6g} "
+        f"probe run ended {traj.status} at t={verdict.t:.6g}, undecided: width {verdict.width:.6g} "
         f"against 2L*={2.0 * L_star:.6g} and 2L*+tol_spread={2.0 * L_star + cfg.tol_spread:.6g}, sup u+v "
-        f"{density:.3g}, front speed {speed:.3g}"
+        f"{verdict.density:.3g}, front speed {verdict.speed:.3g}"
     )
 
 
@@ -416,7 +418,7 @@ def _label_search(
 
     def label(x: float) -> str:
         model, u0, v0 = probe(x)
-        outcome = _classify_with_horizon(model, cfg, u0, v0, Ls, level)
+        outcome = _classify_with_horizon(model, cfg, u0, v0, Ls, level).label
         probes.append((x, outcome))
         return outcome
 

@@ -190,11 +190,11 @@ def test_criterion_09_front_response_threshold():
     cfg = SimConfig(dx=0.04, dt=0.12, t_end=150.0, domain_cap=4.0, record_every=10)
     Ls = find_L_star(p)
     base = vanishing_mu_bound(p, bump, bump, L_star=Ls)
-    low = classify(run(replace(p, mu=base), cfg, bump, bump), Ls, cfg)
+    low = classify(run(replace(p, mu=base), cfg, bump, bump), Ls, cfg).label
     high = classify(
         run(replace(p, mu=1e3 * base), cfg, bump, bump, stop_width=2 * Ls + 2 * cfg.tol_spread),
         Ls, cfg,
-    )
+    ).label
     res = find_mu_star(p, cfg, bump, bump)
     elapsed = time.perf_counter() - t0
     checks = {

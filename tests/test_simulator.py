@@ -10,6 +10,7 @@ import pytest
 from epifront import (
     KernelSpec,
     SimConfig,
+    Verdict,
     WeightSpec,
     a_priori_bounds,
     boundary_rates,
@@ -166,7 +167,10 @@ def test_flux_equivalence_zero():
     assert flux_equivalence_check(p, flat_state(grid, -1.0, 1.0, 0.0, 0.0)) == 0.0
 
 
-@pytest.mark.parametrize("kernel", [KernelSpec.uniform(1.0), KernelSpec.gaussian(0.8)])
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec.uniform(1.0), KernelSpec.gaussian(0.8), KernelSpec.power_tail(2.5, 0.5), KernelSpec.laplace(0.6)],
+)
 def test_flux_equivalence_random_and_constant(kernel):
     p = make_params(kernel=kernel)
     grid = Grid(0.05, 4.0)
@@ -475,7 +479,7 @@ def test_run_vanishing_regime():
         traj = run(p, cfg, bump, bump)
         growth.append(traj.h[-1] - traj.g[-1] - 2.0 * p.h0)
         assert traj.sup_u[-1] + traj.sup_v[-1] < 1e-3
-        assert classify(traj, float("inf"), cfg) == "vanishing"
+        assert classify(traj, float("inf"), cfg).label == "vanishing"
     assert max(growth) < 0.5
     assert abs(growth[0] - growth[1]) < 0.01
 
@@ -485,7 +489,7 @@ def test_run_spreading_sufficient_regime():
     cfg = SimConfig(dx=0.05, dt=0.12, t_end=25.0, domain_cap=8.0, record_every=10)
     traj = run(p, cfg, bump_profile(1.0), bump_profile(1.0))
     assert traj.h[-1] - traj.g[-1] > 2.0 * p.h0 + 2.0
-    assert classify(traj, 0.0, cfg) == "spreading"
+    assert classify(traj, 0.0, cfg).label == "spreading"
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.all(np.diff(traj.h - traj.g) >= 0.0)
 
@@ -590,7 +594,8 @@ def test_fixed_boundary_midpoint_error_shrinks_with_width():
 
 
 def test_classify_rules():
-    p = make_params()
+    # One case per rule; each verdict carries the final row's time, width
+    # h - g, density sup u + sup v and front speed h' - g'.
     cfg = SimConfig(dx=0.05, dt=0.1, t_end=1.0, domain_cap=4.0, tol_vanish=1e-3, tol_spread=0.5)
     base = dict(
         sup_u=np.array([1.0, 0.5]), sup_v=np.array([1.0, 0.5]),
@@ -598,18 +603,30 @@ def test_classify_rules():
         h_rate=np.array([1.0, 1.0]), g_rate=np.array([-1.0, -1.0]),
         status="completed", final_state=None,
     )
-    from epifront.simulator import Trajectory
-    wide = Trajectory(t=np.array([0.0, 1.0]), g=np.array([-1.0, -3.0]), h=np.array([1.0, 3.0]), **base)
-    assert classify(wide, 1.0, cfg) == "spreading"
+    t, narrow = np.array([0.0, 1.0]), dict(g=np.array([-1.0, -1.1]), h=np.array([1.0, 1.1]))
+    wide = Trajectory(t=t, g=np.array([-1.0, -3.0]), h=np.array([1.0, 3.0]), **base)
+    assert classify(wide, 1.0, cfg) == Verdict("spreading", "width", 1.0, 6.0, 1.0, 2.0)
+    certified = Trajectory(t=t, **narrow, **dict(base, status="stopped_certified"))
+    assert classify(certified, 2.0, cfg) == Verdict("spreading", "certified", 1.0, 2.2, 1.0, 2.0)
+    level = Trajectory(t=t, **narrow, **dict(base, status="stopped_vanishing"))
+    assert classify(level, 2.0, cfg) == Verdict("vanishing", "level", 1.0, 2.2, 1.0, 2.0)
+    # The grid ends at 1, so the escape width is 1 - 0.0625 + 0.5 = 1.4375,
+    # past 2 L* + tol_spread = 1.3, while the last row's width is 1.25.
+    grid = Grid(0.0625, 1.0)
+    last = SimState(t=1.0, g=-0.5, h=0.75, u=np.zeros(grid.n), v=np.zeros(grid.n), grid=grid)
+    escaped = Trajectory(
+        t=t, g=np.array([-0.5, -0.5]), h=np.array([0.5, 0.75]), **dict(base, status="domain_exhausted", final_state=last)
+    )
+    assert classify(escaped, 0.4, cfg) == Verdict("spreading", "escaped", 1.0, 1.25, 1.0, 2.0)
     quiet = dict(base)
     quiet.update(
         sup_u=np.array([1.0, 1e-8]), sup_v=np.array([1.0, 1e-8]),
         h_rate=np.array([1.0, 1e-9]), g_rate=np.array([-1.0, -1e-9]),
     )
-    small = Trajectory(t=np.array([0.0, 1.0]), g=np.array([-1.0, -1.1]), h=np.array([1.0, 1.1]), **quiet)
-    assert classify(small, 2.0, cfg) == "vanishing"
-    stuck = Trajectory(t=np.array([0.0, 1.0]), g=np.array([-1.0, -1.1]), h=np.array([1.0, 1.1]), **base)
-    assert classify(stuck, 2.0, cfg) == "undecided"
+    small = Trajectory(t=t, **narrow, **quiet)
+    assert classify(small, 2.0, cfg) == Verdict("vanishing", "decayed", 1.0, 2.2, 2e-8, 2e-9)
+    stuck = Trajectory(t=t, **narrow, **base)
+    assert classify(stuck, 2.0, cfg) == Verdict("undecided", "none", 1.0, 2.2, 1.0, 2.0)
 
 
 def test_escape_width_of_an_exhausted_run_reads_the_grid_cap():
@@ -627,8 +644,8 @@ def test_escape_width_of_an_exhausted_run_reads_the_grid_cap():
         h_rate=np.ones(2), g_rate=np.zeros(2), status="domain_exhausted", final_state=last,
     )
     # 2 L* + tol_spread = 1.255 lies below the escape width 1.26, 1.265 above it.
-    assert classify(exhausted, 0.3775, cfg) == "spreading"
-    assert classify(exhausted, 0.3825, cfg) == "undecided"
+    assert classify(exhausted, 0.3775, cfg).label == "spreading"
+    assert classify(exhausted, 0.3825, cfg).label == "undecided"
 
 
 _TRAJECTORY_ARRAYS = ("t", "g", "h", "sup_u", "sup_v", "mass_u", "mass_v", "h_rate", "g_rate")
@@ -977,7 +994,8 @@ def test_a_certified_run_stops_at_its_first_nonpositive_window():
     assert positive.index(False) == rows - 1  # the initial row is not checked; it is positive
     width = certified.h[-1] - certified.g[-1]
     assert width < 2.0 * 0.6 + CERTIFY_CFG.tol_spread  # the width rule would not call it yet
-    assert classify(certified, 0.6, CERTIFY_CFG) == "spreading"
+    assert classify(certified, 0.6, CERTIFY_CFG).label == "spreading"
+    assert not window_lambda_positive(p, certified.final_state)  # outside its run too
 
 
 def test_run_rejects_a_weight_violating_W_before_stepping():
@@ -1038,8 +1056,8 @@ def test_the_window_operator_takes_the_eigen_solvers_kernel_entries(monkeypatch)
 
 
 def test_run_builds_its_stage_once_per_call(monkeypatch):
-    # One stage per run, fresh or resumed: the steps, the rows and the window
-    # certificates all use the one the run hangs on its grid.
+    # One stage per run, fresh or resumed: the steps and the rows both use the
+    # one the run hangs on its grid.
     import epifront.simulator as sim
 
     built = []
@@ -1092,10 +1110,7 @@ def test_a_library_step_equals_the_runs_own_step():
 )
 def test_a_certifying_run_passes_the_eigen_solvers_kernel_blocks(monkeypatch, kernels, mu):
     # Every window certificate of a run gets the blocks _kernel_matrix builds on
-    # its window, byte for byte; a window met again reuses them, and equal
-    # kernels share one. The slow, lopsided fronts meet a window again and
-    # also move one end of it alone, so the blocks must be kept by the whole
-    # node range.
+    # its window, byte for byte, and equal kernels share one.
     import epifront.simulator as sim
 
     p = make_params(alpha=2.0, h0=0.4, mu=mu, kernel=kernels[0], kernel2=kernels[1])
@@ -1116,21 +1131,3 @@ def test_a_certifying_run_passes_the_eigen_solvers_kernel_blocks(monkeypatch, ke
         want = [_kernel_matrix(kernel, grid.x[lo:hi]) for kernel in kernels]
         assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]
         assert (blocks[0] is blocks[1]) == (kernels[0] == kernels[1])
-    repeats = [i for i in range(1, len(spans)) if spans[i] == spans[i - 1]]
-    assert repeats and all(calls[i][0] is calls[i - 1][0] for i in repeats)
-    moved_lo_only = [i for i in range(1, len(spans)) if spans[i][0] != spans[i - 1][0] and spans[i][1] == spans[i - 1][1]]
-    assert moved_lo_only
-
-
-def test_the_block_cache_does_not_outlive_its_run():
-    # The run takes its stage, and with it the certificate's kernel blocks,
-    # off the grid when it returns, however it stopped.
-    p = make_params(alpha=2.0, h0=0.4, mu=1.0)
-    bump = bump_profile(0.4)
-    certified = run(p, CERTIFY_CFG, bump, bump, certify=lambda H, norm: 0.0)
-    assert certified.status == "stopped_certified" and certified.final_state.grid.stage is None
-    completed = run(replace(p, mu=0.1), CERTIFY_CFG, bump, bump, certify=lambda H, norm: 0.0)
-    assert completed.status == "completed" and completed.final_state.grid.stage is None
-    # A certificate outside a run builds its blocks afresh and keeps none.
-    assert not window_lambda_positive(p, certified.final_state)
-    assert certified.final_state.grid.stage is None

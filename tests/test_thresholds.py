@@ -14,6 +14,7 @@ import pytest
 from epifront import (
     KernelSpec,
     SimConfig,
+    Verdict,
     WeightSpec,
     classify,
     d_star_lower_bound,
@@ -189,7 +190,7 @@ def test_vanishing_mu_bound_run_vanishes():
     Ls = find_L_star(p)
     base = vanishing_mu_bound(p, bump, bump, L_star=Ls)
     traj = run(replace(p, mu=base), MU_CFG, bump, bump)
-    assert classify(traj, Ls, MU_CFG) == "vanishing"
+    assert classify(traj, Ls, MU_CFG).label == "vanishing"
 
 
 def test_find_mu_star_contract_and_determinism():
@@ -368,6 +369,11 @@ def test_every_mu_probe_step_is_new_off_the_record_cadence(monkeypatch):
     assert len(calls) == sum(traj.steps for traj in final.values())
 
 
+def _verdict(label):
+    """A stand-in probe verdict that carries only its label."""
+    return Verdict(label, {"spreading": "width", "vanishing": "decayed"}[label], 0.0, 0.0, 0.0, 0.0)
+
+
 def test_bracket_ends_move_out_by_four_until_their_label_fits(monkeypatch):
     import epifront.thresholds as thr
 
@@ -376,7 +382,7 @@ def test_bracket_ends_move_out_by_four_until_their_label_fits(monkeypatch):
     threshold = [0.5]
     monkeypatch.setattr(
         thr, "_classify_with_horizon",
-        lambda q, cfg, u0, v0, Ls, level: "spreading" if q.mu > threshold[0] else "vanishing",
+        lambda q, cfg, u0, v0, Ls, level: _verdict("spreading" if q.mu > threshold[0] else "vanishing"),
     )
     res = find_mu_star(p, MU_CFG, bump, bump, bracket=(0.6, 0.7), rel_tol=0.9)
     assert [x for x, _ in res.probes[:3]] == [0.6, 0.15, 0.7]
@@ -397,7 +403,7 @@ def test_sigma_search_brackets_from_its_own_default(monkeypatch):
     bump = bump_profile(0.4)
     monkeypatch.setattr(
         thr, "_classify_with_horizon",
-        lambda q, cfg, u0, v0, Ls, level: "spreading" if u0(0.0) > 0.5 else "vanishing",
+        lambda q, cfg, u0, v0, Ls, level: _verdict("spreading" if u0(0.0) > 0.5 else "vanishing"),
     )
     res = find_sigma_star(p, MU_CFG, bump, bump, bracket=None)
     assert res.probes[:2] == ((1e-3, "vanishing"), (1e3, "spreading"))
@@ -510,12 +516,13 @@ def test_an_undecided_run_at_its_last_chance_vanishes_by_its_window_eigenvalue(m
         return traj
 
     monkeypatch.setattr(thr, "run", fake_run)
-    monkeypatch.setattr(thr, "classify", lambda *args: "undecided")
+    monkeypatch.setattr(thr, "classify", lambda *args: replace(classify(*args), label="undecided", rule="none"))
     if outcome is None:
         with pytest.raises(ThresholdSearchError, match=f"probe run ended {status}"):
             thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6, _no_vanishing_level)
     else:
-        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6, _no_vanishing_level) == outcome
+        verdict = thr._classify_with_horizon(p, MU_CFG, bump, bump, 0.6, _no_vanishing_level)
+        assert (verdict.label, verdict.rule) == (outcome, "last_chance")
     assert len(calls) == runs
 
 
@@ -534,7 +541,7 @@ def test_a_certified_run_that_reaches_its_last_chance_has_a_positive_window(t_en
     if status == "stopped_decayed":
         import epifront.thresholds as thr
 
-        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, Ls, _no_vanishing_level) == "vanishing"
+        assert thr._classify_with_horizon(p, MU_CFG, bump, bump, Ls, _no_vanishing_level).label == "vanishing"
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -603,9 +610,9 @@ def test_a_probe_the_vanishing_certificate_stops_still_vanishes_without_it():
         q = replace(p, mu=mu)
         certified = run(q, MU_CFG, bump, bump, stop_width=stop, certify=level)
         assert certified.status == "stopped_vanishing" and certified.t[-1] == pytest.approx(stopped_at)
-        assert classify(certified, Ls, MU_CFG) == "vanishing"
+        assert classify(certified, Ls, MU_CFG).label == "vanishing"
         plain = run(q, MU_CFG, bump, bump, stop_width=stop)
-        assert plain.status in ("stopped_decayed", "completed") and classify(plain, Ls, MU_CFG) == "vanishing"
+        assert plain.status in ("stopped_decayed", "completed") and classify(plain, Ls, MU_CFG).label == "vanishing"
         assert plain.t[-1] > certified.t[-1]
         assert certified.t.tobytes() == plain.t[: certified.t.size].tobytes()
 
