@@ -16,18 +16,17 @@ Implements:
     window's quadrature weights are built, and the one product w * y[:, lo:hi]
     feeds convolutions by direct O(n_win*m) stencil products (the eigen
     solver's kernel column, spectral._kernel_column, on the node offsets
-    0..m*dx, mirrored, once per kernel/grid pair; no FFT at this scale) and
+    0..m*dx, mirrored, once per run's stage; no FFT at this scale) and
     both front fluxes, from one tail evaluation and one mat-vec.
     Every other node has zero rate. The density check (finite, round-off
     clamp at -1e-14) runs once per step on y.
-  - The stage (_Stage), built once per run from the model, the node
-    spacing and count, and the grid it steps: it builds its stencils and
-    fold flag and binds the rate constants as 0-d arrays and the unchecked
-    tail, weight and G formulas for every stage of every step. Its methods
-    are the one copy of the stage expressions: the front rates
-    (mu F_h, -mu F_g) for the stage, the recorded rows, boundary_rates and
-    the flux check, and the dispersal-reaction rates for the moving and the
-    frozen interval.
+  - The stage (_Stage), built once per run from the model and the node
+    spacing and count: it builds its stencils and fold flag and binds the
+    rate constants as 0-d arrays and the unchecked tail, weight and G
+    formulas for every stage of every step. Its methods are the one copy of
+    the stage expressions: the front rates (mu F_h, -mu F_g) for the stage,
+    the recorded rows, boundary_rates and the flux check, and the
+    dispersal-reaction rates for the moving and the frozen interval.
     The fluxes are nonnegative by construction: run checks (W) and the
     initial data at every node, and the stepper keeps the densities
     nonnegative.
@@ -63,7 +62,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -188,12 +187,11 @@ class Trajectory:
     g_rate: np.ndarray
     status: str
     final_state: SimState
-    snapshots: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)  # (t, x, u, v): the grid's x and the state's u, v, not copies
     steps: int = 0  # time steps taken since t = 0
     failure: str | None = None  # the failed step's NumericalFailure message, "t=...: ..."
 
 
-@lru_cache(maxsize=64)
 def _stencil(kernel: KernelSpec, dx: float, max_offset: int) -> np.ndarray:
     """Kernel values at node offsets k*dx, |k| <= m; m capped by the grid
     width: the kernel column on the nodes 0, dx, ..., m*dx, mirrored."""
@@ -256,16 +254,17 @@ class _Stage:
     (numpy then converts no Python scalar per operation; the products are
     the same), and the tail, weight and G evaluators.
 
-    densities, fronts and rates (which needs the grid it steps) are the one
+    densities, fronts and rates (which takes the grid it steps) are the one
     copy of the stage expressions. The evaluators are the unchecked
     formulas, since a run's front distances are positive and its densities
     clamped by construction; flux_equivalence_check alone binds the checked
     kernel_tail, weight_eval and infection_value. A run's stage hangs on its
-    grid (grid.stage) for the steps.
+    grid (grid.stage) for the steps, and keeps no reference back, so a
+    finished run is freed without the cyclic garbage collector.
     """
 
-    def __init__(self, p: ModelParams, dx: float, n: int, grid: Grid | None = None, checked: bool = False):
-        self.p, self.grid = p, grid
+    def __init__(self, p: ModelParams, dx: float, n: int, *, checked: bool = False):
+        self.p = p
         self.fold = p.weight.family == "kernel_tail" and p.weight.kernel == p.kernel1
         self.st1, self.st2 = _stencil(p.kernel1, dx, n - 1), _stencil(p.kernel2, dx, n - 1)
         self.d1, self.d1a, self.e = _const(p.d1), _const(p.d1 + p.a), _const(p.e)
@@ -304,22 +303,22 @@ class _Stage:
             flux_h, flux_g = (np.hstack((tails, weights)) @ np.concatenate((wy[0], self.rho * wy[1]))).tolist()
         return self.p.mu * flux_h, -self.p.mu * flux_g
 
-    def rates(self, y: np.ndarray, g: float, h: float):
-        """Stage rates (dy, g', h') of the density pair y = (u, v), evaluated
-        on the occupied window [lo, hi).
+    def rates(self, grid: Grid, y: np.ndarray, g: float, h: float):
+        """Stage rates (dy, g', h') of the density pair y = (u, v) on `grid`,
+        evaluated on the occupied window [lo, hi).
 
         Densities vanish outside the window, so the convolutions take only
         the window's weighted values, dy is zero elsewhere, and the one
         product w * y[:, lo:hi] serves both the density and the front rates.
         """
-        w, lo, hi = quad_weights(self.grid, g, h)
+        w, lo, hi = quad_weights(grid, g, h)
         dy = np.zeros(y.shape)
         if lo == hi:
             return dy, 0.0, 0.0
         win = y[:, lo:hi]
         wy = w * win
         self.densities(wy, win, dy[:, lo:hi])
-        h_rate, g_rate = self.fronts(self.grid.x[lo:hi], wy, g, h)
+        h_rate, g_rate = self.fronts(grid.x[lo:hi], wy, g, h)
         return dy, g_rate, h_rate
 
 
@@ -357,8 +356,8 @@ def window_lambda_positive(p: ModelParams, state: SimState) -> bool:
     Equal kernels share one block.
     """
     w, lo, hi = quad_weights(state.grid, state.g, state.h)
-    kernel_matrix = lru_cache(maxsize=None)(partial(_kernel_matrix, x=state.grid.x[lo:hi]))
-    mat = coupled_operator(w, kernel_matrix, p)
+    blocks = {kernel: _kernel_matrix(kernel, state.grid.x[lo:hi]) for kernel in {p.kernel1, p.kernel2}}
+    mat = coupled_operator(w, blocks.__getitem__, p)
     try:
         np.linalg.cholesky(-mat)
     except np.linalg.LinAlgError:
@@ -391,12 +390,12 @@ def step(p: ModelParams, cfg: SimConfig, state: SimState) -> SimState:
     grid, dt = state.grid, cfg.dt
     stage = grid.stage
     if stage is None or stage.p is not p:
-        stage = grid.stage = _Stage(p, grid.dx, grid.n, grid)
+        stage = grid.stage = _Stage(p, grid.dx, grid.n)
 
     def rhs(y, g, h):
         if h > grid.cap or g < -grid.cap:
             raise DomainExhausted(state.t, "front left the preallocated grid")
-        return stage.rates(y, g, h)
+        return stage.rates(grid, y, g, h)
 
     y, g_new, h_new = rk4_step(rhs, (np.array((state.u, state.v)), state.g, state.h), dt)
     t_new = state.t + dt
@@ -532,7 +531,7 @@ def run(
         row = (s.t, s.g, s.h, float(s.u.max()), float(s.v.max()), mass_u, mass_v, hr, gr)
         rows.append(row)
         if record_snapshots:
-            snapshots.append((s.t, grid.x.copy(), s.u.copy(), s.v.copy()))
+            snapshots.append((s.t, grid.x, s.u, s.v))
         return row
 
     def vanishes(row) -> bool:
@@ -560,7 +559,7 @@ def run(
         if not (np.all(state.u >= 0.0) and np.all(state.v >= 0.0)):  # NaN fails too
             raise ValueError("initial data must be nonnegative")
         done = 0
-    stage = grid.stage = _Stage(p, grid.dx, grid.n, grid)
+    stage = grid.stage = _Stage(p, grid.dx, grid.n)
     if done == 0 and vanishes(record(state)):  # a fresh run's initial row
         status = "stopped_vanishing"
     while status == "completed" and done < n_steps:

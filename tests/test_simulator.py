@@ -1,7 +1,9 @@
 """Moving-front integration: quadrature, front law, comparisons, steady states."""
 
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -832,7 +834,7 @@ def test_window_stage_matches_full_grid(kernel, weight):
         u = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         v = np.where(inside, rng.uniform(0.1, 2.0, grid.n), 0.0)
         ref = _full_grid_rates(p, grid, st1, st2, u, v, g, h)
-        dy, g_rate, h_rate = _Stage(p, grid.dx, grid.n, grid).rates(np.array((u, v)), g, h)
+        dy, g_rate, h_rate = _Stage(p, grid.dx, grid.n).rates(grid, np.array((u, v)), g, h)
         got = (dy[0], dy[1], g_rate, h_rate)
         for ref_d, got_d in zip(ref[:2], got[:2]):
             assert got_d.shape == ref_d.shape
@@ -865,7 +867,7 @@ def test_recorded_rates_are_the_stage_rates(kernel, weight):
     for k in range(30):
         state = step(p, cfg, state)
         # the stage the step bound on the grid is the next step's
-        _, g_rate, h_rate = grid.stage.rates(np.array((state.u, state.v)), state.g, state.h)
+        _, g_rate, h_rate = grid.stage.rates(grid, np.array((state.u, state.v)), state.g, state.h)
         assert boundary_rates(p, state) == (h_rate, g_rate), f"step {k + 1}"
     assert state.h > 1.0 + cfg.dx and state.g < -1.0 - cfg.dx
 
@@ -1103,6 +1105,36 @@ def test_a_library_step_equals_the_runs_own_step():
     assert state.u.tobytes() == final.u.tobytes() and state.v.tobytes() == final.v.tobytes()
 
 
+@pytest.mark.parametrize("how", ["fresh", "resumed", "library_step"])
+def test_a_finished_run_is_freed_without_the_cyclic_collector(how):
+    # The grid holds its stage (grid.stage) and the stage holds nothing of the
+    # grid, so reference counting alone frees both once the run's result goes.
+    p = make_params(alpha=2.0, h0=0.4)
+    bump = bump_profile(0.4)
+    cfg = SimConfig(dx=0.04, dt=0.12, t_end=1.2, domain_cap=4.0, record_every=5)
+    gc.collect()
+    gc.disable()
+    try:
+        if how == "library_step":
+            grid = Grid(cfg.dx, cfg.domain_cap)
+            state = SimState(0.0, -p.h0, p.h0, sample_profile(bump, grid, p.h0), sample_profile(bump, grid, p.h0), grid)
+            del grid
+            for _ in range(10):
+                state = step(p, cfg, state)
+            refs = weakref.ref(state.grid), weakref.ref(state.grid.stage)
+            del state
+        else:
+            traj = run(p, cfg, bump, bump, record_snapshots=True)
+            if how == "resumed":
+                traj = run(p, replace(cfg, t_end=2.4), bump, bump, record_snapshots=True, resume=traj)
+            assert traj.status == "completed"
+            refs = weakref.ref(traj.final_state.grid), weakref.ref(traj.final_state.grid.stage)
+            del traj
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "kernels, mu",
     [((KernelSpec.uniform(1.0), KernelSpec.uniform(1.0)), 0.2), ((KernelSpec.gaussian(0.5), KernelSpec.laplace(0.4)), 0.1)],
@@ -1110,16 +1142,23 @@ def test_a_library_step_equals_the_runs_own_step():
 )
 def test_a_certifying_run_passes_the_eigen_solvers_kernel_blocks(monkeypatch, kernels, mu):
     # Every window certificate of a run gets the blocks _kernel_matrix builds on
-    # its window, byte for byte, and equal kernels share one.
+    # its window, byte for byte, and equal kernels share one, built once.
     import epifront.simulator as sim
 
     p = make_params(alpha=2.0, h0=0.4, mu=mu, kernel=kernels[0], kernel2=kernels[1])
-    calls = []
+    calls, built, builds = [], [], []
+
+    def counted(kernel, x):
+        built.append(kernel)
+        return _kernel_matrix(kernel, x)
 
     def capture(w, kernel_matrix, model):
         calls.append([kernel_matrix(kernel) for kernel in (model.kernel1, model.kernel2)])
-        return coupled_operator(w, kernel_matrix, model)
+        mat = coupled_operator(w, kernel_matrix, model)
+        builds.append(len(built))
+        return mat
 
+    monkeypatch.setattr(sim, "_kernel_matrix", counted)
     monkeypatch.setattr(sim, "coupled_operator", capture)
     bump = bump_profile(0.4)
     traj = run(p, CERTIFY_CFG, bump, lambda x: bump(x) * (1.0 + 2.0 * np.asarray(x)), certify=lambda H, norm: 0.0)
@@ -1131,3 +1170,4 @@ def test_a_certifying_run_passes_the_eigen_solvers_kernel_blocks(monkeypatch, ke
         want = [_kernel_matrix(kernel, grid.x[lo:hi]) for kernel in kernels]
         assert [blk.tobytes() for blk in blocks] == [blk.tobytes() for blk in want]
         assert (blocks[0] is blocks[1]) == (kernels[0] == kernels[1])
+    assert np.diff(builds, prepend=0).tolist() == [len(set(kernels))] * len(calls)  # per certificate
